@@ -36,7 +36,7 @@ import numpy as np
 
 from . import timegrid
 from .diffusion import DiffusionSpec, vesde, vpsde
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError
 from .oracle import (
     EpsilonField,
     GaussianMixture,
@@ -47,6 +47,7 @@ from .oracle import (
     reference_self_check,
     reference_solve,
     reference_states,
+    trajectory_streams,
 )
 from .samplers import SAMPLER_NAMES, SolverRun, run_sampler
 from .weights import lagrange_basis, tab_weights
@@ -105,27 +106,30 @@ class ExperimentConfig:
         kind = _require(raw, "kind", "config")
         if kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-        cfg = cls(
-            kind=kind,
-            diffusion=dict(_require(raw, "diffusion", "config")),
-            gmm=dict(_require(raw, "gmm", "config")),
-            sampler=dict(raw.get("sampler", {"name": "ddim"})),
-            schedule=dict(_require(raw, "schedule", "config")),
-            seed=int(raw.get("seed", 0)),
-            out=raw.get("out"),
-            format=raw.get("format", "csv"),
-            x_t=raw.get("x_t"),
-            batch=int(raw.get("batch", 64)),
-            n_list=tuple(raw.get("n_list", ())),
-            lambda_list=tuple(raw.get("lambda_list", (0.0, 1.0))),
-            n_traj=int(raw.get("n_traj", 50000)),
-            dt=float(raw.get("dt", 1e-3)),
-            ref_dt=float(raw.get("ref_dt", 1e-3)),
-            x0_list=tuple(raw.get("x0_list", ())),
-            points_per_interval=int(raw.get("points_per_interval", 8)),
-            orders=tuple(raw.get("orders", (0, 1, 2, 3))),
-        )
-        cfg.validate()
+        try:
+            cfg = cls(
+                kind=kind,
+                diffusion=dict(_require(raw, "diffusion", "config")),
+                gmm=dict(_require(raw, "gmm", "config")),
+                sampler=dict(raw.get("sampler", {"name": "ddim"})),
+                schedule=dict(_require(raw, "schedule", "config")),
+                seed=int(raw.get("seed", 0)),
+                out=raw.get("out"),
+                format=raw.get("format", "csv"),
+                x_t=raw.get("x_t"),
+                batch=int(raw.get("batch", 64)),
+                n_list=tuple(raw.get("n_list", ())),
+                lambda_list=tuple(raw.get("lambda_list", (0.0, 1.0))),
+                n_traj=int(raw.get("n_traj", 50000)),
+                dt=float(raw.get("dt", 1e-3)),
+                ref_dt=float(raw.get("ref_dt", 1e-3)),
+                x0_list=tuple(raw.get("x0_list", ())),
+                points_per_interval=int(raw.get("points_per_interval", 8)),
+                orders=tuple(raw.get("orders", (0, 1, 2, 3))),
+            )
+            cfg.validate()
+        except (TypeError, ValueError) as exc:  # ConfigError and ParameterError included
+            raise ConfigError(str(exc)) from exc
         return cfg
 
     @classmethod
@@ -160,6 +164,14 @@ class ExperimentConfig:
             raise ConfigError("schedule t0 must be positive")
         if int(_require(sched, "n", "schedule")) < 1:
             raise ConfigError("schedule n must be at least 1")
+        # every value a runner converts must convert here
+        _sampler_kwargs(self)
+        [int(v) for v in self.n_list + self.orders]
+        [float(v) for v in self.x0_list + self.lambda_list]
+        if np.ndim(np.asarray(self.x_t, dtype=float)) and self.kind == "trace":
+            raise ConfigError(f"trace experiments need a scalar x_t, got {self.x_t!r}")
+        if self.batch < 1 or self.n_traj < 1 or self.points_per_interval < 0:
+            raise ConfigError("batch and n_traj must be >= 1, points_per_interval >= 0")
         if self.kind == "convergence":
             if not self.n_list:
                 raise ConfigError("convergence experiments need a nonempty n_list")
@@ -169,11 +181,8 @@ class ExperimentConfig:
             raise ConfigError("marginal experiments need a nonempty lambda_list")
         if self.kind == "loglik" and not self.x0_list:
             raise ConfigError("loglik experiments need a nonempty x0_list")
-        try:
-            self.build_spec()
-            self.build_gmm()
-        except ParameterError as exc:
-            raise ConfigError(str(exc)) from exc
+        self.build_spec()
+        self.build_gmm()
 
     def t0_for(self, spec: DiffusionSpec) -> float:
         """Schedule t0, defaulting per preset (1e-3 VP, 1e-5 VE)."""
@@ -269,11 +278,7 @@ def draw_terminal_states(spec: DiffusionSpec, seed: int, n: int) -> np.ndarray:
     for trajectory i, so deterministic and stochastic batch runs see
     identical initial states.
     """
-    out = np.empty(n)
-    for i in range(n):
-        rng = np.random.Generator(np.random.Philox(key=seed ^ i))
-        out[i] = spec.pi_std * rng.standard_normal()
-    return out
+    return np.fromiter((x for x, _ in trajectory_streams(spec, seed, 0, n)), float, count=n)
 
 
 @dataclass

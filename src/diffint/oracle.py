@@ -47,6 +47,7 @@ __all__ = [
     "reference_self_check",
     "em_simulate",
     "em_terminal_batch",
+    "trajectory_streams",
     "pf_loglik",
 ]
 
@@ -272,6 +273,27 @@ def _em_times(t_end: float, t0: float, dt: float) -> np.ndarray:
     return np.linspace(t_end, t0, n + 1)
 
 
+def _em_step(spec: DiffusionSpec, field, lam: float, times, k: int, x, noise):
+    """Euler-Maruyama step k, from times[k] down to times[k+1];
+    ``noise[k]`` is its standard-normal draw (unused when lam = 0)."""
+    t = times[k]
+    h = times[k] - times[k + 1]
+    s_val = -field(x, t) / spec.L(t)
+    drift = spec.f(t) * x - 0.5 * (1 + lam**2) * spec.g2(t) * s_val
+    x = x - drift * h
+    if lam > 0:
+        x = x + lam * np.sqrt(spec.g2(t)) * np.sqrt(h) * noise[k]
+    return x
+
+
+def trajectory_streams(spec: DiffusionSpec, seed: int, start: int, stop: int):
+    """Yield (initial state, Philox stream keyed ``seed XOR i``) for each trajectory
+    i in [start, stop); the state is pi_std times the stream's first normal."""
+    for i in range(start, stop):
+        rng = np.random.Generator(np.random.Philox(key=seed ^ i))
+        yield spec.pi_std * rng.standard_normal(), rng
+
+
 def em_simulate(
     spec: DiffusionSpec,
     field,
@@ -300,16 +322,12 @@ def em_simulate(
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     noise = rng.standard_normal((n,) + x.shape) if lam > 0 else None
     for k in range(n):
-        t = times[k]
-        h = times[k] - times[k + 1]
-        s_val = -field(x, t) / spec.L(t)
-        drift = spec.f(t) * x - 0.5 * (1 + lam**2) * spec.g2(t) * s_val
-        x = x - drift * h
-        if lam > 0:
-            x = x + lam * np.sqrt(spec.g2(t)) * np.sqrt(h) * noise[k]
+        x = _em_step(spec, field, lam, times, k, x, noise)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(
-                f"EM simulation diverged at step {k} (t={t})", step_index=k, time=t
+                f"EM simulation diverged at step {k} (t={times[k]})",
+                step_index=k,
+                time=times[k],
             )
     return x
 
@@ -340,19 +358,12 @@ def em_terminal_batch(
         width = hi - lo
         x = np.empty(width)
         noise = np.empty((n, width)) if lam > 0 else None
-        for j in range(width):
-            rng = np.random.Generator(np.random.Philox(key=seed ^ (lo + j)))
-            x[j] = spec.pi_std * rng.standard_normal()
+        for j, (x_j, rng) in enumerate(trajectory_streams(spec, seed, lo, hi)):
+            x[j] = x_j
             if lam > 0:
                 noise[:, j] = rng.standard_normal(n)
         for k in range(n):
-            t = times[k]
-            h = times[k] - times[k + 1]
-            s_val = -field(x, t) / spec.L(t)
-            drift = spec.f(t) * x - 0.5 * (1 + lam**2) * spec.g2(t) * s_val
-            x = x - drift * h
-            if lam > 0:
-                x = x + lam * np.sqrt(spec.g2(t)) * np.sqrt(h) * noise[k]
+            x = _em_step(spec, field, lam, times, k, x, noise)
             bad = ~np.isfinite(x)
             if np.any(bad):
                 x[bad] = np.nan

@@ -10,26 +10,25 @@ Runge-Kutta methods evaluate it s times per step (nfe = s N).  The
 count is taken by a wrapper around the field itself, so hidden
 evaluations are impossible.
 
-Families:
+All samplers except the Runge-Kutta family in rho are one linear
+multistep update, x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i
+for sddim), eps_{i+j} the field value at node i+j.  Each builds a step
+plan (a :class:`~diffint.weights.WeightTable`: a_i in ``psi``, rows c_i
+in ``c``) from the diffusion and the grid, and one executor runs them
+all: it owns the evaluation count, the history buffer, the finite
+check and the recorded states.  Plans:
 
-* ``euler_sample``      first-order method on the sampling ODE.
-* ``ei_score_sample``   exponential step holding the raw score fixed
-                        per interval (kept as an ablation baseline; it
-                        amplifies the score's stiffness near t = 0).
-* ``ddim_sample``       exponential step holding the noise prediction
-                        fixed, in closed form (the deterministic DDIM
-                        update for the VP preset).
-* ``tab_sample``        exponential multistep: degree-r extrapolation
-                        of the noise prediction in t, with weight
-                        integrals from :mod:`diffint.weights`.
-* ``rho_ab_sample``     Adams-Bashforth in the rescaled time rho.
-* ``rho_rk_sample``     classical explicit Runge-Kutta in rho
-                        (midpoint, heun2, kutta3, rk4).
-* ``ipndm_sample``      multistep blend of past noise predictions with
-                        fixed-step coefficients, fed through the
-                        exponential transfer step.
-* ``sddim_sample``      the stochastic variant of the exponential
-                        step, noise scale eta in [0, 1].
+* ``euler``     a = 1 - f dt, c = -g2 dt / (2 L): the sampling ODE.
+* ``ei_score``  a = Psi(t_{i-1}, t_i), c = -w / L(t_i): holds the raw
+                score fixed (an ablation baseline, stiff near t = 0).
+* ``ddim``      a = Psi, c = L(t_{i-1}) - Psi L(t_i): holds eps fixed.
+* ``tab``       a = Psi, c = degree-r extrapolation weights in t.
+* ``rho_ab``    a = mu_{i-1} / mu_i, c = mu_{i-1} x AB weights in rho.
+* ``ipndm``     ddim's a, and ddim's c times a fixed-step blend.
+* ``sddim``     stochastic ddim, noise scale eta in [0, 1].
+
+``rho_rk_sample`` (midpoint, heun2, kutta3, rk4 in rho) evaluates the
+field between nodes and keeps its own loop.
 
 Deterministic samplers are bitwise reproducible; stochastic ones are
 bitwise reproducible given their seed.  The multistep buffer holds
@@ -121,20 +120,106 @@ def _check_finite(x, i: int, t: float, sampler: str):
         )
 
 
-def euler_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
-    """First-order step on dx/dt = f x + g2 / (2 L) eps."""
+def _plan(grid: TimeGrid, order: int, step) -> WeightTable:
+    """Step plan from ``step(i, t_i, t_{i-1}) -> (a_i, c_i)``, i = 1..N."""
+    t = grid.times
+    a, c = zip(*(step(i, t[i], t[i - 1]) for i in range(1, grid.n_steps + 1)))
+    return WeightTable(order=order, times=t, psi=a, c=c)
+
+
+def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
+             *, s=None, seed=None, notes=()) -> SolverRun:
+    """Run ``plan`` from node N to node 0: one field evaluation per step,
+    x <- a_i x + sum_j c_ij eps_{i+j} over the ``row.size`` most recent
+    ones, plus s_i xi (one normal per step, Philox(seed)) given ``s``."""
     counting = _CountingField(field)
+    rng = None if s is None else np.random.Generator(np.random.Philox(key=seed))
     times = grid.times
     states = _start_states(grid, x_T)
     x = states[grid.n_steps]
+    buffer = []  # most recent first: buffer[j] evaluated at t_{i+j}
     for i in range(grid.n_steps, 0, -1):
-        t = times[i]
-        dt = times[i] - times[i - 1]
-        rhs = spec.f(t) * x + 0.5 * spec.g2(t) / spec.L(t) * counting(x, t)
-        x = x - rhs * dt
-        _check_finite(x, i, times[i - 1], "euler")
+        row = plan.coeffs_for(i)
+        buffer.insert(0, counting(x, times[i]))
+        del buffer[row.size :]
+        x = plan.psi_for(i) * x
+        for j in range(row.size):
+            x += row[j] * buffer[j]
+        if rng is not None:
+            x += s[i - 1] * rng.standard_normal(x.shape)
+        _check_finite(x, i, times[i - 1], sampler)
         states[i - 1] = x
-    return SolverRun("euler", None, grid, states, counting.count)
+    return SolverRun(sampler, order, grid, states, counting.count, seed=seed, notes=notes)
+
+
+def _ddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float):
+    """a = Psi(t_prev, t) and c = L(t_prev) - a L(t) of the transfer step."""
+    psi = transition(spec, t_prev, t)
+    return psi, spec.L(t_prev) - psi * spec.L(t)
+
+
+def _sddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float, eta: float):
+    """(a, c, s) of the stochastic transfer step (see :func:`sddim_step`)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    psi, c = _ddim_coeffs(spec, t, t_prev)
+    if eta == 0.0:
+        return psi, c, 0.0
+    l_t, l_prev = float(spec.L(t)), float(spec.L(t_prev))
+    var = eta**2 * max(0.0, l_prev**2 / l_t**2 * (l_t**2 - (l_prev / psi) ** 2))
+    return psi, np.sqrt(max(0.0, l_prev**2 - var)) - psi * l_t, np.sqrt(var)
+
+
+def _euler_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
+    def step(i, t, t_prev):
+        dt = t - t_prev
+        return 1.0 - spec.f(t) * dt, -0.5 * spec.g2(t) / spec.L(t) * dt
+
+    return _plan(grid, 0, step)
+
+
+def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
+    def step(i, t, t_prev):
+        weight = quadrature.integrate(
+            lambda tau: -0.5 * transition(spec, t_prev, tau) * spec.g2(tau), t, t_prev
+        )
+        return transition(spec, t_prev, t), -weight / spec.L(t)
+
+    return _plan(grid, 0, step)
+
+
+def _ddim_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
+    return _plan(grid, 0, lambda i, t, t_prev: _ddim_coeffs(spec, t, t_prev))
+
+
+def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
+    rho, mu = grid.rho_values(spec), spec.mu(grid.times)
+    return _plan(grid, r, lambda i, t, t_prev: (
+        mu[i - 1] / mu[i], mu[i - 1] * rho_ab_weights(rho, i, r)))
+
+
+def _ipndm_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
+    if not 0 <= r <= max(IPNDM_BLEND):
+        raise ParameterError(f"order must be in 0..{max(IPNDM_BLEND)}, got {r}")
+
+    def step(i, t, t_prev):
+        psi, c = _ddim_coeffs(spec, t, t_prev)
+        return psi, [c * float(b) for b in IPNDM_BLEND[min(r, grid.n_steps - i)]]
+
+    return _plan(grid, r, step)
+
+
+def _sddim_plan(spec: DiffusionSpec, grid: TimeGrid, eta: float):
+    """ddim-shaped plan plus the noise scales s (index i-1; None when eta = 0)."""
+    t = grid.times
+    coeffs = [_sddim_coeffs(spec, t[i], t[i - 1], eta) for i in range(1, grid.n_steps + 1)]
+    s = np.array([s for *_, s in coeffs]) if eta > 0.0 else None
+    return _plan(grid, 0, lambda i, *_: coeffs[i - 1][:2]), s
+
+
+def euler_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
+    """First-order step on dx/dt = f x + g2 / (2 L) eps."""
+    return _execute("euler", None, _euler_plan(spec, grid), field, grid, x_T)
 
 
 def ei_score_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
@@ -147,20 +232,7 @@ def ei_score_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRu
     with score = -eps / L.  Exact when the score itself is constant on
     the interval.
     """
-    counting = _CountingField(field)
-    times = grid.times
-    states = _start_states(grid, x_T)
-    x = states[grid.n_steps]
-    for i in range(grid.n_steps, 0, -1):
-        t_lo, t_hi = times[i - 1], times[i]
-        weight = quadrature.integrate(
-            lambda tau: -0.5 * transition(spec, t_lo, tau) * spec.g2(tau), t_hi, t_lo
-        )
-        score_val = -counting(x, t_hi) / spec.L(t_hi)
-        x = transition(spec, t_lo, t_hi) * x + weight * score_val
-        _check_finite(x, i, t_lo, "ei_score")
-        states[i - 1] = x
-    return SolverRun("ei_score", None, grid, states, counting.count)
+    return _execute("ei_score", None, _ei_score_plan(spec, grid), field, grid, x_T)
 
 
 def ddim_step(spec: DiffusionSpec, x_t, eps_val, t: float, t_prev: float):
@@ -171,20 +243,12 @@ def ddim_step(spec: DiffusionSpec, x_t, eps_val, t: float, t_prev: float):
     For the VP preset, Psi = sqrt(alpha_prev / alpha_t) and
     L = sqrt(1 - alpha), which is the deterministic DDIM update.
     """
-    psi = transition(spec, t_prev, t)
-    return psi * x_t + (spec.L(t_prev) - psi * spec.L(t)) * eps_val
+    psi, c = _ddim_coeffs(spec, t, t_prev)
+    return psi * x_t + c * eps_val
 
 
 def ddim_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
-    counting = _CountingField(field)
-    times = grid.times
-    states = _start_states(grid, x_T)
-    x = states[grid.n_steps]
-    for i in range(grid.n_steps, 0, -1):
-        x = ddim_step(spec, x, counting(x, times[i]), times[i], times[i - 1])
-        _check_finite(x, i, times[i - 1], "ddim")
-        states[i - 1] = x
-    return SolverRun("ddim", 0, grid, states, counting.count)
+    return _execute("ddim", 0, _ddim_plan(spec, grid), field, grid, x_T)
 
 
 def tab_sample(
@@ -210,49 +274,20 @@ def tab_sample(
             raise GridMismatchError(
                 f"weight table has order {weights.order}, requested {r}"
             )
-    counting = _CountingField(field)
-    times = grid.times
-    states = _start_states(grid, x_T)
-    x = states[grid.n_steps]
-    buffer = []  # most recent first: buffer[j] evaluated at t_{i+j}
-    for i in range(grid.n_steps, 0, -1):
-        buffer.insert(0, counting(x, times[i]))
-        del buffer[r + 1 :]
-        row = weights.coeffs_for(i)
-        x = weights.psi_for(i) * x
-        for j in range(row.size):
-            x = x + row[j] * buffer[j]
-        _check_finite(x, i, times[i - 1], "tab")
-        states[i - 1] = x
-    return SolverRun("tab", r, grid, states, counting.count)
+    return _execute("tab", r, weights, field, grid, x_T)
 
 
 def rho_ab_sample(
     spec: DiffusionSpec, field, grid: TimeGrid, r: int, x_T
 ) -> SolverRun:
-    """Adams-Bashforth in rho on d y / d rho = eps(mu(t) y, t).
+    """Adams-Bashforth in rho on d y / d rho = eps(mu(t) y, t), y = x / mu.
 
-    States are recorded in x coordinates (x = mu(t) y).  The zero-order
-    method reproduces :func:`ddim_step` exactly; higher orders
-    extrapolate the noise prediction with a polynomial in rho.
+    Written in x, the step is x_{i-1} = (mu_{i-1} / mu_i) x_i
+    + mu_{i-1} sum_j w_j eps_{i+j}.  The zero-order method reproduces
+    :func:`ddim_step`; higher orders extrapolate the noise prediction
+    with a polynomial in rho.
     """
-    counting = _CountingField(field)
-    times = grid.times
-    rho = grid.rho_values(spec)
-    mu = spec.mu(times)
-    states = _start_states(grid, x_T)
-    y = states[grid.n_steps] / mu[grid.n_steps]
-    buffer = []
-    for i in range(grid.n_steps, 0, -1):
-        buffer.insert(0, counting(mu[i] * y, times[i]))
-        del buffer[r + 1 :]
-        w = rho_ab_weights(rho, i, r)
-        for j in range(w.size):
-            y = y + w[j] * buffer[j]
-        x = mu[i - 1] * y
-        _check_finite(x, i, times[i - 1], "rho_ab")
-        states[i - 1] = x
-    return SolverRun("rho_ab", r, grid, states, counting.count)
+    return _execute("rho_ab", r, _rho_ab_plan(spec, grid, r), field, grid, x_T)
 
 
 # classical explicit tableaus: stage offsets c, stage rows a, output weights b
@@ -347,39 +382,19 @@ def ipndm_sample(
 ) -> SolverRun:
     """Multistep blend of past noise predictions + exponential transfer.
 
-    Step i forms eps_hat as the fixed-step multistep combination of
-    the last j+1 node evaluations, with j = min(history, r) ramping up
-    from zero (the first step is therefore exactly a ddim step), and
-    advances with :func:`ddim_step`.  The blend coefficients assume a
-    uniform grid; a non-uniform grid is accepted but flagged in the
-    run notes.
+    Step i blends the last j+1 node evaluations with the fixed-step
+    multistep coefficients, j = min(history, r) ramping up from zero
+    (the first step is therefore exactly a ddim step), and advances
+    with :func:`ddim_step`'s coefficients.  The blend coefficients
+    assume a uniform grid; a non-uniform grid is accepted but flagged
+    in the run notes.
     """
-    if not 0 <= r <= max(IPNDM_BLEND):
-        raise ParameterError(f"order must be in 0..{max(IPNDM_BLEND)}, got {r}")
-    counting = _CountingField(field)
-    times = grid.times
-    notes = []
-    spacing = np.diff(times)
+    plan = _ipndm_plan(spec, grid, r)
+    spacing = np.diff(grid.times)
+    notes = ()
     if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
-        notes.append("blend coefficients assume a uniform grid; grid is non-uniform")
-    states = _start_states(grid, x_T)
-    x = states[grid.n_steps]
-    buffer = []
-    for i in range(grid.n_steps, 0, -1):
-        buffer.insert(0, counting(x, times[i]))
-        del buffer[r + 1 :]
-        j = min(len(buffer) - 1, r)
-        if j == 0:
-            eps_hat = buffer[0]
-        else:
-            coeffs = IPNDM_BLEND[j]
-            eps_hat = float(coeffs[0]) * buffer[0]
-            for m in range(1, j + 1):
-                eps_hat = eps_hat + float(coeffs[m]) * buffer[m]
-        x = ddim_step(spec, x, eps_hat, times[i], times[i - 1])
-        _check_finite(x, i, times[i - 1], "ipndm")
-        states[i - 1] = x
-    return SolverRun("ipndm", r, grid, states, counting.count, notes=tuple(notes))
+        notes = ("blend coefficients assume a uniform grid; grid is non-uniform",)
+    return _execute("ipndm", r, plan, field, grid, x_T, notes=notes)
 
 
 def sddim_step(
@@ -391,70 +406,52 @@ def sddim_step(
     eta: float,
     rng: np.random.Generator,
 ):
-    """Stochastic variant of the exponential transfer step.
+    """Stochastic variant of the exponential transfer step:
 
-    With a = mu(t)^2 and a_prev = mu(t_prev)^2 (the VP preset's alpha),
+        var = eta^2 L_prev^2 / L_t^2 (L_t^2 - Psi(t, t_prev)^2 L_prev^2),
+        x_prev = Psi(t_prev, t) x_t
+                 + (sqrt(L_prev^2 - var) - Psi(t_prev, t) L_t) eps + sqrt(var) xi,
 
-        sigma_eta = eta sqrt((1 - a_prev) / (1 - a) * (1 - a / a_prev)),
-        x_prev = sqrt(a_prev) (x_t - sqrt(1 - a) eps) / sqrt(a)
-                 + sqrt(1 - a_prev - sigma_eta^2) eps + sigma_eta xi,
-
-    xi ~ N(0, I).  eta = 0 reduces exactly to :func:`ddim_step`; the
+    xi ~ N(0, I).  On VP (alpha = mu^2) var is the DDIM
+    eta^2 (1 - a_prev) / (1 - a) (1 - a / a_prev); on VE it is
+    eta^2 sigma_prev^2 (sigma^2 - sigma_prev^2) / sigma^2.  eta = 0
+    reduces exactly to :func:`ddim_step` and draws nothing; the
     variance terms are clamped at zero so the degenerate endpoint
-    a_prev = 1 cannot produce a negative radicand.
+    L(t_prev) = 0 cannot produce a negative radicand.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+    a, c, s = _sddim_coeffs(spec, t, t_prev, eta)
     if eta == 0.0:
-        return ddim_step(spec, x_t, eps_val, t, t_prev)
+        return a * x_t + c * eps_val
     x_t = np.asarray(x_t, dtype=float)
-    a_t = float(spec.mu(t)) ** 2
-    a_prev = float(spec.mu(t_prev)) ** 2
-    one_minus_t = float(spec.L(t)) ** 2
-    one_minus_prev = float(spec.L(t_prev)) ** 2
-    var_eta = eta**2 * max(0.0, one_minus_prev / one_minus_t * (1.0 - a_t / a_prev))
-    sigma_eta = np.sqrt(var_eta)
-    mean = np.sqrt(a_prev) * (x_t - np.sqrt(one_minus_t) * eps_val) / np.sqrt(a_t)
-    mean = mean + np.sqrt(max(0.0, one_minus_prev - var_eta)) * eps_val
-    return mean + sigma_eta * rng.standard_normal(x_t.shape)
+    return a * x_t + c * eps_val + s * rng.standard_normal(x_t.shape)
 
 
 def sddim_sample(
     spec: DiffusionSpec, field, grid: TimeGrid, eta: float, x_T, seed: int
 ) -> SolverRun:
     """Iterate :func:`sddim_step` over the grid; Philox keyed by seed."""
-    counting = _CountingField(field)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    times = grid.times
-    states = _start_states(grid, x_T)
-    x = states[grid.n_steps]
-    for i in range(grid.n_steps, 0, -1):
-        x = sddim_step(spec, x, counting(x, times[i]), times[i], times[i - 1], eta, rng)
-        _check_finite(x, i, times[i - 1], "sddim")
-        states[i - 1] = x
-    return SolverRun("sddim", None, grid, states, counting.count, seed=seed)
+    if seed is None:
+        raise ParameterError("sddim needs a seed")
+    plan, s = _sddim_plan(spec, grid, eta)
+    return _execute("sddim", None, plan, field, grid, x_T, s=s, seed=seed)
 
 
-SAMPLER_NAMES = (
-    "euler",
-    "ei_score",
-    "ddim",
-    "tab",
-    "rho_ab",
-    "rho_mid",
-    "rho_heun2",
-    "rho_kutta3",
-    "rho_rk4",
-    "ipndm",
-    "sddim",
-)
-
-_RK_BY_NAME = {
-    "rho_mid": "midpoint",
-    "rho_heun2": "heun2",
-    "rho_kutta3": "kutta3",
-    "rho_rk4": "rk4",
+# public name -> runner(spec, field, grid, x_T, **keyword arguments of run_sampler)
+_RUNNERS = {
+    "euler": lambda sp, fd, g, x, **_: euler_sample(sp, fd, g, x),
+    "ei_score": lambda sp, fd, g, x, **_: ei_score_sample(sp, fd, g, x),
+    "ddim": lambda sp, fd, g, x, **_: ddim_sample(sp, fd, g, x),
+    "tab": lambda sp, fd, g, x, order, weights, **_: tab_sample(sp, fd, g, order, x, weights),
+    "rho_ab": lambda sp, fd, g, x, order, **_: rho_ab_sample(sp, fd, g, order, x),
+    "rho_mid": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "midpoint", x),
+    "rho_heun2": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "heun2", x),
+    "rho_kutta3": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "kutta3", x),
+    "rho_rk4": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "rk4", x),
+    "ipndm": lambda sp, fd, g, x, order, **_: ipndm_sample(sp, fd, g, order, x),
+    "sddim": lambda sp, fd, g, x, eta, seed, **_: sddim_sample(sp, fd, g, eta, x, seed),
 }
+
+SAMPLER_NAMES = tuple(_RUNNERS)
 
 
 def run_sampler(
@@ -470,22 +467,7 @@ def run_sampler(
     weights: WeightTable | None = None,
 ) -> SolverRun:
     """Dispatch a sampler by its public name (the harness entry point)."""
-    if name == "euler":
-        return euler_sample(spec, field, grid, x_T)
-    if name == "ei_score":
-        return ei_score_sample(spec, field, grid, x_T)
-    if name == "ddim":
-        return ddim_sample(spec, field, grid, x_T)
-    if name == "tab":
-        return tab_sample(spec, field, grid, order, x_T, weights=weights)
-    if name == "rho_ab":
-        return rho_ab_sample(spec, field, grid, order, x_T)
-    if name in _RK_BY_NAME:
-        return rho_rk_sample(spec, field, grid, _RK_BY_NAME[name], x_T)
-    if name == "ipndm":
-        return ipndm_sample(spec, field, grid, order, x_T)
-    if name == "sddim":
-        if seed is None:
-            raise ParameterError("sddim needs a seed")
-        return sddim_sample(spec, field, grid, eta, x_T, seed)
-    raise ParameterError(f"unknown sampler {name!r}; choose from {SAMPLER_NAMES}")
+    if name not in SAMPLER_NAMES:
+        raise ParameterError(f"unknown sampler {name!r}; choose from {SAMPLER_NAMES}")
+    runner = _RUNNERS[name]
+    return runner(spec, field, grid, x_T, order=order, eta=eta, seed=seed, weights=weights)

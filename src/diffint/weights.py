@@ -11,8 +11,10 @@ where eps_j is the noise-prediction value recorded at t_{i+j} and
 
 with basis_j the Lagrange basis over the history nodes
 t_i, ..., t_{i+r}.  The weights depend only on the diffusion and the
-grid, so a :class:`WeightTable` is built once, may be serialized to
-JSON (bit-exact round trip), and is shared read-only across runs.
+grid, so a :class:`WeightTable` (also the step plan, with its own a_i
+in place of Psi, of every other multistep sampler in
+:mod:`diffint.samplers`) is built once, may be serialized to JSON
+(bit-exact round trip), and is shared read-only across runs.
 
 Near the start of sampling the history is shorter than r+1, so the
 polynomial order is lowered to what is available; row i then holds
@@ -76,12 +78,12 @@ def lagrange_basis(nodes: Sequence[float], j: int, tau):
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Per-step transition scalars and extrapolation weights for a grid.
+    """Step plan: per-step state factors and coefficient rows for a grid.
 
-    ``psi[i-1]`` is Psi(t_{i-1}, t_i); ``c[i-1]`` the coefficient row
-    for the step from t_i to t_{i-1} (j = 0 first).  ``times`` is the
-    grid the table was built from; :attr:`grid_id` matches
-    ``TimeGrid.grid_id`` for that grid.
+    ``psi[i-1]`` is the state factor a_i (Psi(t_{i-1}, t_i) for ``tab``)
+    and ``c[i-1]`` the coefficient row for the step from t_i to t_{i-1}
+    (j = 0 first).  ``times`` is the grid the table was built from;
+    :attr:`grid_id` matches ``TimeGrid.grid_id`` for that grid.
     """
 
     order: int
@@ -109,9 +111,7 @@ class WeightTable:
                     f"row for step {i} has {self.c[i - 1].size} entries, "
                     f"expected {expected}"
                 )
-        if not all(np.all(np.isfinite(row)) for row in self.c) or not np.all(
-            np.isfinite(psi)
-        ):
+        if not np.all(np.isfinite(np.concatenate((psi,) + self.c))):
             raise ParameterError("weight table contains non-finite entries")
 
     @property
@@ -123,7 +123,7 @@ class WeightTable:
         return grid_fingerprint(self.times)
 
     def psi_for(self, i: int) -> float:
-        """Psi(t_{i-1}, t_i) for the step leaving node i."""
+        """State factor a_i (Psi(t_{i-1}, t_i) for ``tab``) for the step leaving node i."""
         return float(self.psi[i - 1])
 
     def coeffs_for(self, i: int) -> np.ndarray:

@@ -323,6 +323,27 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"kind": "trace", "x_t": [1, 2]},
+        {"batch": "x"},
+        {"seed": "z"},
+        {"kind": "convergence", "n_list": [10, "a"]},
+        {"schedule": {"name": "quadratic", "t0": 1e-3, "n": "ten"}},
+        {"kind": "loglik", "x0_list": ["a"]},
+        {"sampler": {"name": "tab", "order": "two"}},
+        {"sampler": {"name": "sddim", "eta": "x"}},
+        {"kind": "convergence", "n_list": [10, 20], "batch": -1},
+        {"kind": "marginal", "n_traj": 0},
+        {"kind": "trace", "x_t": 1.0, "points_per_interval": -3},
+    ],
+)
+def test_cli_malformed_value_exit_code(tmp_path, overrides):
+    raw = base_config(**overrides)
+    assert main([raw["kind"], "--config", str(_write_config(tmp_path, raw))]) == 2
+
+
 def test_cli_kind_mismatch(tmp_path):
     cfg = _write_config(tmp_path, base_config())
     assert main(["convergence", "--config", str(cfg)]) == 2

@@ -30,6 +30,14 @@ from diffint import (
 )
 from diffint.diffusion import rho_of_t, t_of_rho, transition
 from diffint.harness import fit_order
+from diffint.samplers import (
+    _ddim_plan,
+    _ei_score_plan,
+    _euler_plan,
+    _ipndm_plan,
+    _rho_ab_plan,
+    _sddim_plan,
+)
 
 
 def _terminal_errors(spec, field, sampler, n_values, x_batch, grid_fn, **kwargs):
@@ -335,6 +343,20 @@ def test_sddim_moments_match_closed_form(vp):
     assert abs(draws.var() - var_eta) <= 0.05 * var_eta
 
 
+def test_sddim_moments_match_closed_form_ve(ve):
+    # VE posterior step: x_prev = x - sigma eps + sqrt(sigma_prev^2 - var) eps
+    # + sqrt(var) xi, var = eta^2 sigma_prev^2 (sigma^2 - sigma_prev^2) / sigma^2
+    rng = np.random.Generator(np.random.Philox(key=7))
+    x, eps, t, t_prev, eta = 0.8, 0.25, 0.6, 0.35, 0.7
+    draws = np.array([sddim_step(ve, x, eps, t, t_prev, eta, rng) for _ in range(10000)])
+    sig, sig_prev = float(ve.L(t)), float(ve.L(t_prev))
+    var_eta = eta**2 * sig_prev**2 * (sig**2 - sig_prev**2) / sig**2
+    mean = x - sig * eps + np.sqrt(sig_prev**2 - var_eta) * eps
+    se = np.sqrt(var_eta / draws.size)
+    assert abs(draws.mean() - mean) <= 3 * se
+    assert abs(draws.var() - var_eta) <= 0.05 * var_eta
+
+
 def test_sddim_degenerate_endpoint_guard(vp):
     rng = np.random.Generator(np.random.Philox(key=0))
     out = sddim_step(vp, 0.5, 0.1, 0.3, 0.0, 0.9, rng)
@@ -464,6 +486,12 @@ def test_ve_preset_end_to_end():
         lambda g: ddim_sample(spec, field, g, x_init),
         lambda g: rho_ab_sample(spec, field, g, 1, x_init),
         lambda g: rho_rk_sample(spec, field, g, "heun2", x_init),
+        lambda g: euler_sample(spec, field, g, x_init),
+        lambda g: ei_score_sample(spec, field, g, x_init),
+        lambda g: ipndm_sample(spec, field, g, 3, x_init),
+        lambda g: rho_rk_sample(spec, field, g, "midpoint", x_init),
+        lambda g: rho_rk_sample(spec, field, g, "kutta3", x_init),
+        lambda g: rho_rk_sample(spec, field, g, "rk4", x_init),
     ):
         coarse = np.max(np.abs(runner(grid40).terminal - reference))
         fine = np.max(np.abs(runner(grid80).terminal - reference))
@@ -500,7 +528,7 @@ def test_vector_states_are_independent_axes(vp):
 
 
 def test_divergence_error_carries_step_index(vp):
-    exploding = lambda x, t: np.full_like(np.asarray(x, dtype=float), 1e308)
+    exploding = lambda x, t: np.full_like(np.asarray(x, dtype=float), np.inf)
     grid = uniform(1e-3, 1.0, 10)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as err:
@@ -521,3 +549,34 @@ def test_run_sampler_dispatch(vp, gauss_oracle):
         run_sampler("nope", vp, field, grid, 1.0)
     with pytest.raises(ParameterError):
         run_sampler("sddim", vp, field, grid, 1.0)
+
+
+# -- step plans -----------------------------------------------------------
+
+
+def test_ipndm_zero_order_plan_is_ddim_plan_bitwise(vp, ve):
+    for spec in (vp, ve):
+        grid = quadratic(1e-3, 1.0, 10)
+        ddim, ipndm = _ddim_plan(spec, grid), _ipndm_plan(spec, grid, 0)
+        assert np.array_equal(ipndm.psi, ddim.psi)
+        assert all(np.array_equal(a, b) for a, b in zip(ipndm.c, ddim.c))
+
+
+def test_rho_ab_zero_order_plan_is_ddim_plan(vp, ve):
+    for spec in (vp, ve):
+        grid = quadratic(1e-3, 1.0, 10)
+        ddim, rho_ab = _ddim_plan(spec, grid), _rho_ab_plan(spec, grid, 0)
+        assert np.allclose(rho_ab.psi, ddim.psi, rtol=1e-12, atol=0)
+        for a, b in zip(rho_ab.c, ddim.c):
+            assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+def test_plan_row_sizes(vp):
+    grid = uniform(1e-3, 1.0, 7)
+    n = grid.n_steps
+    plans = [(0, _euler_plan(vp, grid)), (0, _ei_score_plan(vp, grid)),
+             (0, _ddim_plan(vp, grid)), (0, _sddim_plan(vp, grid, 0.5)[0])]
+    plans += [(r, build(vp, grid, r)) for r in range(4)
+              for build in (tab_weights, _rho_ab_plan, _ipndm_plan)]
+    for r, plan in plans:
+        assert [row.size for row in plan.c] == [min(r, n - i) + 1 for i in range(1, n + 1)]
