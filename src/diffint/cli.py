@@ -51,6 +51,7 @@ def _load_config(args) -> ExperimentConfig:
         config.out = args.out
     if args.format is not None:
         config.format = args.format
+    config.validate()
     return config
 
 

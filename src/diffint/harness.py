@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -49,7 +50,7 @@ from .oracle import (
     reference_states,
     trajectory_streams,
 )
-from .samplers import SAMPLER_NAMES, SolverRun, run_sampler
+from .samplers import SAMPLER_NAMES, SolverRun, check_sampler_args, run_sampler
 from .weights import lagrange_basis, tab_weights
 
 SCHEMA = "diffint-report-v1"
@@ -65,6 +66,18 @@ _TOP_KEYS = {
     "x_t", "batch", "n_list", "lambda_list", "n_traj", "dt", "ref_dt",
     "x0_list", "points_per_interval", "orders",
 }
+
+
+@contextmanager
+def _config_errors():
+    """Turn a value that fails to convert or to pass a range check
+    (ParameterError included) into a ConfigError, the exit-2 error."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -106,7 +119,7 @@ class ExperimentConfig:
         kind = _require(raw, "kind", "config")
         if kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
-        try:
+        with _config_errors():
             cfg = cls(
                 kind=kind,
                 diffusion=dict(_require(raw, "diffusion", "config")),
@@ -127,9 +140,7 @@ class ExperimentConfig:
                 points_per_interval=int(raw.get("points_per_interval", 8)),
                 orders=tuple(raw.get("orders", (0, 1, 2, 3))),
             )
-            cfg.validate()
-        except (TypeError, ValueError) as exc:  # ConfigError and ParameterError included
-            raise ConfigError(str(exc)) from exc
+        cfg.validate()
         return cfg
 
     @classmethod
@@ -149,8 +160,16 @@ class ExperimentConfig:
             return cls.from_json(fh.read())
 
     def validate(self):
+        """Raise :class:`ConfigError` unless every value the runners use
+        converts and lies in range; the checks are the runners' own."""
+        with _config_errors():
+            self._validate()
+
+    def _validate(self):
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
+        if self.out is not None and (not isinstance(self.out, str) or "\0" in self.out):
+            raise ConfigError(f"out must be a file path, got {self.out!r}")
         name = self.sampler.get("name")
         if name not in SAMPLER_NAMES:
             raise ConfigError(f"sampler name must be one of {SAMPLER_NAMES}, got {name!r}")
@@ -160,18 +179,19 @@ class ExperimentConfig:
             raise ConfigError(
                 f"schedule name must be one of {timegrid.SCHEDULE_NAMES}, got {sname!r}"
             )
-        if "t0" in sched and float(sched["t0"]) <= 0:
-            raise ConfigError("schedule t0 must be positive")
-        if int(_require(sched, "n", "schedule")) < 1:
-            raise ConfigError("schedule n must be at least 1")
+        _require(sched, "n", "schedule")
         # every value a runner converts must convert here
-        _sampler_kwargs(self)
-        [int(v) for v in self.n_list + self.orders]
+        kwargs = _sampler_kwargs(self)
+        check_sampler_args(name, kwargs["order"], kwargs["eta"])
+        np.random.Philox(key=self.seed)  # the key every random stream derives from
+        [int(v) for v in self.orders]
         [float(v) for v in self.x0_list + self.lambda_list]
         if np.ndim(np.asarray(self.x_t, dtype=float)) and self.kind == "trace":
             raise ConfigError(f"trace experiments need a scalar x_t, got {self.x_t!r}")
         if self.batch < 1 or self.n_traj < 1 or self.points_per_interval < 0:
             raise ConfigError("batch and n_traj must be >= 1, points_per_interval >= 0")
+        if min((int(v) for v in self.n_list), default=1) < 1:
+            raise ConfigError(f"n_list entries must be >= 1: {list(self.n_list)}")
         if self.kind == "convergence":
             if not self.n_list:
                 raise ConfigError("convergence experiments need a nonempty n_list")
@@ -181,8 +201,9 @@ class ExperimentConfig:
             raise ConfigError("marginal experiments need a nonempty lambda_list")
         if self.kind == "loglik" and not self.x0_list:
             raise ConfigError("loglik experiments need a nonempty x0_list")
-        self.build_spec()
+        spec = self.build_spec()
         self.build_gmm()
+        self.build_grid(spec)
 
     def t0_for(self, spec: DiffusionSpec) -> float:
         """Schedule t0, defaulting per preset (1e-3 VP, 1e-5 VE)."""
@@ -618,16 +639,19 @@ def run_loglik(config: ExperimentConfig) -> MetricReport:
     """ODE log-likelihood vs the analytic density, in nats and bits.
 
     The analytic reference is the diffusion's time-0 marginal (the
-    data density itself when L(0) = 0, as for the VP preset).
+    data density itself when L(0) = 0, as for the VP preset).  All
+    points of ``x0_list`` are integrated together in one
+    :func:`pf_loglik` call, so one point whose solve turns non-finite
+    fails the whole experiment with :class:`DivergenceError`.
     """
     spec = config.build_spec()
     gmm = config.build_gmm()
     data_law = marginal_at(gmm, spec, 0.0)
+    x0s = np.array([float(x0) for x0 in config.x0_list])
+    odes = pf_loglik(gmm, spec, x0s, config.dt)
+    exacts = data_law.logpdf(x0s)
     rows = []
-    for x0 in config.x0_list:
-        x0 = float(x0)
-        ode = float(pf_loglik(gmm, spec, x0, config.dt))
-        exact = float(data_law.logpdf(x0))
+    for x0, ode, exact in zip(x0s.tolist(), odes.tolist(), exacts.tolist()):
         gap = ode - exact
         rows.append(
             {

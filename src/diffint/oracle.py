@@ -54,6 +54,44 @@ __all__ = [
 _VARIANCE_FLOOR = 1e-300
 
 
+def _log_terms(x, weights, means, var):
+    """log w_k + log N(x; m_k, var_k) with the components on axis 0,
+    plus x, the means and the variances broadcast against it."""
+    x = np.asarray(x, dtype=float)
+    shape = (weights.size,) + (1,) * x.ndim
+    mean = means.reshape(shape)
+    var = var.reshape(shape)
+    log_terms = (
+        np.log(weights.reshape(shape)) - 0.5 * np.log(2 * np.pi * var)
+        - 0.5 * (x - mean) ** 2 / var
+    )
+    return x, mean, var, log_terms
+
+
+def _responsibilities(x, weights, means, var):
+    """Posterior component weights at x, the component scores
+    -(x - m_k) / var_k and the broadcast variances."""
+    x, mean, var, log_terms = _log_terms(x, weights, means, var)
+    resp = np.exp(log_terms - logsumexp(log_terms, axis=0, keepdims=True))
+    return resp, -(x - mean) / var, var
+
+
+def _pow_square(s):
+    """s**2 elementwise through the C library's pow, as numpy squares a
+    float64 scalar; an array it squares by multiplication, which differs
+    in the last bit for about one value in a thousand."""
+    return np.array([v**2 for v in np.ravel(s).tolist()]).reshape(np.shape(s))
+
+
+def _score_pair(x, weights, means, var):
+    """Score of the mixture and its x-derivative, from one set of log
+    terms and one logsumexp.  The score is squared as for a scalar x,
+    so an array x gives the bits of one call per element."""
+    resp, slopes, var = _responsibilities(x, weights, means, var)
+    s = np.sum(resp * slopes, axis=0)
+    return s, np.sum(resp * (slopes**2 - 1.0 / var), axis=0) - _pow_square(s)
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
     """A one-dimensional Gaussian mixture with exact density and score."""
@@ -82,20 +120,8 @@ class GaussianMixture:
     def n_components(self) -> int:
         return self.weights.size
 
-    def _log_terms(self, x):
-        x = np.asarray(x, dtype=float)
-        var = self.stds**2
-        shape = (self.n_components,) + (1,) * x.ndim
-        w = self.weights.reshape(shape)
-        mean = self.means.reshape(shape)
-        var = var.reshape(shape)
-        log_terms = (
-            np.log(w) - 0.5 * np.log(2 * np.pi * var) - 0.5 * (x - mean) ** 2 / var
-        )
-        return x, mean, var, log_terms
-
     def logpdf(self, x):
-        _, _, _, log_terms = self._log_terms(x)
+        _, _, _, log_terms = _log_terms(x, self.weights, self.means, self.stds**2)
         return logsumexp(log_terms, axis=0)
 
     def pdf(self, x):
@@ -103,17 +129,12 @@ class GaussianMixture:
 
     def score(self, x):
         """Gradient of the log density."""
-        x, mean, var, log_terms = self._log_terms(x)
-        resp = np.exp(log_terms - logsumexp(log_terms, axis=0, keepdims=True))
-        return np.sum(resp * (-(x - mean) / var), axis=0)
+        resp, slopes, _ = _responsibilities(x, self.weights, self.means, self.stds**2)
+        return np.sum(resp * slopes, axis=0)
 
     def score_dx(self, x):
         """Derivative of the score (exact divergence in the scalar case)."""
-        x, mean, var, log_terms = self._log_terms(x)
-        resp = np.exp(log_terms - logsumexp(log_terms, axis=0, keepdims=True))
-        a = -(x - mean) / var
-        first = np.sum(resp * (a**2 - 1.0 / var), axis=0)
-        return first - np.sum(resp * a, axis=0) ** 2
+        return _score_pair(x, self.weights, self.means, self.stds**2)[1]
 
     def mean(self) -> float:
         return float(np.sum(self.weights * self.means))
@@ -371,6 +392,16 @@ def em_terminal_batch(
     return out
 
 
+def _marginal_score_pair(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
+    """``marginal_at(gmm, spec, t).score(x)`` and ``.score_dx(x)``, bit for
+    bit, from the marginal's means and variances without building and
+    validating the marginal mixture."""
+    mu_t = float(spec.mu(t))
+    l_t = float(spec.L(t))
+    var = np.sqrt((mu_t * gmm.stds) ** 2 + l_t**2) ** 2
+    return _score_pair(x, gmm.weights, mu_t * gmm.means, var)
+
+
 def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     """Exact-divergence log-likelihood along the sampling ODE.
 
@@ -384,30 +415,30 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     density whenever L(0) = 0 (the VP preset), and the data convolved
     with N(0, L(0)^2) otherwise (the VE preset's noise floor).
 
-    Scalar case only (arrays are treated elementwise as independent
-    scalar evaluations).  Returns nats.
+    Scalar case only: an array ``x0`` holds independent points, which
+    are integrated together and give the same bits as one call per
+    point.  A point whose state or divergence turns non-finite fails
+    the whole call with :class:`DivergenceError`.  Returns nats.
     """
     if dt > 1e-3:
         raise ParameterError(f"pf_loglik requires dt <= 1e-3, got {dt}")
     x = np.asarray(x0, dtype=float)
     acc = np.zeros_like(x)
 
-    def rhs(state_x, state_a, t):
-        mt = marginal_at(gmm, spec, t)
+    def rhs(state_x, t):
+        s, s_dx = _marginal_score_pair(gmm, spec, state_x, t)
         f_t = float(spec.f(t))
         g2_t = float(spec.g2(t))
-        dx = f_t * state_x - 0.5 * g2_t * mt.score(state_x)
-        da = f_t - 0.5 * g2_t * mt.score_dx(state_x)
-        return dx, da
+        return f_t * state_x - 0.5 * g2_t * s, f_t - 0.5 * g2_t * s_dx
 
     n = max(1, int(np.ceil(spec.t_end / dt - 1e-12)))
     h = spec.t_end / n
     t = 0.0
     for k in range(n):
-        k1x, k1a = rhs(x, acc, t)
-        k2x, k2a = rhs(x + 0.5 * h * k1x, acc + 0.5 * h * k1a, t + 0.5 * h)
-        k3x, k3a = rhs(x + 0.5 * h * k2x, acc + 0.5 * h * k2a, t + 0.5 * h)
-        k4x, k4a = rhs(x + h * k3x, acc + h * k3a, t + h)
+        k1x, k1a = rhs(x, t)
+        k2x, k2a = rhs(x + 0.5 * h * k1x, t + 0.5 * h)
+        k3x, k3a = rhs(x + 0.5 * h * k2x, t + 0.5 * h)
+        k4x, k4a = rhs(x + h * k3x, t + h)
         x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
         acc = acc + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(acc))):

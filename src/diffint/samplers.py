@@ -48,7 +48,7 @@ from . import quadrature
 from .diffusion import DiffusionSpec, t_of_rho, transition
 from .errors import DivergenceError, GridMismatchError, ParameterError
 from .timegrid import TimeGrid
-from .weights import WeightTable, rho_ab_weights, tab_weights
+from .weights import WeightTable, _check_order, rho_ab_weights, tab_weights
 
 __all__ = [
     "SolverRun",
@@ -63,6 +63,7 @@ __all__ = [
     "sddim_step",
     "sddim_sample",
     "run_sampler",
+    "check_sampler_args",
     "SAMPLER_NAMES",
     "RK_METHODS",
     "IPNDM_BLEND",
@@ -158,10 +159,19 @@ def _ddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float):
     return psi, spec.L(t_prev) - psi * spec.L(t)
 
 
-def _sddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float, eta: float):
-    """(a, c, s) of the stochastic transfer step (see :func:`sddim_step`)."""
+def _check_eta(eta: float):
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"eta must lie in [0, 1], got {eta}")
+
+
+def _check_ipndm_order(r: int):
+    if not 0 <= r <= max(IPNDM_BLEND):
+        raise ParameterError(f"order must be in 0..{max(IPNDM_BLEND)}, got {r}")
+
+
+def _sddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float, eta: float):
+    """(a, c, s) of the stochastic transfer step (see :func:`sddim_step`)."""
+    _check_eta(eta)
     psi, c = _ddim_coeffs(spec, t, t_prev)
     if eta == 0.0:
         return psi, c, 0.0
@@ -199,8 +209,7 @@ def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
 
 
 def _ipndm_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
-    if not 0 <= r <= max(IPNDM_BLEND):
-        raise ParameterError(f"order must be in 0..{max(IPNDM_BLEND)}, got {r}")
+    _check_ipndm_order(r)
 
     def step(i, t, t_prev):
         psi, c = _ddim_coeffs(spec, t, t_prev)
@@ -452,6 +461,22 @@ _RUNNERS = {
 }
 
 SAMPLER_NAMES = tuple(_RUNNERS)
+
+# the order or eta check each sampler's plan builder applies
+_ARG_CHECKS = {
+    "tab": lambda order, eta: _check_order(order),
+    "rho_ab": lambda order, eta: _check_order(order),
+    "ipndm": lambda order, eta: _check_ipndm_order(order),
+    "sddim": lambda order, eta: _check_eta(eta),
+}
+
+
+def check_sampler_args(name: str, order: int = 0, eta: float = 0.0):
+    """Raise :class:`ParameterError` where :func:`run_sampler` would
+    reject ``order`` or ``eta`` for sampler ``name``, without running it."""
+    check = _ARG_CHECKS.get(name)
+    if check is not None:
+        check(order, eta)
 
 
 def run_sampler(

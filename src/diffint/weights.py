@@ -166,6 +166,11 @@ class WeightTable:
             raise GridMismatchError("weight table was built for a different grid")
 
 
+def _check_order(r: int):
+    if not 0 <= r <= MAX_ORDER:
+        raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {r}")
+
+
 def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int,
                 *, rtol: float = 1e-12) -> WeightTable:
     """Build the weight table for order-r extrapolation on ``grid``.
@@ -175,8 +180,7 @@ def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int,
     excludes by construction (t_0 > 0).  Rebuilding with identical
     inputs is deterministic, bit for bit.
     """
-    if not 0 <= r <= MAX_ORDER:
-        raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {r}")
+    _check_order(r)
     times = grid.times
     n = grid.n_steps
     psi = np.empty(n)
@@ -216,8 +220,7 @@ def rho_ab_weights(grid_rho: Sequence[float], i: int, r: int) -> np.ndarray:
     n = grid_rho.size - 1
     if not 1 <= i <= n:
         raise ParameterError(f"step index {i} out of range 1..{n}")
-    if not 0 <= r <= MAX_ORDER:
-        raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {r}")
+    _check_order(r)
     r_i = min(r, n - i)
     nodes = grid_rho[i : i + r_i + 1]
     _check_nodes(nodes)

@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffint import ConfigError, WeightTable, epsilon_field, euler_sample
 from diffint.cli import main
@@ -337,11 +342,90 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"kind": "convergence", "n_list": [10, 20], "batch": -1},
         {"kind": "marginal", "n_traj": 0},
         {"kind": "trace", "x_t": 1.0, "points_per_interval": -3},
+        {"sampler": {"name": "tab", "order": 5}},
+        {"sampler": {"name": "rho_ab", "order": -1}},
+        {"sampler": {"name": "ipndm", "order": 9}},
+        {"sampler": {"name": "sddim", "eta": 1.5}},
+        {"schedule": {"name": "power_t", "n": 10, "kappa": "x"}},
+        {"schedule": {"name": "quadratic", "n": 10, "t_end": "x"}},
+        {"schedule": {"name": "quadratic", "n": 10, "t0": 2.0}},
+        {"seed": -1},
+        {"batch": float("inf")},
+        {"out": 1},
+        {"kind": "convergence", "n_list": [0, 10]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
     raw = base_config(**overrides)
     assert main([raw["kind"], "--config", str(_write_config(tmp_path, raw))]) == 2
+
+
+def test_cli_seed_override_is_validated(tmp_path):
+    cfg = _write_config(tmp_path, base_config())
+    assert main(["sample", "--config", str(cfg), "--seed", "-1"]) == 2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_loglik_divergent_point_fails_whole_run(tmp_path):
+    # all points are integrated in one call, so one overflowing point
+    # is a numerical failure of the experiment
+    raw = base_config(
+        kind="loglik", gmm={"weights": [1.0], "means": [0.0], "stds": [1.0]},
+        x0_list=[0.0, 1e200],
+    )
+    assert main(["loglik", "--config", str(_write_config(tmp_path, raw))]) == 3
+
+
+# values of every JSON type, including ones that fail conversion
+# (strings, containers, None), fail range checks (negatives, non-finite)
+# or pass; finite numbers stay below 1e3 in magnitude, except for
+# values beyond any array size, so that no example allocates or runs a
+# grid of millions of steps
+_FUZZ_NUMBERS = st.one_of(
+    st.integers(-5, 40),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308,
+                     5e-324, 2**64, 2**130, -(2**70)]),
+)
+_FUZZ_SCALARS = st.one_of(st.none(), st.booleans(), _FUZZ_NUMBERS, st.text(max_size=4))
+_FUZZ_VALUES = st.one_of(
+    _FUZZ_SCALARS,
+    st.lists(_FUZZ_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=3), _FUZZ_SCALARS, max_size=2),
+)
+_FUZZ_KEYS = [
+    ("kind",), ("seed",), ("out",), ("format",), ("x_t",), ("batch",), ("n_list",),
+    ("lambda_list",), ("n_traj",), ("dt",), ("ref_dt",), ("x0_list",),
+    ("points_per_interval",), ("orders",), ("diffusion",), ("gmm",), ("sampler",),
+    ("schedule",), ("unknown",),
+    ("diffusion", "preset"), ("diffusion", "beta_min"), ("diffusion", "beta_max"),
+    ("diffusion", "sigma_min"), ("diffusion", "sigma_max"), ("diffusion", "t_end"),
+    ("gmm", "weights"), ("gmm", "means"), ("gmm", "stds"),
+    ("sampler", "name"), ("sampler", "order"), ("sampler", "eta"),
+    ("schedule", "name"), ("schedule", "t0"), ("schedule", "t_end"),
+    ("schedule", "n"), ("schedule", "kappa"),
+]
+
+
+@settings(max_examples=150, deadline=5000)
+@given(st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES), min_size=1, max_size=3))
+def test_cli_fuzzed_config_exits_0_2_or_3(edits):
+    raw = base_config(schedule={"name": "quadratic", "t0": 1e-3, "n": 4})
+    for key, value in edits:
+        target = raw
+        if len(key) == 2:
+            if not isinstance(raw.get(key[0]), dict):
+                raw[key[0]] = {}
+            target = raw[key[0]]
+        target[key[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(raw, fh)
+        # --out keeps a fuzzed "out" value from naming where the report goes
+        code = main(["sample", "--config", path, "--out", os.path.join(tmp, "report")])
+    assert code in (0, 2, 3)
 
 
 def test_cli_kind_mismatch(tmp_path):

@@ -21,7 +21,7 @@ from diffint import (
     vesde,
     vpsde,
 )
-from diffint.oracle import reference_states
+from diffint.oracle import _marginal_score_pair, reference_states
 from diffint.samplers import euler_sample
 from diffint.timegrid import TimeGrid
 
@@ -350,17 +350,15 @@ def test_loglik_standard_normal_mode(vp):
 
 def test_loglik_matches_gaussian_density(vp):
     gmm = GaussianMixture([1.0], [0.4], [0.8])
-    rng = np.random.default_rng(15)
-    for x0 in rng.uniform(-1.5, 2.0, 10):
-        exact = -0.5 * np.log(2 * np.pi * 0.8**2) - 0.5 * (x0 - 0.4) ** 2 / 0.8**2
-        assert abs(float(pf_loglik(gmm, vp, x0)) - exact) < 1e-3
+    x0 = np.random.default_rng(15).uniform(-1.5, 2.0, 10)
+    exact = -0.5 * np.log(2 * np.pi * 0.8**2) - 0.5 * (x0 - 0.4) ** 2 / 0.8**2
+    assert np.all(np.abs(pf_loglik(gmm, vp, x0) - exact) < 1e-3)
 
 
 def test_loglik_matches_mixture_density(vp, bimodal_oracle):
     gmm, _ = bimodal_oracle
-    rng = np.random.default_rng(16)
-    for x0 in rng.uniform(-2.0, 2.0, 10):
-        assert abs(float(pf_loglik(gmm, vp, x0)) - float(gmm.logpdf(x0))) < 1e-3
+    x0 = np.random.default_rng(16).uniform(-2.0, 2.0, 10)
+    assert np.all(np.abs(pf_loglik(gmm, vp, x0) - gmm.logpdf(x0)) < 1e-3)
 
 
 def test_loglik_rejects_coarse_dt(vp, bimodal_oracle):
@@ -375,10 +373,33 @@ def test_loglik_on_ve_preset():
     spec = vesde(0.01, 10.0)
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.4, 0.4])
     data_law = marginal_at(gmm, spec, 0.0)
-    for x0 in (-1.2, 0.0, 0.9):
-        assert abs(float(pf_loglik(gmm, spec, x0)) - float(data_law.logpdf(x0))) < 1e-3
-        # against the raw data density the floor shows up as a small bias
-        assert abs(float(pf_loglik(gmm, spec, x0)) - float(gmm.logpdf(x0))) < 5e-3
+    x0 = np.array([-1.2, 0.0, 0.9])
+    got = pf_loglik(gmm, spec, x0)
+    assert np.all(np.abs(got - data_law.logpdf(x0)) < 1e-3)
+    # against the raw data density the floor shows up as a small bias
+    assert np.all(np.abs(got - gmm.logpdf(x0)) < 5e-3)
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_loglik_array_equals_scalar_calls(preset, request):
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
+    x0 = np.array([-1.3, -0.5, 0.0, 0.8, 1.7])
+    batched = pf_loglik(gmm, spec, x0, dt=1e-3)
+    singles = np.array([pf_loglik(gmm, spec, float(x), dt=1e-3) for x in x0])
+    assert batched.shape == x0.shape
+    assert np.array_equal(batched, singles)
+
+
+def test_marginal_score_pair_matches_marginal_mixture(vp, ve):
+    gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
+    x = np.linspace(-2.0, 2.0, 9)
+    for spec in (vp, ve):
+        for t in (0.0, 1e-3, 0.37, 0.5, 1.0):
+            s, s_dx = _marginal_score_pair(gmm, spec, x, t)
+            mixture = marginal_at(gmm, spec, t)
+            assert np.array_equal(s, mixture.score(x))
+            assert np.array_equal(s_dx, mixture.score_dx(x))
 
 
 def test_em_vector_state_shape_and_independence(vp, gauss_oracle):
