@@ -71,12 +71,13 @@ _TOP_KEYS = {
 @contextmanager
 def _config_errors():
     """Turn a value that fails to convert or to pass a range check
-    (ParameterError included) into a ConfigError, the exit-2 error."""
+    (ParameterError included), or a size too large to allocate, into a
+    ConfigError, the exit-2 error."""
     try:
         yield
     except ConfigError:
         raise
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -682,10 +683,14 @@ def run_loglik(config: ExperimentConfig) -> MetricReport:
 
 def cache_weights(config: ExperimentConfig, path) -> str:
     """Build the weight table for (diffusion, schedule, order) and write
-    it as JSON; the document round-trips bit-exactly."""
+    it as JSON; the document round-trips bit-exactly.  The table is
+    tab's whatever the sampler, so the order must be a tab order."""
+    order = _sampler_kwargs(config)["order"]
+    with _config_errors():
+        check_sampler_args("tab", order)
     spec = config.build_spec()
     grid = config.build_grid(spec)
-    table = tab_weights(spec, grid, int(config.sampler.get("order", 0)))
+    table = tab_weights(spec, grid, order)
     table.save(path)
     return str(path)
 

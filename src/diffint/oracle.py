@@ -17,6 +17,12 @@ Conventions:
 * Arrays are processed elementwise, so a vector input doubles as a
   batch of independent scalar states (and, for multi-axis arrays, as a
   per-axis factorized product distribution with iid axes).
+* The field, :func:`score` and each ``pf_loglik`` stage form the
+  marginal's means and variances directly (``_marginal``) instead of
+  building a :class:`GaussianMixture`, and every mixture evaluation
+  runs as one plain-numpy kernel whose log-sum-exp (``_logsumexp``)
+  repeats ``scipy.special.logsumexp``'s float64 steps, so the results
+  have the bits of ``marginal_at(gmm, spec, t).score(x)``.
 
 All operations are pure functions of their inputs (plus an explicit
 seed for the stochastic ones), so instances can be shared freely
@@ -30,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diffusion import DiffusionSpec
 from .errors import DivergenceError, DomainError, OracleTrustError, ParameterError
@@ -54,26 +59,59 @@ __all__ = [
 _VARIANCE_FLOOR = 1e-300
 
 
+def _logsumexp(a, keepdims=False):
+    """``scipy.special.logsumexp(a, axis=0, keepdims=keepdims)`` for a
+    real float64 ``a``, bit for bit, without scipy's array-API dispatch.
+
+    The steps are scipy 1.17's, in its order: the max and its tie count
+    m, the sum of exp(a - max) with the max entries set to -inf, then
+    log1p(s/m) + log(m) + max, replaced by log(sum(exp(a))) where it is
+    not finite.  scipy's sign bookkeeping and its s == 0 guard never
+    change a result here (s >= 0, and s is nan where m = 0), so they are
+    left out.
+    """
+    # ufunc.reduce is np.max / np.sum without their Python-level wrappers
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum.reduce(a, axis=0, keepdims=True)
+        at_max = a == a_max
+        m = np.add.reduce(at_max, axis=0, keepdims=True, dtype=float)
+        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.log(np.add.reduce(np.exp(a), axis=0, keepdims=True))
+            out = np.where(finite, out, direct)
+    if not keepdims:
+        out = out[0]
+    return out[()] if out.ndim == 0 else out
+
+
 def _log_terms(x, weights, means, var):
     """log w_k + log N(x; m_k, var_k) with the components on axis 0,
-    plus x, the means and the variances broadcast against it."""
+    plus x - m_k and the variances broadcast against x."""
     x = np.asarray(x, dtype=float)
     shape = (weights.size,) + (1,) * x.ndim
-    mean = means.reshape(shape)
     var = var.reshape(shape)
+    dev = x - means.reshape(shape)
     log_terms = (
         np.log(weights.reshape(shape)) - 0.5 * np.log(2 * np.pi * var)
-        - 0.5 * (x - mean) ** 2 / var
+        - 0.5 * dev**2 / var
     )
-    return x, mean, var, log_terms
+    return dev, var, log_terms
 
 
 def _responsibilities(x, weights, means, var):
     """Posterior component weights at x, the component scores
     -(x - m_k) / var_k and the broadcast variances."""
-    x, mean, var, log_terms = _log_terms(x, weights, means, var)
-    resp = np.exp(log_terms - logsumexp(log_terms, axis=0, keepdims=True))
-    return resp, -(x - mean) / var, var
+    dev, var, log_terms = _log_terms(x, weights, means, var)
+    resp = np.exp(log_terms - _logsumexp(log_terms, keepdims=True))
+    return resp, -dev / var, var
+
+
+def _score(x, weights, means, var):
+    """Score of the mixture (weights, means, var) at x."""
+    resp, slopes, _ = _responsibilities(x, weights, means, var)
+    return np.add.reduce(resp * slopes, axis=0)
 
 
 def _pow_square(s):
@@ -121,16 +159,15 @@ class GaussianMixture:
         return self.weights.size
 
     def logpdf(self, x):
-        _, _, _, log_terms = _log_terms(x, self.weights, self.means, self.stds**2)
-        return logsumexp(log_terms, axis=0)
+        _, _, log_terms = _log_terms(x, self.weights, self.means, self.stds**2)
+        return _logsumexp(log_terms)
 
     def pdf(self, x):
         return np.exp(self.logpdf(x))
 
     def score(self, x):
         """Gradient of the log density."""
-        resp, slopes, _ = _responsibilities(x, self.weights, self.means, self.stds**2)
-        return np.sum(resp * slopes, axis=0)
+        return _score(x, self.weights, self.means, self.stds**2)
 
     def score_dx(self, x):
         """Derivative of the score (exact divergence in the scalar case)."""
@@ -171,14 +208,23 @@ def marginal_at(gmm: GaussianMixture, spec: DiffusionSpec, t: float) -> Gaussian
     )
 
 
-def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
-    """Exact score of the time-t marginal, evaluated elementwise."""
+def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
+    """L(t) and the means and variances of the time-t marginal, with the
+    bits of :func:`marginal_at`'s mixture, without building and
+    validating one; raises :class:`DomainError` when a variance
+    underflows."""
     mu_t = float(spec.mu(t))
     l_t = float(spec.L(t))
     total_var = (mu_t * gmm.stds) ** 2 + l_t**2
-    if np.any(total_var < _VARIANCE_FLOOR):
+    if (total_var < _VARIANCE_FLOOR).any():
         raise DomainError(f"marginal variance underflow at t={t}")
-    return marginal_at(gmm, spec, t).score(x)
+    return l_t, mu_t * gmm.means, np.sqrt(total_var) ** 2
+
+
+def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
+    """Exact score of the time-t marginal, evaluated elementwise."""
+    _, means, var = _marginal(gmm, spec, t)
+    return _score(x, gmm.weights, means, var)
 
 
 class EpsilonField:
@@ -189,7 +235,8 @@ class EpsilonField:
         self.spec = spec
 
     def __call__(self, x, t: float):
-        return -float(self.spec.L(t)) * score(self.gmm, self.spec, x, t)
+        l_t, means, var = _marginal(self.gmm, self.spec, t)
+        return -l_t * _score(x, self.gmm.weights, means, var)
 
     def score(self, x, t: float):
         return score(self.gmm, self.spec, x, t)
@@ -396,10 +443,8 @@ def _marginal_score_pair(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float)
     """``marginal_at(gmm, spec, t).score(x)`` and ``.score_dx(x)``, bit for
     bit, from the marginal's means and variances without building and
     validating the marginal mixture."""
-    mu_t = float(spec.mu(t))
-    l_t = float(spec.L(t))
-    var = np.sqrt((mu_t * gmm.stds) ** 2 + l_t**2) ** 2
-    return _score_pair(x, gmm.weights, mu_t * gmm.means, var)
+    _, means, var = _marginal(gmm, spec, t)
+    return _score_pair(x, gmm.weights, means, var)
 
 
 def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):

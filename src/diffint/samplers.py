@@ -347,6 +347,8 @@ def rho_rk_sample(
     notes = []
     for i in range(grid.n_steps, 0, -1):
         h = rho[i - 1] - rho[i]
+        # one inversion per distinct interior offset (rk4 has two stages at 1/2)
+        t_inner = {c_s: t_of_rho(spec, rho[i] + c_s * h) for c_s in set(c) - {0.0, 1.0}}
         ks = []
         for s_idx in range(len(c)):
             if c[s_idx] == 0.0:
@@ -356,7 +358,7 @@ def rho_rk_sample(
                 t_stage = times[i - 1]
                 mu_stage = mu[i - 1]
             else:
-                t_stage = t_of_rho(spec, rho[i] + c[s_idx] * h)
+                t_stage = t_inner[c[s_idx]]
                 if t_stage < grid.t0:
                     notes.append(f"stage time clamped to t0 at step {i}")
                     t_stage = grid.t0

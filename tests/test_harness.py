@@ -353,6 +353,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"batch": float("inf")},
         {"out": 1},
         {"kind": "convergence", "n_list": [0, 10]},
+        # a grid no address space holds: MemoryError whatever the overcommit policy
+        {"schedule": {"name": "quadratic", "n": 1e18}},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -461,6 +463,13 @@ def test_cli_weights_cache_round_trip(tmp_path):
     assert table.order == 2
     assert table.n_steps == 10
     assert table.to_json() == out.read_text()
+
+
+def test_cli_weights_cache_checks_order_as_tab(tmp_path):
+    # the cached table is tab's, so a non-tab sampler's order must be a tab order
+    raw = base_config(sampler={"name": "ddim", "order": 7})
+    cfg = _write_config(tmp_path, raw)
+    assert main(["weights", "cache", "--config", str(cfg), "--out", str(tmp_path / "t.json")]) == 2
 
 
 def test_cli_weights_cache_requires_out(tmp_path):

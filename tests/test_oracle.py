@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,7 @@ from diffint import (
     vesde,
     vpsde,
 )
-from diffint.oracle import _marginal_score_pair, reference_states
+from diffint.oracle import _logsumexp, _marginal_score_pair, reference_states
 from diffint.samplers import euler_sample
 from diffint.timegrid import TimeGrid
 
@@ -151,6 +152,37 @@ def test_score_variance_underflow_guard():
     gmm = GaussianMixture([1.0], [0.0], [1.0])
     with pytest.raises(DomainError):
         score(gmm, tiny, 0.0, 1.0)
+    with pytest.raises(DomainError):
+        epsilon_field(gmm, tiny)(0.0, 1.0)
+
+
+# -- logsumexp kernel ---------------------------------------------------
+
+
+def _same_bits(got, want):
+    return (
+        type(got) is type(want)
+        and np.shape(got) == np.shape(want)
+        and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's own overflow warning
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (0,), (5000,), (40, 30)])
+def test_logsumexp_matches_scipy_bit_for_bit(k, batch):
+    rng = np.random.default_rng(k)
+    a = rng.normal(0.0, 1.0, (k,) + batch) * 10.0 ** rng.uniform(-3, 3, (k,) + batch)
+    flat = a.reshape(k, -1)
+    if flat.shape[1]:
+        special = [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0, 710.0, -745.0]
+        hit = rng.random(flat.shape) < 0.1
+        flat[hit] = rng.choice(special, hit.sum())
+        flat[:, : flat.shape[1] // 4] = np.round(flat[:, : flat.shape[1] // 4])  # ties
+        flat[-1, -10:] = flat[0, -10:]  # ties across every component
+    for keepdims in (False, True):
+        want = scipy.special.logsumexp(a, axis=0, keepdims=keepdims)
+        assert _same_bits(_logsumexp(a, keepdims=keepdims), want)
 
 
 # -- epsilon field ----------------------------------------------------
@@ -389,6 +421,19 @@ def test_loglik_array_equals_scalar_calls(preset, request):
     singles = np.array([pf_loglik(gmm, spec, float(x), dt=1e-3) for x in x0])
     assert batched.shape == x0.shape
     assert np.array_equal(batched, singles)
+
+
+@pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
+def test_field_equals_marginal_mixture_score(preset, t0, request):
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05])
+    field = epsilon_field(gmm, spec)
+    rng = np.random.default_rng(3)
+    for x in (0.7, rng.normal(0, 2, 1), rng.normal(0, 2, 64), rng.normal(0, 20, 8192)):
+        for t in (t0, 0.37, spec.t_end):
+            want = -float(spec.L(t)) * marginal_at(gmm, spec, t).score(x)
+            assert _same_bits(field(x, t), want)
+            assert _same_bits(score(gmm, spec, x, t), marginal_at(gmm, spec, t).score(x))
 
 
 def test_marginal_score_pair_matches_marginal_mixture(vp, ve):
