@@ -29,7 +29,10 @@ The module also hosts the monotone time reparameterization
 under which the noise-prediction form of the sampling ODE becomes
 d y / d rho = eps(mu y, t(rho)) with y = x / mu(t).  For the VP preset
 this is rho = sqrt((1 - alpha) / alpha); for the VE preset it is
-sigma(t).
+sigma(t).  Both presets invert it in closed form, elementwise on
+arrays: on VP, int_0^t beta = log(1 + rho^2) is a quadratic in t; on
+VE, t = log(rho / sigma_min) / log(sigma_max / sigma_min).  Custom
+specs invert by bracketed root finding, one element at a time.
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ class DiffusionSpec:
     sampling distribution (N(0, pi_std^2)).  ``transition_closed``, when
     present, evaluates Psi(t, s) in closed form; otherwise
     :func:`transition` integrates the drift numerically.
+    ``t_of_rho_closed``, when present, inverts rho(t) = L(t) / mu(t) in
+    closed form on [rho(0), rho(t_end)]; otherwise :func:`t_of_rho`
+    finds the root numerically.
 
     Instances are immutable and safe to share across threads.
     """
@@ -103,6 +109,7 @@ class DiffusionSpec:
     name: str = "custom"
     pi_std: float = 1.0
     transition_closed: Optional[Callable] = field(default=None, repr=False)
+    t_of_rho_closed: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -123,6 +130,14 @@ def vpsde(schedule: VpSchedule | None = None, *, t_end: float = 1.0) -> Diffusio
     def psi(t, s):
         return np.exp(-0.5 * (sched.beta_integral(t) - sched.beta_integral(s)))
 
+    def t_of_rho_closed(rho):
+        # beta_integral(t) = log(1 + rho^2) = c is a quadratic in t; its
+        # positive root, written without cancellation
+        rho = np.asarray(rho, dtype=float)
+        c = np.log1p(rho * rho)
+        b0, slope = sched.beta_min, sched.beta_max - sched.beta_min
+        return 2.0 * c / (b0 + np.sqrt(b0 * b0 + 2.0 * slope * c))
+
     return DiffusionSpec(
         f=lambda t: -0.5 * sched.beta(t),
         g2=sched.beta,
@@ -132,6 +147,7 @@ def vpsde(schedule: VpSchedule | None = None, *, t_end: float = 1.0) -> Diffusio
         name="vpsde",
         pi_std=1.0,
         transition_closed=psi,
+        t_of_rho_closed=t_of_rho_closed,
     )
 
 
@@ -160,6 +176,7 @@ def vesde(sigma_min: float, sigma_max: float, *, t_end: float = 1.0) -> Diffusio
         transition_closed=lambda t, s: np.ones_like(
             np.asarray(t, dtype=float) * np.asarray(s, dtype=float)
         ),
+        t_of_rho_closed=lambda rho: np.log(np.asarray(rho, dtype=float) / sigma_min) / log_ratio,
     )
 
 
@@ -195,31 +212,33 @@ def rho_of_t(spec: DiffusionSpec, t):
     return spec.L(t) / spec.mu(t)
 
 
-def t_of_rho(spec: DiffusionSpec, rho: float) -> float:
-    """Invert :func:`rho_of_t` by bracketed root finding on [0, t_end].
+def t_of_rho(spec: DiffusionSpec, rho):
+    """Invert :func:`rho_of_t` elementwise on [0, t_end].
 
-    Raises :class:`DomainError` when ``rho`` lies outside
+    Uses the spec's ``t_of_rho_closed`` when present and bracketed root
+    finding (one brentq per element) otherwise.  ``rho(0)`` maps to 0.0
+    and ``rho(t_end)`` to ``t_end`` exactly.  Returns a float for a
+    scalar ``rho`` and an array otherwise.  Raises
+    :class:`DomainError` when any element lies outside
     [rho(0), rho(t_end)] beyond roundoff slack.
     """
     lo = float(rho_of_t(spec, 0.0))
     hi = float(rho_of_t(spec, spec.t_end))
     slack = 1e-9 * max(1.0, abs(hi))
-    if rho < lo - slack or rho > hi + slack:
+    rho = np.asarray(rho, dtype=float)
+    if np.any((rho < lo - slack) | (rho > hi + slack)):
         raise DomainError(f"rho={rho} outside [{lo}, {hi}]")
-    rho_clipped = min(max(rho, lo), hi)
-    if rho_clipped == lo:
-        return 0.0
-    if rho_clipped == hi:
-        return float(spec.t_end)
-    return float(
-        brentq(
-            lambda t: float(rho_of_t(spec, t)) - rho_clipped,
-            0.0,
-            spec.t_end,
-            xtol=1e-15,
-            rtol=8.9e-16,
-        )
-    )
+    rho_clipped = np.clip(rho, lo, hi)
+    if spec.t_of_rho_closed is not None:
+        t = spec.t_of_rho_closed(rho_clipped)
+    else:
+        t = np.array([
+            brentq(lambda s: float(rho_of_t(spec, s)) - r, 0.0, spec.t_end,
+                   xtol=1e-15, rtol=8.9e-16) if lo < r < hi else 0.0
+            for r in rho_clipped.ravel()
+        ]).reshape(rho.shape)
+    t = np.where(rho_clipped == lo, 0.0, np.where(rho_clipped == hi, spec.t_end, t))
+    return float(t) if t.ndim == 0 else t
 
 
 def validate(spec: DiffusionSpec, *, n_times: int = 50, rng=None, rtol: float = 1e-6):

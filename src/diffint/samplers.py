@@ -189,13 +189,13 @@ def _euler_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
 
 
 def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
-    def step(i, t, t_prev):
-        weight = quadrature.integrate(
-            lambda tau: -0.5 * transition(spec, t_prev, tau) * spec.g2(tau), t, t_prev
-        )
-        return transition(spec, t_prev, t), -weight / spec.L(t)
-
-    return _plan(grid, 0, step)
+    t = grid.times
+    weight = quadrature.integrate(
+        lambda tau: -0.5 * transition(spec, t[:-1, None], tau) * spec.g2(tau), t[1:], t[:-1]
+    )
+    c = -weight / spec.L(t[1:])
+    psi = transition(spec, t[:-1], t[1:])
+    return WeightTable(order=0, times=t, psi=psi, c=tuple(c[:, None]))
 
 
 def _ddim_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
@@ -329,7 +329,8 @@ def rho_rk_sample(
 ) -> SolverRun:
     """Classical explicit Runge-Kutta in rho.
 
-    Stage times are mapped back through t(rho) for field evaluation;
+    Stage times are mapped back through t(rho) for field evaluation,
+    all interior stages of the run in one call before the first step;
     interval endpoints reuse the grid's own times so no inversion
     error enters there.  A stage time that lands below t_0 (roundoff
     in the inversion) is clamped to t_0 and recorded in the run notes.
@@ -345,10 +346,13 @@ def rho_rk_sample(
     states = _start_states(grid, x_T)
     y = states[grid.n_steps] / mu[grid.n_steps]
     notes = []
+    # t_inner[i - 1, k]: step i's stage time at the k-th distinct interior
+    # offset (rk4's two stages at 1/2 share one)
+    inner = sorted(set(c) - {0.0, 1.0})
+    if inner:
+        t_inner = t_of_rho(spec, rho[1:, None] + np.array(inner) * (rho[:-1] - rho[1:])[:, None])
     for i in range(grid.n_steps, 0, -1):
         h = rho[i - 1] - rho[i]
-        # one inversion per distinct interior offset (rk4 has two stages at 1/2)
-        t_inner = {c_s: t_of_rho(spec, rho[i] + c_s * h) for c_s in set(c) - {0.0, 1.0}}
         ks = []
         for s_idx in range(len(c)):
             if c[s_idx] == 0.0:
@@ -358,7 +362,7 @@ def rho_rk_sample(
                 t_stage = times[i - 1]
                 mu_stage = mu[i - 1]
             else:
-                t_stage = t_inner[c[s_idx]]
+                t_stage = float(t_inner[i - 1, inner.index(c[s_idx])])
                 if t_stage < grid.t0:
                     notes.append(f"stage time clamped to t0 at step {i}")
                     t_stage = grid.t0

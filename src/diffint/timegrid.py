@@ -132,7 +132,7 @@ def quadratic(t0: float, t_end: float, n: int) -> TimeGrid:
 
 
 def _from_rho_values(spec, rho_vals, t0, t_end, name) -> TimeGrid:
-    times = np.array([t_of_rho(spec, r) for r in rho_vals])
+    times = t_of_rho(spec, rho_vals)
     if abs(times[0] - t0) > 1e-10 * max(1.0, t0) or abs(times[-1] - t_end) > 1e-10 * t_end:
         raise ParameterError("rho grid endpoints failed to invert back to (t0, t_end)")
     times[0], times[-1] = t0, t_end

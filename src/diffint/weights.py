@@ -20,10 +20,13 @@ Near the start of sampling the history is shorter than r+1, so the
 polynomial order is lowered to what is available; row i then holds
 min(r, N-i)+1 coefficients.
 
+:func:`tab_weights` makes one batched quadrature call per row size
+(the full-order steps, then each of the shorter rows), evaluating the
+kernel 1/2 Psi g2 / L once per point for all the basis functions.
+
 For the rescaled-time integrators, :func:`rho_ab_weights` integrates
 the Lagrange basis over a rho interval in closed form (polynomial
-antiderivatives), and the rho transform itself is re-exported from
-:mod:`diffint.diffusion`.
+antiderivatives).
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npoly
 
 from . import quadrature
-from .diffusion import DiffusionSpec, rho_of_t, t_of_rho, transition
+from .diffusion import DiffusionSpec, transition
 from .errors import DegenerateNodesError, GridMismatchError, ParameterError
 from .timegrid import TimeGrid, grid_fingerprint
 
@@ -45,8 +48,6 @@ __all__ = [
     "WeightTable",
     "tab_weights",
     "rho_ab_weights",
-    "rho_of_t",
-    "t_of_rho",
     "MAX_ORDER",
 ]
 
@@ -55,7 +56,8 @@ _SCHEMA = "diffint-weight-table-v1"
 
 
 def _check_nodes(nodes: np.ndarray):
-    if np.unique(nodes).size != nodes.size:
+    ordered = np.sort(nodes, axis=0)
+    if np.any(ordered[1:] == ordered[:-1]):
         raise DegenerateNodesError(f"interpolation nodes must be distinct: {nodes}")
 
 
@@ -63,14 +65,16 @@ def lagrange_basis(nodes: Sequence[float], j: int, tau):
     """j-th Lagrange basis polynomial over ``nodes``, evaluated at tau.
 
     prod_{k != j} (tau - t_k) / (t_j - t_k); the empty product (a
-    single node) is the constant 1.
+    single node) is the constant 1.  The nodes run along the first
+    axis of ``nodes``; further axes hold one node column per interval
+    and broadcast against ``tau``.
     """
     nodes = np.asarray(nodes, dtype=float)
     _check_nodes(nodes)
-    if not 0 <= j < nodes.size:
-        raise ParameterError(f"basis index {j} out of range for {nodes.size} nodes")
-    out = np.ones_like(np.asarray(tau, dtype=float))
-    for k in range(nodes.size):
+    if not 0 <= j < nodes.shape[0]:
+        raise ParameterError(f"basis index {j} out of range for {nodes.shape[0]} nodes")
+    out = np.ones(np.broadcast_shapes(np.shape(tau), nodes.shape[1:]))
+    for k in range(nodes.shape[0]):
         if k != j:
             out = out * (tau - nodes[k]) / (nodes[j] - nodes[k])
     return out
@@ -175,36 +179,32 @@ def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int,
                 *, rtol: float = 1e-12) -> WeightTable:
     """Build the weight table for order-r extrapolation on ``grid``.
 
-    Each C_ij is evaluated by the shared panel-refined quadrature; the
-    integrand 1/2 Psi g2 / L blows up only at tau = 0, which the grid
-    excludes by construction (t_0 > 0).  Rebuilding with identical
-    inputs is deterministic, bit for bit.
+    Each C_ij is evaluated by the shared panel-refined quadrature, one
+    call per row size: the full-order steps together, then each ramp
+    step.  The kernel 1/2 Psi g2 / L is evaluated once per point and
+    multiplied by each Lagrange basis; it blows up only at tau = 0,
+    which the grid excludes by construction (t_0 > 0).  Rebuilding
+    with identical inputs is deterministic, bit for bit.
     """
     _check_order(r)
     times = grid.times
-    n = grid.n_steps
-    psi = np.empty(n)
-    rows = []
-    for i in range(1, n + 1):
+    steps = np.arange(1, grid.n_steps + 1)
+    sizes = np.minimum(r, grid.n_steps - steps) + 1
+    rows = [None] * grid.n_steps
+    for m in np.unique(sizes)[::-1]:
+        i = steps[sizes == m]
         t_lo, t_hi = times[i - 1], times[i]
-        psi[i - 1] = transition(spec, t_lo, t_hi)
-        r_i = min(r, n - i)
-        nodes = times[i : i + r_i + 1]
-        row = np.empty(r_i + 1)
-        for j in range(r_i + 1):
+        nodes = times[i + np.arange(m)[:, None], None]  # (m, steps, 1) node columns
 
-            def integrand(tau, j=j):
-                return (
-                    0.5
-                    * transition(spec, t_lo, tau)
-                    * spec.g2(tau)
-                    / spec.L(tau)
-                    * lagrange_basis(nodes, j, tau)
-                )
+        def integrand(tau):
+            kernel = 0.5 * transition(spec, t_lo[:, None], tau) * spec.g2(tau) / spec.L(tau)
+            return np.stack([kernel * lagrange_basis(nodes, j, tau) for j in range(m)])
 
-            # C_ij integrates from t_i down to t_{i-1}
-            row[j] = -quadrature.integrate(integrand, t_lo, t_hi, rtol=rtol)
-        rows.append(row)
+        # C_ij integrates from t_i down to t_{i-1}
+        c = -quadrature.integrate(integrand, t_lo, t_hi, rtol=rtol)
+        for k, step in enumerate(i):
+            rows[step - 1] = c[:, k]
+    psi = transition(spec, times[:-1], times[1:])
     return WeightTable(order=r, times=times, psi=psi, c=tuple(rows))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +203,61 @@ def test_ve_rho_is_sigma(ve):
 def test_rho_round_trip_hypothesis(t):
     spec = vpsde()
     assert abs(t_of_rho(spec, float(rho_of_t(spec, t))) - t) < 1e-10
+
+
+# -- closed-form t(rho) -----------------------------------------------
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_closed_form_t_of_rho_matches_brentq(preset, request):
+    spec = request.getfixturevalue(preset)
+    assert spec.t_of_rho_closed is not None
+    rooted = dataclasses.replace(spec, t_of_rho_closed=None)
+    rho = rho_of_t(spec, np.geomspace(1e-7, 1.0, 3000))
+    closed = t_of_rho(spec, rho)
+    assert np.max(np.abs(closed - t_of_rho(rooted, rho))) <= 4e-15
+    assert np.max(np.abs(rho_of_t(spec, closed) - rho) / rho) <= 1e-14
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_t_of_rho_array_equals_scalar_calls(preset, request):
+    spec = request.getfixturevalue(preset)
+    lo, hi = float(rho_of_t(spec, 0.0)), float(rho_of_t(spec, spec.t_end))
+    rho = np.concatenate(([lo, hi], rho_of_t(spec, np.linspace(0.01, 0.99, 40))))
+    for shape in ((42,), (6, 7)):
+        out = t_of_rho(spec, rho.reshape(shape))
+        assert out.shape == shape
+        scalar = [t_of_rho(spec, float(r)) for r in rho]
+        assert out.ravel().tolist() == scalar
+    assert out.ravel()[0] == 0.0 and out.ravel()[1] == spec.t_end
+
+
+def test_t_of_rho_array_with_one_out_of_range_element_raises(vp):
+    rho = rho_of_t(vp, np.linspace(0.1, 0.9, 5))
+    rho[3] = 1.5 * float(rho_of_t(vp, 1.0))
+    with pytest.raises(DomainError):
+        t_of_rho(vp, rho)
+
+
+def test_custom_spec_inverts_through_brentq(monkeypatch):
+    from diffint import DiffusionSpec, diffusion
+
+    spec = DiffusionSpec(
+        f=lambda t: -0.5 * np.ones_like(np.asarray(t, dtype=float)),
+        g2=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        mu=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float)),
+        L=lambda t: np.sqrt(-np.expm1(-np.asarray(t, dtype=float))),
+        t_end=1.0,
+    )
+    roots = []
+    brentq = diffusion.brentq
+
+    def counting(*args, **kwargs):
+        roots.append(1)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(diffusion, "brentq", counting)
+    t = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
+    out = t_of_rho(spec, rho_of_t(spec, t))
+    assert len(roots) == 3  # the two endpoints snap without a root search
+    assert np.max(np.abs(out - t)) < 1e-12

@@ -15,6 +15,7 @@ from diffint import (
     epsilon_field,
     euler_sample,
     ipndm_sample,
+    log_rho,
     power_t,
     quadratic,
     reference_solve,
@@ -580,3 +581,29 @@ def test_plan_row_sizes(vp):
               for build in (tab_weights, _rho_ab_plan, _ipndm_plan)]
     for r, plan in plans:
         assert [row.size for row in plan.c] == [min(r, n - i) + 1 for i in range(1, n + 1)]
+
+
+def test_rho_rk_inverts_all_stage_times_in_one_call(vp, gauss_oracle, monkeypatch):
+    from diffint import samplers
+
+    _, field = gauss_oracle
+    grid = log_rho(vp, 1e-3, 8)
+    rho = grid.rho_values(vp)
+    calls = []
+    inner = samplers.t_of_rho
+
+    def counting(spec, rho):
+        calls.append(np.shape(rho))
+        return inner(spec, rho)
+
+    monkeypatch.setattr(samplers, "t_of_rho", counting)
+    for method, stages in (("midpoint", 1), ("heun2", 0), ("kutta3", 1), ("rk4", 1)):
+        calls.clear()
+        times = []
+        rho_rk_sample(vp, lambda x, t: times.append(t) or field(x, t), grid, method, 1.0)
+        assert calls == [(8, 1)] * stages
+        if method == "midpoint":
+            # the same bits as one scalar inversion per stage
+            assert times[1::2] == [
+                t_of_rho(vp, rho[i] + 0.5 * (rho[i - 1] - rho[i])) for i in range(8, 0, -1)
+            ]

@@ -112,3 +112,19 @@ def test_make_grid_validation(vp):
         make_grid("log_rho", t0=1e-3, t_end=1.0, n=5)  # spec missing
     with pytest.raises(ParameterError):
         make_grid("nope", t0=1e-3, t_end=1.0, n=5)
+
+
+def test_rho_grids_invert_in_one_call(vp, monkeypatch):
+    from diffint import timegrid
+
+    calls = []
+    inner = timegrid.t_of_rho
+
+    def counting(spec, rho):
+        calls.append(np.shape(rho))
+        return inner(spec, rho)
+
+    monkeypatch.setattr(timegrid, "t_of_rho", counting)
+    power_rho(vp, 1e-3, 12, 7.0)
+    log_rho(vp, 1e-3, 12)
+    assert calls == [(13,), (13,)]

@@ -9,13 +9,16 @@ from diffint import (
     VpSchedule,
     WeightTable,
     lagrange_basis,
+    make_grid,
     quadratic,
     rho_ab_weights,
     tab_weights,
     uniform,
     vesde,
 )
+from diffint import quadrature
 from diffint.diffusion import rho_of_t, transition
+from diffint.samplers import _ei_score_plan
 
 from helpers import adaptive_simpson
 
@@ -200,3 +203,94 @@ def test_rho_weights_classical_two_step():
 def test_rho_weights_reject_duplicates():
     with pytest.raises(DegenerateNodesError):
         rho_ab_weights(np.array([0.0, 1.0, 1.0, 3.0]), 1, 1)
+
+
+# -- batched plan building ------------------------------------------------
+
+
+def _scalar_tab_reference(spec, grid, r):
+    """The per-(i, j) formula: one scalar quadrature call per C_ij."""
+    times, n = grid.times, grid.n_steps
+    psi, rows = [], []
+    for i in range(1, n + 1):
+        t_lo, t_hi = times[i - 1], times[i]
+        psi.append(transition(spec, t_lo, t_hi))
+        nodes = times[i : i + min(r, n - i) + 1]
+        row = []
+        for j in range(nodes.size):
+
+            def integrand(tau, j=j):
+                return (
+                    0.5
+                    * transition(spec, t_lo, tau)
+                    * spec.g2(tau)
+                    / spec.L(tau)
+                    * lagrange_basis(nodes, j, tau)
+                )
+
+            row.append(-quadrature.integrate(integrand, t_lo, t_hi))
+        rows.append(np.array(row))
+    return np.array(psi), rows
+
+
+def _scalar_ei_score_reference(spec, grid):
+    t = grid.times
+    psi, c = [], []
+    for i in range(1, grid.n_steps + 1):
+        weight = quadrature.integrate(
+            lambda tau: -0.5 * transition(spec, t[i - 1], tau) * spec.g2(tau), t[i], t[i - 1]
+        )
+        psi.append(transition(spec, t[i - 1], t[i]))
+        c.append(-weight / spec.L(t[i]))
+    return np.array(psi), np.array(c)
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+@pytest.mark.parametrize("schedule", ["quadratic", "power_rho", "log_rho"])
+def test_batched_plans_equal_scalar_reference_bit_for_bit(preset, schedule, request):
+    spec = request.getfixturevalue(preset)
+    t0 = 1e-3 if preset == "vp" else 1e-5
+    for n in (1, 2, 3, 10, 40):
+        grid = make_grid(schedule, t0=t0, t_end=1.0, n=n, kappa=7.0, spec=spec)
+        for r in range(4):
+            table = tab_weights(spec, grid, r)
+            psi, rows = _scalar_tab_reference(spec, grid, r)
+            assert table.psi.tobytes() == psi.tobytes()
+            assert [row.tobytes() for row in table.c] == [row.tobytes() for row in rows]
+        plan = _ei_score_plan(spec, grid)
+        psi, c = _scalar_ei_score_reference(spec, grid)
+        assert plan.psi.tobytes() == psi.tobytes()
+        assert np.concatenate(plan.c).tobytes() == c.tobytes()
+
+
+def test_plan_builders_make_one_quadrature_call_per_row_size(vp, monkeypatch):
+    calls = []
+    integrate = quadrature.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "integrate", counting)
+    for n in (1, 2, 3, 4, 10):
+        grid = quadratic(1e-3, 1.0, n)
+        for r in range(4):
+            calls.clear()
+            tab_weights(vp, grid, r)
+            assert len(calls) <= r + 1
+            assert len(calls) == len({min(r, n - i) + 1 for i in range(1, n + 1)})
+        calls.clear()
+        _ei_score_plan(vp, grid)
+        assert len(calls) == 1
+
+
+def test_basis_node_columns_match_single_interval_calls():
+    rng = np.random.default_rng(4)
+    nodes = np.cumsum(0.05 + rng.uniform(0, 1, (3, 5)), axis=0)  # 5 intervals, 3 nodes
+    tau = rng.uniform(0, 2, (5, 7))
+    for j in range(3):
+        columns = lagrange_basis(nodes[:, :, None], j, tau)
+        for e in range(5):
+            assert columns[e].tobytes() == lagrange_basis(nodes[:, e], j, tau[e]).tobytes()
+    with pytest.raises(DegenerateNodesError):
+        lagrange_basis(np.array([[0.1, 0.2], [0.3, 0.2]])[:, :, None], 0, tau[:2])
