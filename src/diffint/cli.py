@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment kinds (``sample``, ``convergence``,
-``marginal``, ``trace``, ``loglik``) plus ``weights cache`` for
-precomputing a weight table.  Every subcommand takes ``--config
+Subcommands are the experiment kinds of :data:`diffint.harness.KINDS`
+(the keys of its runner registry: ``sample``, ``convergence``,
+``study``, ``marginal``, ``trace``, ``loglik``) plus ``weights cache``
+for precomputing a weight table.  Every subcommand takes ``--config
 <path>`` (a JSON document, see :mod:`diffint.harness`); ``--seed``,
 ``--out`` and ``--format`` override the corresponding config fields.
 
@@ -16,9 +17,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, DiffintError
-from .harness import ExperimentConfig, cache_weights, run_experiment
-
-_EXPERIMENT_COMMANDS = ("sample", "convergence", "marginal", "trace", "loglik")
+from .harness import KINDS, ExperimentConfig, cache_weights, run_experiment
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -35,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="diffint", description="diffusion-sampler experiment harness"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _EXPERIMENT_COMMANDS:
+    for name in KINDS:
         _add_common(sub.add_parser(name, help=f"run a {name} experiment"))
     weights = sub.add_parser("weights", help="weight-table utilities")
     wsub = weights.add_subparsers(dest="weights_command", required=True)

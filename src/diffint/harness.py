@@ -7,11 +7,17 @@ else comes from the file.  Reports embed the fully resolved config and
 a hash of it, so re-running from an embedded config reproduces the
 report byte for byte.
 
-Experiment kinds:
+Experiment kinds, each a key of the runner registry ``_RUNNERS`` from
+which :data:`KINDS`, :func:`run_experiment` and the CLI subcommands
+derive:
 
 * ``sample``       one sampler run; rows are trajectory nodes.
 * ``convergence``  terminal error against the reference solver over a
                    list of step counts, with a fitted log-log slope.
+* ``study``        convergence over lists of samplers and schedules
+                   that share one batch and one reference solve; rows
+                   per (sampler, schedule, step count), and a fitted
+                   order per (sampler, schedule).
 * ``marginal``     Monte-Carlo check that the terminal law of the
                    reverse-time family matches the data moments for
                    each requested noise level lambda.
@@ -25,24 +31,24 @@ Report formats: ``json`` (canonical, sorted keys) and ``csv`` (schema
 string in the row-1 comment, resolved config embedded in a comment).
 """
 
-from __future__ import annotations
-
+import dataclasses
 import hashlib
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Any, Optional
 
 import numpy as np
 
 from . import timegrid
 from .diffusion import DiffusionSpec, vesde, vpsde
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .oracle import (
     EpsilonField,
     GaussianMixture,
     em_terminal_batch,
     epsilon_field,
+    fixed_step_times,
     marginal_at,
     pf_loglik,
     reference_self_check,
@@ -56,16 +62,11 @@ from .weights import lagrange_basis, tab_weights
 SCHEMA = "diffint-report-v1"
 PACKAGE_VERSION = "0.1.0"
 
-KINDS = ("sample", "convergence", "marginal", "trace", "loglik")
-
 # sampling stops short of t = 0; preset-specific floors
 _DEFAULT_T0 = {"vpsde": 1e-3, "vesde": 1e-5}
 
-_TOP_KEYS = {
-    "kind", "diffusion", "gmm", "sampler", "schedule", "seed", "out", "format",
-    "x_t", "batch", "n_list", "lambda_list", "n_traj", "dt", "ref_dt",
-    "x0_list", "points_per_interval", "orders",
-}
+# a field annotated with one of these types is converted by calling it
+_CONVERTED_TYPES = (int, float, tuple, dict)
 
 
 @contextmanager
@@ -89,13 +90,22 @@ def _require(mapping: dict, key: str, context: str):
 
 @dataclass
 class ExperimentConfig:
-    """Validated, fully resolved experiment description."""
+    """Validated, fully resolved experiment description.
+
+    The fields are the config format's one declaration: loading rejects
+    any other key, requires the fields without a default, and converts
+    each value whose annotation is int, float, tuple or dict by calling
+    that type; ``kind``, ``out``, ``format`` and ``x_t`` are kept as
+    given and checked by :meth:`validate`.  A study's ``sampler`` and
+    ``schedule`` are instead non-empty lists of the objects a
+    convergence config takes, held as tuples of dicts.
+    """
 
     kind: str
     diffusion: dict
     gmm: dict
-    sampler: dict
     schedule: dict
+    sampler: dict = dataclasses.field(default_factory=lambda: {"name": "ddim"})
     seed: int = 0
     out: Optional[str] = None
     format: str = "csv"
@@ -114,33 +124,15 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(raw) - _TOP_KEYS
+        declared = fields(cls)
+        unknown = set(raw) - {f.name for f in declared}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         kind = _require(raw, "kind", "config")
         if kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}")
         with _config_errors():
-            cfg = cls(
-                kind=kind,
-                diffusion=dict(_require(raw, "diffusion", "config")),
-                gmm=dict(_require(raw, "gmm", "config")),
-                sampler=dict(raw.get("sampler", {"name": "ddim"})),
-                schedule=dict(_require(raw, "schedule", "config")),
-                seed=int(raw.get("seed", 0)),
-                out=raw.get("out"),
-                format=raw.get("format", "csv"),
-                x_t=raw.get("x_t"),
-                batch=int(raw.get("batch", 64)),
-                n_list=tuple(raw.get("n_list", ())),
-                lambda_list=tuple(raw.get("lambda_list", (0.0, 1.0))),
-                n_traj=int(raw.get("n_traj", 50000)),
-                dt=float(raw.get("dt", 1e-3)),
-                ref_dt=float(raw.get("ref_dt", 1e-3)),
-                x0_list=tuple(raw.get("x0_list", ())),
-                points_per_interval=int(raw.get("points_per_interval", 8)),
-                orders=tuple(raw.get("orders", (0, 1, 2, 3))),
-            )
+            cfg = cls(**{f.name: _convert(f, kind, raw) for f in declared})
         cfg.validate()
         return cfg
 
@@ -164,7 +156,10 @@ class ExperimentConfig:
         """Raise :class:`ConfigError` unless every value the runners use
         converts and lies in range; the checks are the runners' own."""
         with _config_errors():
-            self._validate()
+            if self.kind == "study":
+                self._validate_study()
+            else:
+                self._validate()
 
     def _validate(self):
         if self.format not in ("csv", "json"):
@@ -186,7 +181,10 @@ class ExperimentConfig:
         check_sampler_args(name, kwargs["order"], kwargs["eta"])
         np.random.Philox(key=self.seed)  # the key every random stream derives from
         [int(v) for v in self.orders]
-        [float(v) for v in self.x0_list + self.lambda_list]
+        [float(v) for v in self.x0_list]
+        if not all(0 <= float(v) < np.inf for v in self.lambda_list):
+            raise ConfigError(f"lambda_list entries must be finite and >= 0: "
+                              f"{list(self.lambda_list)}")
         if np.ndim(np.asarray(self.x_t, dtype=float)) and self.kind == "trace":
             raise ConfigError(f"trace experiments need a scalar x_t, got {self.x_t!r}")
         if self.batch < 1 or self.n_traj < 1 or self.points_per_interval < 0:
@@ -203,14 +201,53 @@ class ExperimentConfig:
         if self.kind == "loglik" and not self.x0_list:
             raise ConfigError("loglik experiments need a nonempty x0_list")
         spec = self.build_spec()
-        self.build_gmm()
+        if not np.isfinite(self.build_gmm().variance()):
+            raise ConfigError("the mixture's variance must be finite")
         self.build_grid(spec)
+        # the runners' step counts and array sizes, built here so that a
+        # step outside (0, 1e-3] or a size too large to allocate exits 2;
+        # the EM steps from t0 are no more than the likelihood steps from 0
+        fixed_step_times(spec.t_end, self.t0_for(spec), self.ref_dt)
+        fixed_step_times(spec.t_end, 0.0, self.dt)
+        for size in (self.batch, self.n_traj, self.points_per_interval + 2):
+            np.empty(size)
+        if self.kind == "convergence":
+            # the reference starts at the diffusion's t_end, so must every grid
+            if float(sched.get("t_end", spec.t_end)) != spec.t_end:
+                raise ConfigError(
+                    f"schedule t_end {sched['t_end']!r} differs from the diffusion's "
+                    f"t_end {spec.t_end!r}"
+                )
+            for n in self.n_list:
+                self.build_grid(spec, n=int(n))
+
+    def _validate_study(self):
+        cases = self._cases()
+        for case in cases:
+            case._validate()
+        spec = self.build_spec()
+        if len({case.t0_for(spec) for case in cases}) > 1:
+            raise ConfigError("the schedules of a study must share one t0")
+        labels = [tuple(_case_labels(case).values()) for case in cases]
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"study samplers and schedules must be distinct: {labels}")
+
+    def _cases(self) -> list:
+        """A study's (sampler, schedule) pairs in row order, each as the
+        convergence config it runs."""
+        return [
+            replace(self, kind="convergence", sampler=sampler, schedule=schedule)
+            for sampler in self.sampler
+            for schedule in self.schedule
+        ]
+
+    def _schedules(self) -> tuple:
+        return self.schedule if self.kind == "study" else (self.schedule,)
 
     def t0_for(self, spec: DiffusionSpec) -> float:
-        """Schedule t0, defaulting per preset (1e-3 VP, 1e-5 VE)."""
-        if "t0" in self.schedule:
-            return float(self.schedule["t0"])
-        return _DEFAULT_T0.get(spec.name, 1e-3)
+        """Schedule t0, defaulting per preset (1e-3 VP, 1e-5 VE); the
+        schedules of a study share theirs."""
+        return _full_schedule(self._schedules()[0], spec)["t0"]
 
     def resolved(self) -> dict:
         """The complete config as a plain dict (what reports embed).
@@ -221,28 +258,11 @@ class ExperimentConfig:
         files produces identical bytes.
         """
         spec = self.build_spec()
-        schedule = dict(self.schedule)
-        schedule["t0"] = self.t0_for(spec)
-        schedule.setdefault("t_end", spec.t_end)
-        return {
-            "kind": self.kind,
-            "diffusion": self.diffusion,
-            "gmm": self.gmm,
-            "sampler": self.sampler,
-            "schedule": schedule,
-            "seed": self.seed,
-            "format": self.format,
-            "x_t": self.x_t,
-            "batch": self.batch,
-            "n_list": list(self.n_list),
-            "lambda_list": list(self.lambda_list),
-            "n_traj": self.n_traj,
-            "dt": self.dt,
-            "ref_dt": self.ref_dt,
-            "x0_list": list(self.x0_list),
-            "points_per_interval": self.points_per_interval,
-            "orders": list(self.orders),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        doc = {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
+        schedules = [_full_schedule(s, spec) for s in self._schedules()]
+        doc["schedule"] = schedules if self.kind == "study" else schedules[0]
+        return doc
 
     # -- builders ----------------------------------------------------
 
@@ -290,6 +310,29 @@ class ExperimentConfig:
 
     def build_field(self, spec: DiffusionSpec) -> EpsilonField:
         return epsilon_field(self.build_gmm(), spec)
+
+
+def _convert(f, kind: str, raw: dict):
+    """Field ``f``'s value in ``raw`` (or its default), converted."""
+    if f.name in raw:
+        value = raw[f.name]
+    elif f.default is not MISSING:
+        value = f.default
+    elif f.default_factory is not MISSING:
+        value = f.default_factory()
+    else:
+        raise ConfigError(f"missing required field {f.name!r} in config")
+    if kind == "study" and f.name in ("sampler", "schedule"):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"study experiments need a nonempty {f.name} list")
+        return tuple(dict(v) for v in value)
+    return f.type(value) if f.type in _CONVERTED_TYPES else value
+
+
+def _full_schedule(schedule: dict, spec: DiffusionSpec) -> dict:
+    """The schedule with t0 (default per preset) and t_end filled in."""
+    t0 = float(schedule.get("t0", _DEFAULT_T0[spec.name]))
+    return {"t_end": spec.t_end, **schedule, "t0": t0}
 
 
 def draw_terminal_states(spec: DiffusionSpec, seed: int, n: int) -> np.ndarray:
@@ -443,18 +486,18 @@ def fit_order(n_values, errors, floor: float = ERROR_FLOOR):
     return float(-slope), int(mask.sum())
 
 
-def run_convergence(config: ExperimentConfig) -> MetricReport:
-    """Terminal error vs the reference over config.n_list step counts.
-
-    ``delta_p`` is the mean absolute per-coordinate terminal
-    difference over the batch of initial states.
-    """
-    spec = config.build_spec()
-    field = config.build_field(spec)
+def _reference_batch(config: ExperimentConfig, spec: DiffusionSpec, field):
+    """The batch of initial states and its trusted reference terminal
+    states: one draw, one self-check and one reference solve."""
     x_batch = draw_terminal_states(spec, config.seed, config.batch)
     t0 = config.t0_for(spec)
     reference_self_check(spec, field, x_batch, config.ref_dt, t0)
-    reference = reference_solve(spec, field, x_batch, config.ref_dt, t0).terminal
+    return x_batch, reference_solve(spec, field, x_batch, config.ref_dt, t0).terminal
+
+
+def _convergence_case(config: ExperimentConfig, spec, field, x_batch, reference):
+    """Rows (n, nfe, delta_p, max_abs_error) of config's sampler and
+    schedule over config.n_list, and the fitted order."""
     rows = []
     for n in config.n_list:
         grid = config.build_grid(spec, n=int(n))
@@ -472,17 +515,66 @@ def run_convergence(config: ExperimentConfig) -> MetricReport:
             }
         )
     order, used = fit_order([r["n"] for r in rows], [r["delta_p"] for r in rows])
-    summary = {
+    fit = {
         "order": order,
         "slope": -order if np.isfinite(order) else order,
         "points_used": used,
-        "error_floor": ERROR_FLOOR,
     }
+    return rows, fit
+
+
+_CONVERGENCE_COLUMNS = ("n", "nfe", "delta_p", "max_abs_error")
+
+
+def run_convergence(config: ExperimentConfig) -> MetricReport:
+    """Terminal error vs the reference over config.n_list step counts.
+
+    ``delta_p`` is the mean absolute per-coordinate terminal
+    difference over the batch of initial states.
+    """
+    spec = config.build_spec()
+    field = config.build_field(spec)
+    rows, fit = _convergence_case(config, spec, field, *_reference_batch(config, spec, field))
     return MetricReport(
         kind="convergence",
-        columns=("n", "nfe", "delta_p", "max_abs_error"),
+        columns=_CONVERGENCE_COLUMNS,
         rows=rows,
-        summary=summary,
+        summary={**fit, "error_floor": ERROR_FLOOR},
+        provenance=_provenance(config),
+    )
+
+
+def _case_labels(case: ExperimentConfig) -> dict:
+    """A study case's sampler and schedule named by their converted
+    parameters, without commas: e.g. ``tab(order=2)``, ``power_t(kappa=3.0)``."""
+    kwargs = _sampler_kwargs(case)
+    sampler = [f"{k}={kwargs[k]}" for k in ("order", "eta") if k in case.sampler]
+    schedule = [f"kappa={float(case.schedule['kappa'])}"] if "kappa" in case.schedule else []
+    return {
+        "sampler": case.sampler["name"] + (f"({' '.join(sampler)})" if sampler else ""),
+        "schedule": case.schedule["name"] + (f"({' '.join(schedule)})" if schedule else ""),
+    }
+
+
+def run_study(config: ExperimentConfig) -> MetricReport:
+    """Convergence of every (sampler, schedule) pair of a study on one
+    batch and one reference: each pair's rows and fitted order are those
+    of the convergence config with that sampler and schedule."""
+    spec = config.build_spec()
+    field = config.build_field(spec)
+    cases = config._cases()
+    x_batch, reference = _reference_batch(config, spec, field)
+    rows, fits = [], []
+    for case in cases:
+        labels = _case_labels(case)
+        case_rows, fit = _convergence_case(case, spec, field, x_batch, reference)
+        rows += [{**labels, **row} for row in case_rows]
+        fits.append({**labels, **fit})
+    return MetricReport(
+        kind="study",
+        columns=("sampler", "schedule") + _CONVERGENCE_COLUMNS,
+        rows=rows,
+        summary={"fits": fits, "error_floor": ERROR_FLOOR},
         provenance=_provenance(config),
     )
 
@@ -495,7 +587,9 @@ def run_marginal(config: ExperimentConfig) -> MetricReport:
 
     Standard errors: mean uses s/sqrt(n); variance uses the
     fourth-moment form sqrt((m4 - var^2)/n).  A lambda whose
-    divergence rate exceeds 0.1% marks the whole report as failed.
+    divergence rate exceeds 0.1% marks the whole report as failed; one
+    whose every trajectory diverges fails the experiment with
+    :class:`DivergenceError`.
     """
     spec = config.build_spec()
     gmm = config.build_gmm()
@@ -510,6 +604,8 @@ def run_marginal(config: ExperimentConfig) -> MetricReport:
             spec, field, float(lam), config.dt, t0, config.seed, config.n_traj
         )
         good = terminal[np.isfinite(terminal)]
+        if good.size == 0:
+            raise DivergenceError(f"every EM trajectory diverged at lambda={float(lam)}")
         divergence_rate = 1.0 - good.size / terminal.size
         mean = float(np.mean(good))
         var = float(np.var(good))
@@ -685,6 +781,8 @@ def cache_weights(config: ExperimentConfig, path) -> str:
     """Build the weight table for (diffusion, schedule, order) and write
     it as JSON; the document round-trips bit-exactly.  The table is
     tab's whatever the sampler, so the order must be a tab order."""
+    if config.kind == "study":
+        raise ConfigError("weights cache takes one sampler and one schedule, not a study")
     order = _sampler_kwargs(config)["order"]
     with _config_errors():
         check_sampler_args("tab", order)
@@ -695,15 +793,17 @@ def cache_weights(config: ExperimentConfig, path) -> str:
     return str(path)
 
 
+_RUNNERS = {
+    "sample": lambda config: run_sample(config)[1],
+    "convergence": run_convergence,
+    "study": run_study,
+    "marginal": run_marginal,
+    "trace": run_trace,
+    "loglik": run_loglik,
+}
+KINDS = tuple(_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig) -> MetricReport:
-    if config.kind == "sample":
-        return run_sample(config)[1]
-    if config.kind == "convergence":
-        return run_convergence(config)
-    if config.kind == "marginal":
-        return run_marginal(config)
-    if config.kind == "trace":
-        return run_trace(config)
-    if config.kind == "loglik":
-        return run_loglik(config)
-    raise ConfigError(f"unknown experiment kind {config.kind!r}")
+    """Run the experiment of config's kind and return its report."""
+    return _RUNNERS[config.kind](config)

@@ -47,6 +47,7 @@ __all__ = [
     "score",
     "EpsilonField",
     "epsilon_field",
+    "fixed_step_times",
     "reference_solve",
     "reference_states",
     "reference_self_check",
@@ -144,6 +145,8 @@ class GaussianMixture:
         s = np.atleast_1d(np.asarray(self.stds, dtype=float))
         if not (w.size == m.size == s.size) or w.size < 1:
             raise ParameterError("weights, means, stds must share a length >= 1")
+        if not (np.isfinite(w).all() and np.isfinite(m).all() and np.isfinite(s).all()):
+            raise ParameterError("weights, means, stds must be finite")
         if np.any(w <= 0):
             raise ParameterError("mixture weights must be strictly positive")
         if abs(w.sum() - 1.0) > 1e-12:
@@ -278,23 +281,16 @@ def reference_solve(
 ) -> Trajectory:
     """Ground-truth solve of the sampling ODE, t_end down to t0.
 
-    Fixed-step classical RK4; ``dt`` must be <= 1e-3 so that the
+    Fixed-step classical RK4 (:func:`reference_states` on
+    :func:`fixed_step_times`); ``dt`` must lie in (0, 1e-3] so that the
     result can serve as the reference for every error metric in the
     package (run :func:`reference_self_check` before trusting it for
     a new oracle).
     """
-    if dt > 1e-3:
-        raise ParameterError(f"reference solver requires dt <= 1e-3, got {dt}")
     if t0 <= 0:
         raise ParameterError("t0 must be positive")
-    n = max(1, int(np.ceil((spec.t_end - t0) / dt - 1e-12)))
-    times = np.linspace(spec.t_end, t0, n + 1)
-    x = np.asarray(x_T, dtype=float)
-    states = np.empty((n + 1,) + x.shape)
-    states[0] = x
-    for k in range(n):
-        x = _rk4_span(spec, field, x, times[k], times[k + 1], dt)
-        states[k + 1] = x
+    times = fixed_step_times(spec.t_end, t0, dt)
+    states = reference_states(spec, field, x_T, times[::-1], dt)[::-1]
     return Trajectory(times=times, states=states)
 
 
@@ -307,6 +303,7 @@ def reference_states(
     downward; the returned array is indexed like ``times`` (entry i is
     the state at times[i], entry -1 the initial condition).
     """
+    _check_step(dt)
     times = np.asarray(times, dtype=float)
     x = np.asarray(x_T, dtype=float)
     out = np.empty((times.size,) + x.shape)
@@ -336,9 +333,19 @@ def reference_self_check(
     return gap
 
 
-def _em_times(t_end: float, t0: float, dt: float) -> np.ndarray:
-    n = max(1, int(np.ceil((t_end - t0) / dt - 1e-12)))
-    return np.linspace(t_end, t0, n + 1)
+def _check_step(dt: float):
+    """Raise :class:`ParameterError` unless 0 < dt <= 1e-3, the step
+    bound of every fixed-step oracle solve (reference, EM, likelihood)."""
+    if not 0 < dt <= 1e-3:
+        raise ParameterError(f"fixed-step oracle solves require 0 < dt <= 1e-3, got {dt}")
+
+
+def fixed_step_times(t_hi: float, t_lo: float, dt: float) -> np.ndarray:
+    """Equal steps of at most ``dt`` (checked by :func:`_check_step`) from
+    t_hi down to t_lo, endpoints included."""
+    _check_step(dt)
+    n = max(1, int(np.ceil((t_hi - t_lo) / dt - 1e-12)))
+    return np.linspace(t_hi, t_lo, n + 1)
 
 
 def _em_step(spec: DiffusionSpec, field, lam: float, times, k: int, x, noise):
@@ -382,9 +389,7 @@ def em_simulate(
     """
     if lam < 0:
         raise ParameterError(f"lam must be >= 0, got {lam}")
-    if dt > 1e-3:
-        raise ParameterError(f"em_simulate requires dt <= 1e-3, got {dt}")
-    times = _em_times(spec.t_end, t0, dt)
+    times = fixed_step_times(spec.t_end, t0, dt)
     x = np.asarray(x_T, dtype=float)
     n = times.size - 1
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
@@ -418,7 +423,7 @@ def em_terminal_batch(
     :func:`em_simulate` one trajectory at a time.  Non-finite
     trajectories are returned as NaN rather than raising.
     """
-    times = _em_times(spec.t_end, t0, dt)
+    times = fixed_step_times(spec.t_end, t0, dt)
     n = times.size - 1
     out = np.empty(n_traj)
     for lo in range(0, n_traj, chunk):
@@ -465,8 +470,7 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     point.  A point whose state or divergence turns non-finite fails
     the whole call with :class:`DivergenceError`.  Returns nats.
     """
-    if dt > 1e-3:
-        raise ParameterError(f"pf_loglik requires dt <= 1e-3, got {dt}")
+    _check_step(dt)
     x = np.asarray(x0, dtype=float)
     acc = np.zeros_like(x)
 

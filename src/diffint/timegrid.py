@@ -68,6 +68,8 @@ class TimeGrid:
             raise ParameterError("a grid needs at least two times (N >= 1)")
         if times[0] <= 0:
             raise ParameterError(f"t_0 must be positive, got {times[0]}")
+        if not np.isfinite(times).all():
+            raise ParameterError("grid times must be finite")
         if np.any(np.diff(times) <= 0):
             raise ParameterError("grid times must be strictly increasing")
         if self.rho is not None:

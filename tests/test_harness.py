@@ -1,16 +1,20 @@
+import functools
+import hashlib
 import json
 import os
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffint import ConfigError, WeightTable, epsilon_field, euler_sample
+from diffint import ConfigError, WeightTable, epsilon_field, euler_sample, harness
 from diffint.cli import main
 from diffint.harness import (
+    KINDS,
     ExperimentConfig,
     draw_terminal_states,
     run_convergence,
@@ -355,6 +359,39 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"kind": "convergence", "n_list": [0, 10]},
         # a grid no address space holds: MemoryError whatever the overcommit policy
         {"schedule": {"name": "quadratic", "n": 1e18}},
+        # steps and sizes the runners build, checked when the config loads
+        {"kind": "convergence", "n_list": [2, 4], "ref_dt": 0},
+        {"kind": "marginal", "dt": 0},
+        {"kind": "marginal", "dt": float("nan")},
+        {"kind": "convergence", "n_list": [2, 4], "ref_dt": -1e-3},
+        {"kind": "marginal", "lambda_list": [-1]},
+        {"kind": "marginal", "lambda_list": [float("inf")]},
+        {"kind": "marginal", "dt": 0.5},
+        {"kind": "trace", "x_t": 1.0, "ref_dt": 0.5},
+        {"kind": "convergence", "n_list": [2, 4], "ref_dt": 0.01},
+        {"kind": "loglik", "x0_list": [0.0], "dt": 0.01},
+        {"kind": "loglik", "x0_list": [0.0], "dt": 1e-300},
+        {"kind": "trace", "x_t": 1.0, "ref_dt": 1e-300},
+        {"kind": "convergence", "n_list": [2, 4], "batch": 2**64},
+        {"kind": "marginal", "n_traj": 2**64},
+        {"kind": "trace", "x_t": 1.0, "points_per_interval": 2**64},
+        {"kind": "convergence", "n_list": [2, 1e18]},
+        # the reference starts at the diffusion's t_end
+        {"kind": "convergence", "n_list": [2, 4],
+         "schedule": {"name": "uniform", "t0": 1e-3, "n": 10, "t_end": 0.5}},
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
+         "schedule": [{"name": "uniform", "t0": 1e-3, "n": 10, "t_end": 0.5}]},
+        # a study takes non-empty lists of distinct samplers and of schedules with one t0
+        {"kind": "study", "n_list": [2, 4]},
+        {"kind": "study", "n_list": [2, 4], "sampler": [],
+         "schedule": [{"name": "uniform", "n": 10}]},
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}, {"name": "ddim"}],
+         "schedule": [{"name": "uniform", "n": 10}]},
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
+         "schedule": [{"name": "uniform", "t0": 1e-3, "n": 10},
+                      {"name": "quadratic", "t0": 1e-2, "n": 10}]},
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "tab", "order": 9}],
+         "schedule": [{"name": "uniform", "n": 10}]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -396,29 +433,57 @@ _FUZZ_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), _FUZZ_SCALARS, max_size=2),
 )
 _FUZZ_KEYS = [
-    ("kind",), ("seed",), ("out",), ("format",), ("x_t",), ("batch",), ("n_list",),
-    ("lambda_list",), ("n_traj",), ("dt",), ("ref_dt",), ("x0_list",),
-    ("points_per_interval",), ("orders",), ("diffusion",), ("gmm",), ("sampler",),
+    ("kind",), ("seed",), ("out",), ("format",), ("x_t",), ("n_list",),
+    ("lambda_list",), ("x0_list",), ("orders",), ("diffusion",), ("gmm",), ("sampler",),
     ("schedule",), ("unknown",),
     ("diffusion", "preset"), ("diffusion", "beta_min"), ("diffusion", "beta_max"),
-    ("diffusion", "sigma_min"), ("diffusion", "sigma_max"), ("diffusion", "t_end"),
+    ("diffusion", "sigma_min"), ("diffusion", "sigma_max"),
     ("gmm", "weights"), ("gmm", "means"), ("gmm", "stds"),
     ("sampler", "name"), ("sampler", "order"), ("sampler", "eta"),
-    ("schedule", "name"), ("schedule", "t0"), ("schedule", "t_end"),
-    ("schedule", "n"), ("schedule", "kappa"),
+    ("schedule", "name"), ("schedule", "t0"), ("schedule", "kappa"),
 ]
+# the keys that set a step, a horizon or a size take values from fixed
+# lists of valid and invalid ones, so that every kind's run stays short
+_FUZZ_STEPS = st.sampled_from([0, -1, float("nan"), float("inf"), 1e-300, 2e-3, 1e-3, 5e-4, "x"])
+_FUZZ_HORIZONS = st.sampled_from([0, -1, float("nan"), float("inf"), 0.05, 0.1, 0.2, "x"])
+_FUZZ_SIZES = st.one_of(
+    st.integers(-5, 40),
+    st.sampled_from([2.5, float("nan"), float("inf"), 1e18, 2**64, "x", None]),
+)
+_FUZZ_BOUNDED = {
+    ("dt",): _FUZZ_STEPS, ("ref_dt",): _FUZZ_STEPS,
+    ("diffusion", "t_end"): _FUZZ_HORIZONS, ("schedule", "t_end"): _FUZZ_HORIZONS,
+    ("batch",): _FUZZ_SIZES, ("n_traj",): _FUZZ_SIZES,
+    ("points_per_interval",): _FUZZ_SIZES, ("schedule", "n"): _FUZZ_SIZES,
+}
+_FUZZ_EDITS = st.one_of(
+    st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES),
+    st.sampled_from(sorted(_FUZZ_BOUNDED)).flatmap(
+        lambda key: st.tuples(st.just(key), _FUZZ_BOUNDED[key])
+    ),
+)
 
 
 @settings(max_examples=150, deadline=5000)
-@given(st.lists(st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES), min_size=1, max_size=3))
-def test_cli_fuzzed_config_exits_0_2_or_3(edits):
-    raw = base_config(schedule={"name": "quadratic", "t0": 1e-3, "n": 4})
+@given(st.sampled_from(KINDS), st.lists(_FUZZ_EDITS, min_size=1, max_size=3))
+def test_cli_fuzzed_config_exits_0_2_or_3(kind, edits):
+    raw = base_config(
+        kind=kind,
+        diffusion={"preset": "vpsde", "beta_min": 0.1, "beta_max": 20.0, "t_end": 0.1},
+        schedule={"name": "quadratic", "t0": 1e-3, "n": 4},
+        n_traj=16, n_list=[2, 4], x0_list=[0.0],
+    )
+    if kind == "study":
+        raw["sampler"], raw["schedule"] = [raw["sampler"]], [raw["schedule"]]
     for key, value in edits:
         target = raw
         if len(key) == 2:
-            if not isinstance(raw.get(key[0]), dict):
-                raw[key[0]] = {}
-            target = raw[key[0]]
+            parent = raw.get(key[0])
+            if isinstance(parent, list) and parent and isinstance(parent[0], dict):
+                parent = parent[0]  # a study's first sampler or schedule
+            elif not isinstance(parent, dict):
+                parent = raw[key[0]] = {}
+            target = parent
         target[key[-1]] = value
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -426,7 +491,7 @@ def test_cli_fuzzed_config_exits_0_2_or_3(edits):
         with open(path, "w") as fh:
             json.dump(raw, fh)
         # --out keeps a fuzzed "out" value from naming where the report goes
-        code = main(["sample", "--config", path, "--out", os.path.join(tmp, "report")])
+        code = main([kind, "--config", path, "--out", os.path.join(tmp, "report")])
     assert code in (0, 2, 3)
 
 
@@ -435,15 +500,12 @@ def test_cli_kind_mismatch(tmp_path):
     assert main(["convergence", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_numerical_failure_exit_code(tmp_path, capsys):
-    raw = base_config(
-        kind="loglik",
-        gmm={"weights": [1.0], "means": [0.0], "stds": [1.0]},
-        x0_list=[0.0],
-        dt=5e-3,  # violates the likelihood solver's step contract
-    )
+    # the first Euler step from x_t = 1e308 overflows
+    raw = base_config(sampler={"name": "euler"}, x_t=1e308)
     cfg = _write_config(tmp_path, raw)
-    assert main(["loglik", "--config", str(cfg)]) == 3
+    assert main(["sample", "--config", str(cfg)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 
@@ -472,6 +534,106 @@ def test_cli_weights_cache_checks_order_as_tab(tmp_path):
     assert main(["weights", "cache", "--config", str(cfg), "--out", str(tmp_path / "t.json")]) == 2
 
 
+def test_cli_weights_cache_rejects_a_study(tmp_path):
+    raw = base_config(kind="study", n_list=[2, 4], sampler=[{"name": "tab", "order": 2}],
+                      schedule=[{"name": "uniform", "n": 10}])
+    cfg = _write_config(tmp_path, raw)
+    assert main(["weights", "cache", "--config", str(cfg), "--out", str(tmp_path / "t.json")]) == 2
+
+
 def test_cli_weights_cache_requires_out(tmp_path):
     cfg = _write_config(tmp_path, base_config())
     assert main(["weights", "cache", "--config", str(cfg)]) == 2
+
+
+# -- shipped configs --------------------------------------------------------------
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of each shipped config's json report; marginal.json runs with
+# n_traj 4096 in place of its 50000
+GOLDEN = {
+    "convergence.json": "f4817a3132c44c7fb94976f4ecf1e6c47decf18cb7bd22878bc56b44eff56520",
+    "loglik.json": "dd03c50992eda5035cb2aba5fe1b7f50ec9f6eee781b69083fe58cec6a6fdb81",
+    "marginal.json": "bf327b2e547c21b8ace371fb964c8671f3e99c3ef8e2a9652670569f60134c57",
+    "sample.json": "519098a875e4c0fdf6b094f9d7eba0effb290603a8fec1feecadbfd65a93b591",
+    "study_ablation.json": "6b2426bdfc19eb720e1750eebdf17354ca3dc3a1cc3e4006d0c53e65a7ea0f5b",
+    "study_convergence.json": "6aa772f8bd1544f3ce7b935856eeaad76825d0f3a2af8b916c24d48773c55f79",
+    "trace.json": "b3bb6f9322377723d33a753b073ff2f973c06bf9929fb020ea49650e3b9921aa",
+}
+
+
+def _shipped_raw(name: str) -> dict:
+    raw = json.loads((CONFIGS / name).read_text())
+    if raw["kind"] == "marginal":
+        raw["n_traj"] = 4096
+    return raw
+
+
+@functools.cache
+def _shipped_report(name: str):
+    return run_experiment(ExperimentConfig.from_dict(_shipped_raw(name)))
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_reports_are_pinned(name):
+    assert sorted(GOLDEN) == sorted(p.name for p in CONFIGS.glob("*.json"))
+    text = _shipped_report(name).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
+    embedded = json.loads(text)["provenance"]["config"]
+    assert run_experiment(ExperimentConfig.from_dict(embedded)).to_json() == text
+
+
+def _memo_reference(fn):
+    """fn(spec, field, x, dt, t0) computed once per (x, dt, t0): the
+    reference is a pure function of them, so every caller gets its bits."""
+    cache = {}
+
+    def memo(spec, field, x, dt, t0):
+        key = (np.asarray(x).tobytes(), dt, t0)
+        if key not in cache:
+            cache[key] = fn(spec, field, x, dt, t0)
+        return cache[key]
+
+    return memo
+
+
+def test_study_equals_single_sampler_convergence(monkeypatch):
+    report = _shipped_report("study_convergence.json")
+    raw = _shipped_raw("study_convergence.json")
+    # the twelve convergence runs below share one reference solve
+    for name in ("reference_solve", "reference_self_check"):
+        monkeypatch.setattr(harness, name, _memo_reference(getattr(harness, name)))
+    fits = report.summary["fits"]
+    assert len(fits) == len(raw["sampler"]) * len(raw["schedule"])
+    for sampler in raw["sampler"]:
+        for schedule in raw["schedule"]:
+            single = run_convergence(ExperimentConfig.from_dict(
+                {**raw, "kind": "convergence", "sampler": sampler, "schedule": schedule}
+            ))
+            fit = fits.pop(0)
+            labels = {"sampler": fit["sampler"], "schedule": fit["schedule"]}
+            rows = [r for r in report.rows if r["sampler"] == labels["sampler"]
+                    and r["schedule"] == labels["schedule"]]
+            assert rows == [{**labels, **row} for row in single.rows]
+            assert fit["order"] == single.summary["order"]
+            assert fit["points_used"] == single.summary["points_used"]
+
+
+def _counted(calls: list, name: str, fn):
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+def test_study_draws_checks_and_solves_the_reference_once(monkeypatch):
+    calls = []
+    for name in ("draw_terminal_states", "reference_self_check", "reference_solve"):
+        monkeypatch.setattr(harness, name, _counted(calls, name, getattr(harness, name)))
+    raw = _shipped_raw("study_ablation.json")
+    report = run_experiment(ExperimentConfig.from_dict({**raw, "batch": 4}))
+    assert sorted(calls) == ["draw_terminal_states", "reference_self_check", "reference_solve"]
+    assert len(report.rows) == len(raw["sampler"]) * len(raw["schedule"]) * len(raw["n_list"])
+    assert not any("," in row["sampler"] + row["schedule"] for row in report.rows)
