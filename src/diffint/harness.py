@@ -46,6 +46,7 @@ from .errors import ConfigError, DivergenceError
 from .oracle import (
     EpsilonField,
     GaussianMixture,
+    draw_terminal_states,
     em_terminal_batch,
     epsilon_field,
     fixed_step_times,
@@ -54,12 +55,11 @@ from .oracle import (
     reference_self_check,
     reference_solve,
     reference_states,
-    trajectory_streams,
 )
 from .samplers import SAMPLER_NAMES, SolverRun, check_sampler_args, run_sampler
 from .weights import lagrange_basis, tab_weights
 
-SCHEMA = "diffint-report-v1"
+SCHEMA = "diffint-report-v2"
 PACKAGE_VERSION = "0.1.0"
 
 # sampling stops short of t = 0; preset-specific floors
@@ -67,6 +67,13 @@ _DEFAULT_T0 = {"vpsde": 1e-3, "vesde": 1e-5}
 
 # a field annotated with one of these types is converted by calling it
 _CONVERTED_TYPES = (int, float, tuple, dict)
+
+# the keys each config object may hold (each element, for a study's lists)
+_OBJECT_KEYS = {
+    "sampler": ("name", "order", "eta"),
+    "schedule": ("name", "n", "t0", "t_end", "kappa"),
+    "gmm": ("weights", "means", "stds"),
+}
 
 
 @contextmanager
@@ -96,9 +103,10 @@ class ExperimentConfig:
     any other key, requires the fields without a default, and converts
     each value whose annotation is int, float, tuple or dict by calling
     that type; ``kind``, ``out``, ``format`` and ``x_t`` are kept as
-    given and checked by :meth:`validate`.  A study's ``sampler`` and
-    ``schedule`` are instead non-empty lists of the objects a
-    convergence config takes, held as tuples of dicts.
+    given and checked by :meth:`validate`, which also rejects any key of
+    a sampler, schedule or gmm object outside ``_OBJECT_KEYS``.  A
+    study's ``sampler`` and ``schedule`` are instead non-empty lists of
+    the objects a convergence config takes, held as tuples of dicts.
     """
 
     kind: str
@@ -166,6 +174,13 @@ class ExperimentConfig:
             raise ConfigError(f"format must be csv or json, got {self.format!r}")
         if self.out is not None and (not isinstance(self.out, str) or "\0" in self.out):
             raise ConfigError(f"out must be a file path, got {self.out!r}")
+        for obj, keys in _OBJECT_KEYS.items():
+            unknown = set(getattr(self, obj)) - set(keys)
+            if unknown:
+                raise ConfigError(f"unknown {obj} fields: {sorted(unknown)}")
+        # the seed is the first key word of every random stream
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         name = self.sampler.get("name")
         if name not in SAMPLER_NAMES:
             raise ConfigError(f"sampler name must be one of {SAMPLER_NAMES}, got {name!r}")
@@ -179,7 +194,6 @@ class ExperimentConfig:
         # every value a runner converts must convert here
         kwargs = _sampler_kwargs(self)
         check_sampler_args(name, kwargs["order"], kwargs["eta"])
-        np.random.Philox(key=self.seed)  # the key every random stream derives from
         [int(v) for v in self.orders]
         [float(v) for v in self.x0_list]
         if not all(0 <= float(v) < np.inf for v in self.lambda_list):
@@ -333,17 +347,6 @@ def _full_schedule(schedule: dict, spec: DiffusionSpec) -> dict:
     """The schedule with t0 (default per preset) and t_end filled in."""
     t0 = float(schedule.get("t0", _DEFAULT_T0[spec.name]))
     return {"t_end": spec.t_end, **schedule, "t0": t0}
-
-
-def draw_terminal_states(spec: DiffusionSpec, seed: int, n: int) -> np.ndarray:
-    """n draws from the terminal law N(0, pi_std^2).
-
-    Draw i is the first normal of the Philox stream keyed
-    ``seed XOR i`` -- the same stream the stochastic simulator uses
-    for trajectory i, so deterministic and stochastic batch runs see
-    identical initial states.
-    """
-    return np.fromiter((x for x, _ in trajectory_streams(spec, seed, 0, n)), float, count=n)
 
 
 @dataclass

@@ -26,9 +26,12 @@ Conventions:
 
 All operations are pure functions of their inputs (plus an explicit
 seed for the stochastic ones), so instances can be shared freely
-across threads; Monte-Carlo batching derives one child stream per
-trajectory as ``seed XOR index``, making results independent of batch
-scheduling.
+across threads.  Every random draw comes from :func:`normals`, Philox
+keyed by the two words (seed, stream): stream 0 holds the initial
+states of a batch and stream 1 + k the noise of the k-th step taken,
+with trajectory i at position i of each.  A shorter draw is a prefix
+of a longer one, so a trajectory sees the same draws at every batch
+size.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ __all__ = [
     "reference_self_check",
     "em_simulate",
     "em_terminal_batch",
-    "trajectory_streams",
+    "draw_terminal_states",
+    "normals",
     "pf_loglik",
 ]
 
@@ -348,25 +352,57 @@ def fixed_step_times(t_hi: float, t_lo: float, dt: float) -> np.ndarray:
     return np.linspace(t_hi, t_lo, n + 1)
 
 
+def normals(seed: int, stream: int, n) -> np.ndarray:
+    """Standard normals ``standard_normal(n)`` of Philox keyed by the two
+    words (seed, stream), 0 <= seed, stream < 2**64.  The draw of a
+    smaller n is a prefix of the draw of a larger one."""
+    return np.random.Generator(np.random.Philox(key=seed + (stream << 64))).standard_normal(n)
+
+
+def draw_terminal_states(spec: DiffusionSpec, seed: int, n: int) -> np.ndarray:
+    """n draws from the terminal law N(0, pi_std^2): draw i is pi_std
+    times position i of :func:`normals` stream 0 of ``seed``.  They are
+    the initial states of :func:`em_terminal_batch`'s trajectories, so
+    deterministic and stochastic batch runs start from the same states,
+    and the first n draws are the same for every larger n."""
+    return spec.pi_std * normals(seed, 0, n)
+
+
 def _em_step(spec: DiffusionSpec, field, lam: float, times, k: int, x, noise):
     """Euler-Maruyama step k, from times[k] down to times[k+1];
-    ``noise[k]`` is its standard-normal draw (unused when lam = 0)."""
+    ``noise`` is its standard-normal draw (unused when lam = 0)."""
     t = times[k]
     h = times[k] - times[k + 1]
     s_val = -field(x, t) / spec.L(t)
     drift = spec.f(t) * x - 0.5 * (1 + lam**2) * spec.g2(t) * s_val
     x = x - drift * h
     if lam > 0:
-        x = x + lam * np.sqrt(spec.g2(t)) * np.sqrt(h) * noise[k]
+        x = x + lam * np.sqrt(spec.g2(t)) * np.sqrt(h) * noise
     return x
 
 
-def trajectory_streams(spec: DiffusionSpec, seed: int, start: int, stop: int):
-    """Yield (initial state, Philox stream keyed ``seed XOR i``) for each trajectory
-    i in [start, stop); the state is pi_std times the stream's first normal."""
-    for i in range(start, stop):
-        rng = np.random.Generator(np.random.Philox(key=seed ^ i))
-        yield spec.pi_std * rng.standard_normal(), rng
+def _em(spec: DiffusionSpec, field, lam: float, x, dt: float, t0: float, seed: int,
+        nan_diverged: bool):
+    """The EM loop from t_end down to t0 on states x: step k draws its
+    noise from stream 1 + k of ``seed``, state i at position i.  A
+    non-finite state is set to NaN given ``nan_diverged``, and raises
+    :class:`DivergenceError` otherwise."""
+    if lam < 0:
+        raise ParameterError(f"lam must be >= 0, got {lam}")
+    times = fixed_step_times(spec.t_end, t0, dt)
+    for k in range(times.size - 1):
+        noise = normals(seed, 1 + k, np.shape(x)) if lam > 0 else None
+        x = _em_step(spec, field, lam, times, k, x, noise)
+        bad = ~np.isfinite(x)
+        if bad.any():
+            if not nan_diverged:
+                raise DivergenceError(
+                    f"EM simulation diverged at step {k} (t={times[k]})",
+                    step_index=k,
+                    time=times[k],
+                )
+            x[bad] = np.nan
+    return x
 
 
 def em_simulate(
@@ -384,25 +420,13 @@ def em_simulate(
 
     from t_end down to t0, with score = -eps / L taken from ``field``.
     lam = 0 recovers the deterministic sampling ODE; lam = 1 is the
-    reverse SDE.  Deterministic given ``rng_seed``; the noise stream
-    is Philox keyed by the seed, one draw per step.
+    reverse SDE.  Deterministic given ``rng_seed``: step k takes its
+    noise from :func:`normals` stream 1 + k of that seed, so a vector
+    ``x_T`` gets the noise :func:`em_terminal_batch` gives its
+    trajectories.
     """
-    if lam < 0:
-        raise ParameterError(f"lam must be >= 0, got {lam}")
-    times = fixed_step_times(spec.t_end, t0, dt)
-    x = np.asarray(x_T, dtype=float)
-    n = times.size - 1
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    noise = rng.standard_normal((n,) + x.shape) if lam > 0 else None
-    for k in range(n):
-        x = _em_step(spec, field, lam, times, k, x, noise)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"EM simulation diverged at step {k} (t={times[k]})",
-                step_index=k,
-                time=times[k],
-            )
-    return x
+    return _em(spec, field, lam, np.asarray(x_T, dtype=float), dt, t0, rng_seed,
+               nan_diverged=False)
 
 
 def em_terminal_batch(
@@ -413,35 +437,17 @@ def em_terminal_batch(
     t0: float,
     seed: int,
     n_traj: int,
-    chunk: int = 8192,
 ) -> np.ndarray:
     """Terminal states of ``n_traj`` independent EM trajectories.
 
-    Trajectory i draws its initial state from N(0, pi_std^2) and its
-    step noise from a private Philox stream keyed ``seed XOR i``, so
-    the result is independent of ``chunk`` and identical to running
-    :func:`em_simulate` one trajectory at a time.  Non-finite
-    trajectories are returned as NaN rather than raising.
+    Trajectory i starts from draw i of :func:`draw_terminal_states` and
+    takes the noise of step k from position i of :func:`normals` stream
+    1 + k, so its result does not depend on ``n_traj``; the steps are
+    :func:`em_simulate`'s.  Non-finite trajectories are returned as NaN
+    rather than raising.
     """
-    times = fixed_step_times(spec.t_end, t0, dt)
-    n = times.size - 1
-    out = np.empty(n_traj)
-    for lo in range(0, n_traj, chunk):
-        hi = min(lo + chunk, n_traj)
-        width = hi - lo
-        x = np.empty(width)
-        noise = np.empty((n, width)) if lam > 0 else None
-        for j, (x_j, rng) in enumerate(trajectory_streams(spec, seed, lo, hi)):
-            x[j] = x_j
-            if lam > 0:
-                noise[:, j] = rng.standard_normal(n)
-        for k in range(n):
-            x = _em_step(spec, field, lam, times, k, x, noise)
-            bad = ~np.isfinite(x)
-            if np.any(bad):
-                x[bad] = np.nan
-        out[lo:hi] = x
-    return out
+    x = draw_terminal_states(spec, seed, n_traj)
+    return _em(spec, field, lam, x, dt, t0, seed, nan_diverged=True)
 
 
 def _marginal_score_pair(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):

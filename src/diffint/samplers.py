@@ -47,6 +47,7 @@ import numpy as np
 from . import quadrature
 from .diffusion import DiffusionSpec, t_of_rho, transition
 from .errors import DivergenceError, GridMismatchError, ParameterError
+from .oracle import normals
 from .timegrid import TimeGrid
 from .weights import WeightTable, _check_order, rho_ab_weights, tab_weights
 
@@ -132,9 +133,10 @@ def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
              *, s=None, seed=None, notes=()) -> SolverRun:
     """Run ``plan`` from node N to node 0: one field evaluation per step,
     x <- a_i x + sum_j c_ij eps_{i+j} over the ``row.size`` most recent
-    ones, plus s_i xi (one normal per step, Philox(seed)) given ``s``."""
+    ones, plus s_i xi given ``s``: the k-th step taken (k = N - i) draws
+    xi from :func:`~diffint.oracle.normals` stream 1 + k of ``seed``,
+    state j at position j."""
     counting = _CountingField(field)
-    rng = None if s is None else np.random.Generator(np.random.Philox(key=seed))
     times = grid.times
     states = _start_states(grid, x_T)
     x = states[grid.n_steps]
@@ -146,8 +148,8 @@ def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
         x = plan.psi_for(i) * x
         for j in range(row.size):
             x += row[j] * buffer[j]
-        if rng is not None:
-            x += s[i - 1] * rng.standard_normal(x.shape)
+        if s is not None:
+            x += s[i - 1] * normals(seed, 1 + grid.n_steps - i, x.shape)
         _check_finite(x, i, times[i - 1], sampler)
         states[i - 1] = x
     return SolverRun(sampler, order, grid, states, counting.count, seed=seed, notes=notes)
@@ -444,7 +446,8 @@ def sddim_step(
 def sddim_sample(
     spec: DiffusionSpec, field, grid: TimeGrid, eta: float, x_T, seed: int
 ) -> SolverRun:
-    """Iterate :func:`sddim_step` over the grid; Philox keyed by seed."""
+    """Iterate :func:`sddim_step` over the grid; the noise of each step
+    comes from its own stream of ``seed`` (see :func:`_execute`)."""
     if seed is None:
         raise ParameterError("sddim needs a seed")
     plan, s = _sddim_plan(spec, grid, eta)

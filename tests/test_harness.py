@@ -108,7 +108,7 @@ def test_sample_csv_byte_identical_across_runs():
     first = run_sample(cfg)[1].to_csv()
     second = run_sample(ExperimentConfig.from_dict(base_config(seed=5)))[1].to_csv()
     assert first == second
-    assert first.splitlines()[0].startswith("# schema=diffint-report-v1")
+    assert first.splitlines()[0].startswith("# schema=diffint-report-v2")
 
 
 def test_sample_nfe_column_matches_cost():
@@ -216,7 +216,7 @@ def test_marginal_report_shape_and_se_scaling():
 def test_marginal_flags_divergent_runs(monkeypatch):
     import diffint.harness as harness_mod
 
-    def diverging_batch(spec, field, lam, dt, t0, seed, n_traj, chunk=8192):
+    def diverging_batch(spec, field, lam, dt, t0, seed, n_traj):
         out = np.zeros(n_traj)
         out[: max(1, n_traj // 100)] = np.nan  # 1% lost trajectories
         return out
@@ -320,7 +320,7 @@ def test_cli_json_format(tmp_path):
     cfg = _write_config(tmp_path, base_config(x_t=1.0))
     assert main(["sample", "--config", str(cfg), "--out", str(out), "--format", "json"]) == 0
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "diffint-report-v1"
+    assert doc["schema"] == "diffint-report-v2"
     assert doc["provenance"]["config"]["x_t"] == 1.0
 
 
@@ -354,6 +354,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"schedule": {"name": "quadratic", "n": 10, "t_end": "x"}},
         {"schedule": {"name": "quadratic", "n": 10, "t0": 2.0}},
         {"seed": -1},
+        # the seed is one 64-bit key word
+        {"seed": 2**64},
+        {"seed": 2**100},
         {"batch": float("inf")},
         {"out": 1},
         {"kind": "convergence", "n_list": [0, 10]},
@@ -392,6 +395,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                       {"name": "quadratic", "t0": 1e-2, "n": 10}]},
         {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "tab", "order": 9}],
          "schedule": [{"name": "uniform", "n": 10}]},
+        # a misspelt key inside a config object is an error, not a default
+        {"sampler": {"name": "tab", "oder": 2}},
+        {"schedule": {"name": "power_t", "n": 10, "kapa": 3}},
+        {"gmm": {"weights": [1.0], "means": [0.0], "stds": [1.0], "foo": 1}},
+        {"kind": "study", "n_list": [2, 4],
+         "sampler": [{"name": "ddim"}, {"name": "tab", "oder": 2}],
+         "schedule": [{"name": "uniform", "n": 10}]},
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
+         "schedule": [{"name": "uniform", "n": 10}, {"name": "power_t", "n": 10, "kapa": 3}]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -401,7 +413,8 @@ def test_cli_malformed_value_exit_code(tmp_path, overrides):
 
 def test_cli_seed_override_is_validated(tmp_path):
     cfg = _write_config(tmp_path, base_config())
-    assert main(["sample", "--config", str(cfg), "--seed", "-1"]) == 2
+    for seed in (-1, 2**64, 2**100):
+        assert main(["sample", "--config", str(cfg), "--seed", str(seed)]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -553,13 +566,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # sha256 of each shipped config's json report; marginal.json runs with
 # n_traj 4096 in place of its 50000
 GOLDEN = {
-    "convergence.json": "f4817a3132c44c7fb94976f4ecf1e6c47decf18cb7bd22878bc56b44eff56520",
-    "loglik.json": "dd03c50992eda5035cb2aba5fe1b7f50ec9f6eee781b69083fe58cec6a6fdb81",
-    "marginal.json": "bf327b2e547c21b8ace371fb964c8671f3e99c3ef8e2a9652670569f60134c57",
-    "sample.json": "519098a875e4c0fdf6b094f9d7eba0effb290603a8fec1feecadbfd65a93b591",
-    "study_ablation.json": "6b2426bdfc19eb720e1750eebdf17354ca3dc3a1cc3e4006d0c53e65a7ea0f5b",
-    "study_convergence.json": "6aa772f8bd1544f3ce7b935856eeaad76825d0f3a2af8b916c24d48773c55f79",
-    "trace.json": "b3bb6f9322377723d33a753b073ff2f973c06bf9929fb020ea49650e3b9921aa",
+    "convergence.json": "5c8bd4edf3a7659f6317245d8c03007dcd8c71c778df5cf63c62f0b2859b4e6d",
+    "loglik.json": "756d9e10fb34321505b90136677576be517911f27141e7db30ca75acb399dee2",
+    "marginal.json": "ad594df072ac6fc20df483018e93de145175c74cade17a1df6c462f01128d40f",
+    "sample.json": "6b6fba65a44cbf6cadb18815dc31e32693d0f266585091578da55dc0f6209d37",
+    "study_ablation.json": "63087dc57796c916e27ac8e9d380bf1949958fbb6f891f02a1f8aa6d9cf52289",
+    "study_convergence.json": "07fd0de8da2cf5dc674544d7256d7756fee4db4787f9baf27e572e248a6055e8",
+    "trace.json": "68e411e7b6ca871803dc6c9abe0252400f147e12812b02e613771daad48e917b",
 }
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.special
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +23,14 @@ from diffint import (
     vesde,
     vpsde,
 )
-from diffint.oracle import _logsumexp, _marginal_score_pair, reference_states
-from diffint.samplers import euler_sample
+from diffint.oracle import (
+    _logsumexp,
+    _marginal_score_pair,
+    draw_terminal_states,
+    normals,
+    reference_states,
+)
+from diffint.samplers import euler_sample, run_sampler
 from diffint.timegrid import TimeGrid
 
 from helpers import central_difference, gaussian_pf_terminal
@@ -328,36 +335,69 @@ def test_em_rejects_bad_args(vp, gauss_oracle):
         em_simulate(vp, field, 1.0, 1.0, 5e-3, 1e-3, rng_seed=0)
 
 
-def test_em_batch_matches_single_trajectories(vp, gauss_oracle):
+# -- random streams ---------------------------------------------------
+
+
+def test_seeds_draw_different_batches(vp):
+    # each seed keys its own streams: at batch 64, seeds 0..63 share no
+    # draw, so no two of them hold the same states in another order
+    draws = [draw_terminal_states(vp, seed, 64) for seed in range(64)]
+    assert len({tuple(np.sort(d)) for d in draws}) == 64
+    assert np.unique(np.concatenate(draws)).size == 64 * 64
+
+
+def test_streams_do_not_depend_on_batch_size(vp, gauss_oracle):
     _, field = gauss_oracle
     seed = 9
-    terminal = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed, 5, chunk=2)
-    # chunking is a scheduling detail, not part of the result
-    assert np.array_equal(
-        terminal, em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed, 5, chunk=5)
-    )
-    for i in range(5):
-        rng = np.random.Generator(np.random.Philox(key=seed ^ i))
-        x_t = vp.pi_std * rng.standard_normal()
-        # per-trajectory stream: first draw is x_T, the rest the step noise
-        single = _em_single_from_stream(vp, field, 1.0, x_t, 1e-3, 1e-3, rng)
-        assert terminal[i] == single
+    assert np.array_equal(draw_terminal_states(vp, seed, 8),
+                          draw_terminal_states(vp, seed, 64)[:8])
+    small = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed, 8)
+    assert np.array_equal(small, em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed, 64)[:8])
+    grid = uniform(1e-3, 1.0, 10)
+    x = draw_terminal_states(vp, seed, 64)
+    big = run_sampler("sddim", vp, field, grid, x, eta=1.0, seed=seed)
+    small = run_sampler("sddim", vp, field, grid, x[:8], eta=1.0, seed=seed)
+    assert np.array_equal(small.states, big.states[:, :8])
 
 
-def _em_single_from_stream(spec, field, lam, x_t, dt, t0, rng):
-    times = np.linspace(spec.t_end, t0, int(round((spec.t_end - t0) / dt)) + 1)
-    n = times.size - 1
-    noise = rng.standard_normal(n)
+def test_em_batch_is_the_loop_on_its_streams(vp, gauss_oracle):
+    # initial states from stream 0, the noise of step k from stream 1 + k
+    _, field = gauss_oracle
+    seed, n, lam, dt, t0 = 9, 5, 1.0, 1e-3, 1e-3
+    terminal = em_terminal_batch(vp, field, lam, dt, t0, seed, n)
+    x_t = vp.pi_std * normals(seed, 0, n)
+    times = np.linspace(vp.t_end, t0, int(round((vp.t_end - t0) / dt)) + 1)
     x = x_t
-    for k in range(n):
+    for k in range(times.size - 1):
         t = times[k]
         h = times[k] - times[k + 1]
-        s_val = -field(x, t) / spec.L(t)
-        drift = spec.f(t) * x - 0.5 * (1 + lam**2) * spec.g2(t) * s_val
+        s_val = -field(x, t) / vp.L(t)
+        drift = vp.f(t) * x - 0.5 * (1 + lam**2) * vp.g2(t) * s_val
         x = x - drift * h
-        if lam > 0:
-            x = x + lam * np.sqrt(spec.g2(t)) * np.sqrt(h) * noise[k]
-    return x
+        x = x + lam * np.sqrt(vp.g2(t)) * np.sqrt(h) * normals(seed, 1 + k, n)
+    assert np.array_equal(terminal, x)
+    # em_simulate runs the same loop on the same streams
+    assert np.array_equal(terminal, em_simulate(vp, field, lam, x_t, dt, t0, rng_seed=seed))
+
+
+@pytest.mark.parametrize("seed, stream", [(0, 0), (0, 1), (1, 0), (7919, 999),
+                                          (2**64 - 1, 2**64 - 1)])
+def test_normals_are_standard_normal(seed, stream):
+    n = 20000
+    z = normals(seed, stream, n)
+    se_mean = z.std() / np.sqrt(n)
+    se_var = np.sqrt((np.mean((z - z.mean()) ** 4) - z.var() ** 2) / n)
+    assert abs(z.mean()) <= 3 * se_mean
+    assert abs(z.var() - 1.0) <= 3 * se_var
+    assert scipy.stats.kstest(z, "norm").pvalue > 1e-3
+
+
+def test_normals_key_words_are_not_interchangeable():
+    # (seed, stream) = (0, 1) and (1, 0) are different keys, and the two
+    # streams of one seed are uncorrelated
+    assert not np.array_equal(normals(0, 1, 8), normals(1, 0, 8))
+    a, b = normals(3, 0, 20000), normals(3, 1, 20000)
+    assert abs(np.corrcoef(a, b)[0, 1]) <= 3 / np.sqrt(a.size)
 
 
 def test_em_standard_normal_mean(vp):
