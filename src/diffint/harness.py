@@ -194,7 +194,9 @@ class ExperimentConfig:
         # every value a runner converts must convert here
         kwargs = _sampler_kwargs(self)
         check_sampler_args(name, kwargs["order"], kwargs["eta"])
-        [int(v) for v in self.orders]
+        orders = [int(v) for v in self.orders]
+        if min(orders, default=0) < 0 or len(set(orders)) != len(orders):
+            raise ConfigError(f"orders must be distinct and >= 0: {list(self.orders)}")
         [float(v) for v in self.x0_list]
         if not all(0 <= float(v) < np.inf for v in self.lambda_list):
             raise ConfigError(f"lambda_list entries must be finite and >= 0: "
@@ -694,12 +696,13 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
         for k in range(taus.size - 1):
             tau = taus[k]
             state = tau_states[k]
+            eps = field(state, tau)
             row = {
                 "interval": i,
                 "t": float(tau),
                 "is_node": bool(k == 0),
                 "delta_s_score": float(abs(field.score(state, tau) - score_hold)),
-                "delta_s_eps": float(abs(field(state, tau) - eps_hold)),
+                "delta_s_eps": float(abs(eps - eps_hold)),
             }
             for r in orders:
                 r_i = min(r, n - i)
@@ -708,7 +711,7 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
                     lagrange_basis(nodes, j, tau) * node_eps[i + j]
                     for j in range(r_i + 1)
                 )
-                row[f"delta_eps_r{r}"] = float(abs(field(state, tau) - poly))
+                row[f"delta_eps_r{r}"] = float(abs(eps - poly))
             rows.append(row)
     interior = [r for r in rows if not r["is_node"]]
     last = [r for r in interior if r["interval"] == 1]

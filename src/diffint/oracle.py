@@ -169,9 +169,6 @@ class GaussianMixture:
         _, _, log_terms = _log_terms(x, self.weights, self.means, self.stds**2)
         return _logsumexp(log_terms)
 
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
     def score(self, x):
         """Gradient of the log density."""
         return _score(x, self.weights, self.means, self.stds**2)

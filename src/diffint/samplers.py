@@ -14,9 +14,11 @@ All samplers except the Runge-Kutta family in rho are one linear
 multistep update, x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i
 for sddim), eps_{i+j} the field value at node i+j.  Each builds a step
 plan (a :class:`~diffint.weights.WeightTable`: a_i in ``psi``, rows c_i
-in ``c``) from the diffusion and the grid, and one executor runs them
-all: it owns the evaluation count, the history buffer, the finite
-check and the recorded states.  Plans:
+in ``c``) from the diffusion and the grid arrays in one pass:
+elementwise expressions in t_i and t_{i-1} for all steps at once, or
+one weight build for ``ei_score``, ``tab`` and ``rho_ab``.  One executor
+runs them all: it owns the evaluation count, the history buffer, the
+finite check and the recorded states.  Plans:
 
 * ``euler``     a = 1 - f dt, c = -g2 dt / (2 L): the sampling ODE.
 * ``ei_score``  a = Psi(t_{i-1}, t_i), c = -w / L(t_i): holds the raw
@@ -122,13 +124,6 @@ def _check_finite(x, i: int, t: float, sampler: str):
         )
 
 
-def _plan(grid: TimeGrid, order: int, step) -> WeightTable:
-    """Step plan from ``step(i, t_i, t_{i-1}) -> (a_i, c_i)``, i = 1..N."""
-    t = grid.times
-    a, c = zip(*(step(i, t[i], t[i - 1]) for i in range(1, grid.n_steps + 1)))
-    return WeightTable(order=order, times=t, psi=a, c=c)
-
-
 def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
              *, s=None, seed=None, notes=()) -> SolverRun:
     """Run ``plan`` from node N to node 0: one field evaluation per step,
@@ -155,8 +150,9 @@ def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
     return SolverRun(sampler, order, grid, states, counting.count, seed=seed, notes=notes)
 
 
-def _ddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float):
-    """a = Psi(t_prev, t) and c = L(t_prev) - a L(t) of the transfer step."""
+def _ddim_coeffs(spec: DiffusionSpec, t, t_prev):
+    """a = Psi(t_prev, t) and c = L(t_prev) - a L(t) of the transfer step,
+    elementwise."""
     psi = transition(spec, t_prev, t)
     return psi, spec.L(t_prev) - psi * spec.L(t)
 
@@ -171,23 +167,27 @@ def _check_ipndm_order(r: int):
         raise ParameterError(f"order must be in 0..{max(IPNDM_BLEND)}, got {r}")
 
 
-def _sddim_coeffs(spec: DiffusionSpec, t: float, t_prev: float, eta: float):
-    """(a, c, s) of the stochastic transfer step (see :func:`sddim_step`)."""
+def _sddim_coeffs(spec: DiffusionSpec, t, t_prev, eta: float):
+    """(a, c, s) of the stochastic transfer step (see :func:`sddim_step`),
+    elementwise."""
     _check_eta(eta)
     psi, c = _ddim_coeffs(spec, t, t_prev)
     if eta == 0.0:
         return psi, c, 0.0
-    l_t, l_prev = float(spec.L(t)), float(spec.L(t_prev))
-    var = eta**2 * max(0.0, l_prev**2 / l_t**2 * (l_t**2 - (l_prev / psi) ** 2))
-    return psi, np.sqrt(max(0.0, l_prev**2 - var)) - psi * l_t, np.sqrt(var)
+    l_t, l_prev = spec.L(t), spec.L(t_prev)
+    var = eta**2 * np.maximum(0.0, l_prev**2 / l_t**2 * (l_t**2 - (l_prev / psi) ** 2))
+    return psi, np.sqrt(np.maximum(0.0, l_prev**2 - var)) - psi * l_t, np.sqrt(var)
+
+
+def _zero_order_plan(grid: TimeGrid, psi, c) -> WeightTable:
+    """Plan with a_i = psi[i - 1] and the one-entry row c[i - 1]."""
+    return WeightTable(order=0, times=grid.times, psi=psi, c=tuple(c[:, None]))
 
 
 def _euler_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
-    def step(i, t, t_prev):
-        dt = t - t_prev
-        return 1.0 - spec.f(t) * dt, -0.5 * spec.g2(t) / spec.L(t) * dt
-
-    return _plan(grid, 0, step)
+    t, t_prev = grid.times[1:], grid.times[:-1]
+    dt = t - t_prev
+    return _zero_order_plan(grid, 1.0 - spec.f(t) * dt, -0.5 * spec.g2(t) / spec.L(t) * dt)
 
 
 def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
@@ -195,37 +195,33 @@ def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
     weight = quadrature.integrate(
         lambda tau: -0.5 * transition(spec, t[:-1, None], tau) * spec.g2(tau), t[1:], t[:-1]
     )
-    c = -weight / spec.L(t[1:])
-    psi = transition(spec, t[:-1], t[1:])
-    return WeightTable(order=0, times=t, psi=psi, c=tuple(c[:, None]))
+    return _zero_order_plan(grid, transition(spec, t[:-1], t[1:]), -weight / spec.L(t[1:]))
 
 
 def _ddim_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
-    return _plan(grid, 0, lambda i, t, t_prev: _ddim_coeffs(spec, t, t_prev))
+    return _zero_order_plan(grid, *_ddim_coeffs(spec, grid.times[1:], grid.times[:-1]))
 
 
 def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
-    rho, mu = grid.rho_values(spec), spec.mu(grid.times)
-    return _plan(grid, r, lambda i, t, t_prev: (
-        mu[i - 1] / mu[i], mu[i - 1] * rho_ab_weights(rho, i, r)))
+    mu = spec.mu(grid.times)
+    rows = rho_ab_weights(grid.rho_values(spec), r)
+    return WeightTable(order=r, times=grid.times, psi=mu[:-1] / mu[1:],
+                       c=tuple(m * row for m, row in zip(mu[:-1], rows)))
 
 
 def _ipndm_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
     _check_ipndm_order(r)
-
-    def step(i, t, t_prev):
-        psi, c = _ddim_coeffs(spec, t, t_prev)
-        return psi, [c * float(b) for b in IPNDM_BLEND[min(r, grid.n_steps - i)]]
-
-    return _plan(grid, r, step)
+    psi, c = _ddim_coeffs(spec, grid.times[1:], grid.times[:-1])
+    n = grid.n_steps
+    rows = tuple(c_i * np.array(IPNDM_BLEND[min(r, n - i)], dtype=float)
+                 for i, c_i in enumerate(c, 1))
+    return WeightTable(order=r, times=grid.times, psi=psi, c=rows)
 
 
 def _sddim_plan(spec: DiffusionSpec, grid: TimeGrid, eta: float):
     """ddim-shaped plan plus the noise scales s (index i-1; None when eta = 0)."""
-    t = grid.times
-    coeffs = [_sddim_coeffs(spec, t[i], t[i - 1], eta) for i in range(1, grid.n_steps + 1)]
-    s = np.array([s for *_, s in coeffs]) if eta > 0.0 else None
-    return _plan(grid, 0, lambda i, *_: coeffs[i - 1][:2]), s
+    psi, c, s = _sddim_coeffs(spec, grid.times[1:], grid.times[:-1], eta)
+    return _zero_order_plan(grid, psi, c), s if eta > 0.0 else None
 
 
 def euler_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:

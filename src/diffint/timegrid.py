@@ -51,9 +51,9 @@ def grid_fingerprint(times: np.ndarray) -> str:
 class TimeGrid:
     """Strictly increasing times t_0 < ... < t_N, with t_0 > 0.
 
-    ``rho`` caches rho(t_i) when the grid was built with a spec in
-    hand (or via :meth:`with_rho`); samplers working in rho space use
-    the cache when present.
+    ``rho`` optionally caches rho(t_i); ``power_rho`` and ``log_rho``
+    store the values they were built from.  :meth:`rho_values` returns
+    the cache when present and computes rho(t_i) otherwise.
     """
 
     times: np.ndarray
@@ -94,12 +94,6 @@ class TimeGrid:
     @property
     def grid_id(self) -> str:
         return grid_fingerprint(self.times)
-
-    def with_rho(self, spec: DiffusionSpec) -> "TimeGrid":
-        """Return a copy carrying cached rho(t_i) values."""
-        if self.rho is not None:
-            return self
-        return TimeGrid(self.times, self.schedule_name, rho_of_t(spec, self.times))
 
     def rho_values(self, spec: DiffusionSpec) -> np.ndarray:
         return self.rho if self.rho is not None else rho_of_t(spec, self.times)

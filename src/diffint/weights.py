@@ -20,13 +20,14 @@ Near the start of sampling the history is shorter than r+1, so the
 polynomial order is lowered to what is available; row i then holds
 min(r, N-i)+1 coefficients.
 
-:func:`tab_weights` makes one batched quadrature call per row size
-(the full-order steps, then each of the shorter rows), evaluating the
-kernel 1/2 Psi g2 / L once per point for all the basis functions.
-
-For the rescaled-time integrators, :func:`rho_ab_weights` integrates
-the Lagrange basis over a rho interval in closed form (polynomial
-antiderivatives).
+One private builder makes the rows of both multistep integrators:
+row i integrates kernel x Lagrange basis over the step's interval, one
+batched quadrature call per row size.  :func:`tab_weights` takes the
+basis in t and the kernel 1/2 Psi g2 / L, evaluated once per point for
+all the basis functions.  Since d rho = g2 / (2 mu L) dt, that kernel
+times dtau is mu(t_{i-1}) d rho, so :func:`rho_ab_weights` takes the
+basis in rho and a constant kernel; its caller scales row i by
+mu(t_{i-1}).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import numpy.polynomial.polynomial as npoly
 
 from . import quadrature
 from .diffusion import DiffusionSpec, transition
@@ -147,8 +147,13 @@ class WeightTable:
     @classmethod
     def from_json(cls, text: str) -> "WeightTable":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ParameterError("a weight-table document must be a JSON object")
         if doc.get("schema") != _SCHEMA:
             raise ParameterError(f"unexpected weight-table schema {doc.get('schema')!r}")
+        missing = {"order", "times", "psi", "c"} - set(doc)
+        if missing:
+            raise ParameterError(f"weight-table document lacks {sorted(missing)}")
         return cls(
             order=int(doc["order"]),
             times=np.asarray(doc["times"], dtype=float),
@@ -175,64 +180,64 @@ def _check_order(r: int):
         raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {r}")
 
 
+def _step_rows(x: np.ndarray, r: int, kernel, *, rtol: float = 1e-12) -> tuple:
+    """Row i (i = 1..N) holds, for each Lagrange basis l_j over the
+    nodes x_i, ..., x_{i+r_i} with r_i = min(r, N - i),
+
+        -int_{x_{i-1}}^{x_i} kernel(x_{i-1}, tau) l_j(tau) dtau,
+
+    the integral taken from x_i down to x_{i-1}.  One batched quadrature
+    call per row size: the full-order steps together, then each ramp
+    step.  ``kernel(x_lo, tau)`` gets the steps' x_{i-1} as a column and
+    is evaluated once per point for all the basis functions.
+    """
+    _check_order(r)
+    n = x.size - 1
+    steps = np.arange(1, n + 1)
+    sizes = np.minimum(r, n - steps) + 1
+    rows = [None] * n
+    for m in np.unique(sizes)[::-1]:
+        i = steps[sizes == m]
+        x_lo, x_hi = x[i - 1], x[i]
+        nodes = x[i + np.arange(m)[:, None], None]  # (m, steps, 1) node columns
+
+        def integrand(tau):
+            kern = kernel(x_lo[:, None], tau)
+            return np.stack([kern * lagrange_basis(nodes, j, tau) for j in range(m)])
+
+        c = -quadrature.integrate(integrand, x_lo, x_hi, rtol=rtol)
+        for k, step in enumerate(i):
+            rows[step - 1] = c[:, k]
+    return tuple(rows)
+
+
 def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int,
                 *, rtol: float = 1e-12) -> WeightTable:
     """Build the weight table for order-r extrapolation on ``grid``.
 
-    Each C_ij is evaluated by the shared panel-refined quadrature, one
-    call per row size: the full-order steps together, then each ramp
-    step.  The kernel 1/2 Psi g2 / L is evaluated once per point and
-    multiplied by each Lagrange basis; it blows up only at tau = 0,
-    which the grid excludes by construction (t_0 > 0).  Rebuilding
-    with identical inputs is deterministic, bit for bit.
+    The rows C_ij take the basis in t and the kernel
+    1/2 Psi(t_{i-1}, tau) g2(tau) / L(tau), by the shared panel-refined
+    quadrature.  The kernel blows up only at tau = 0, which the grid
+    excludes by construction (t_0 > 0).  Rebuilding with identical
+    inputs is deterministic, bit for bit.
     """
-    _check_order(r)
     times = grid.times
-    steps = np.arange(1, grid.n_steps + 1)
-    sizes = np.minimum(r, grid.n_steps - steps) + 1
-    rows = [None] * grid.n_steps
-    for m in np.unique(sizes)[::-1]:
-        i = steps[sizes == m]
-        t_lo, t_hi = times[i - 1], times[i]
-        nodes = times[i + np.arange(m)[:, None], None]  # (m, steps, 1) node columns
 
-        def integrand(tau):
-            kernel = 0.5 * transition(spec, t_lo[:, None], tau) * spec.g2(tau) / spec.L(tau)
-            return np.stack([kernel * lagrange_basis(nodes, j, tau) for j in range(m)])
+    def kernel(t_lo, tau):
+        return 0.5 * transition(spec, t_lo, tau) * spec.g2(tau) / spec.L(tau)
 
-        # C_ij integrates from t_i down to t_{i-1}
-        c = -quadrature.integrate(integrand, t_lo, t_hi, rtol=rtol)
-        for k, step in enumerate(i):
-            rows[step - 1] = c[:, k]
+    rows = _step_rows(times, r, kernel, rtol=rtol)
     psi = transition(spec, times[:-1], times[1:])
-    return WeightTable(order=r, times=times, psi=psi, c=tuple(rows))
+    return WeightTable(order=r, times=times, psi=psi, c=rows)
 
 
-def rho_ab_weights(grid_rho: Sequence[float], i: int, r: int) -> np.ndarray:
-    """Adams-Bashforth weights in rho space for the step leaving node i.
+def rho_ab_weights(grid_rho: Sequence[float], r: int) -> tuple:
+    """Adams-Bashforth weights in rho for every step of the grid.
 
-    Integrates each Lagrange basis over [rho_i, rho_{i-1}] exactly
-    (the antiderivative of a degree <= r polynomial), over the history
-    nodes rho_i, ..., rho_{i+r'} with r' = min(r, N - i).  The weights
-    are signed: their sum is rho_{i-1} - rho_i.
+    Row i - 1 integrates each Lagrange basis over the history nodes
+    rho_i, ..., rho_{i+r'} (r' = min(r, N - i)) from rho_i to rho_{i-1}:
+    the step rows with a constant kernel.  Gauss-Legendre quadrature is
+    exact for these degree <= r polynomials up to rounding.  The weights
+    are signed: row i - 1 sums to rho_{i-1} - rho_i.
     """
-    grid_rho = np.asarray(grid_rho, dtype=float)
-    n = grid_rho.size - 1
-    if not 1 <= i <= n:
-        raise ParameterError(f"step index {i} out of range 1..{n}")
-    _check_order(r)
-    r_i = min(r, n - i)
-    nodes = grid_rho[i : i + r_i + 1]
-    _check_nodes(nodes)
-    lo, hi = grid_rho[i], grid_rho[i - 1]
-    out = np.empty(r_i + 1)
-    for j in range(r_i + 1):
-        coeffs = np.array([1.0])
-        denom = 1.0
-        for k in range(r_i + 1):
-            if k != j:
-                coeffs = npoly.polymul(coeffs, np.array([-nodes[k], 1.0]))
-                denom *= nodes[j] - nodes[k]
-        anti = npoly.polyint(coeffs / denom)
-        out[j] = npoly.polyval(hi, anti) - npoly.polyval(lo, anti)
-    return out
+    return _step_rows(np.asarray(grid_rho, dtype=float), r, lambda x_lo, tau: 1.0)

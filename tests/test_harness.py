@@ -24,7 +24,7 @@ from diffint.harness import (
     run_sample,
     run_trace,
 )
-from diffint.oracle import em_terminal_batch
+from diffint.oracle import EpsilonField, em_terminal_batch
 from diffint.timegrid import TimeGrid
 
 
@@ -267,6 +267,19 @@ def test_trace_metrics():
     )
 
 
+def test_trace_evaluates_the_field_once_per_point(monkeypatch):
+    calls = []
+    monkeypatch.setattr(EpsilonField, "__call__",
+                        _counted(calls, "field", EpsilonField.__call__))
+    counts = []
+    for orders in ([0], [0, 1, 2, 3]):
+        calls.clear()
+        run_trace(ExperimentConfig.from_dict(base_config(
+            kind="trace", x_t=1.2, points_per_interval=2, orders=orders)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 # -- loglik --------------------------------------------------------------------
 
 
@@ -404,6 +417,9 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "schedule": [{"name": "uniform", "n": 10}]},
         {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
          "schedule": [{"name": "uniform", "n": 10}, {"name": "power_t", "n": 10, "kapa": 3}]},
+        # each extrapolation order is one report column
+        {"kind": "trace", "x_t": 1.0, "orders": [-1]},
+        {"kind": "trace", "x_t": 1.0, "orders": [2, 2]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -571,7 +587,7 @@ GOLDEN = {
     "marginal.json": "ad594df072ac6fc20df483018e93de145175c74cade17a1df6c462f01128d40f",
     "sample.json": "6b6fba65a44cbf6cadb18815dc31e32693d0f266585091578da55dc0f6209d37",
     "study_ablation.json": "63087dc57796c916e27ac8e9d380bf1949958fbb6f891f02a1f8aa6d9cf52289",
-    "study_convergence.json": "07fd0de8da2cf5dc674544d7256d7756fee4db4787f9baf27e572e248a6055e8",
+    "study_convergence.json": "662937ba9848a01671346343ce0bbe18f3a5ed534421f34c36f64a535c354276",
     "trace.json": "68e411e7b6ca871803dc6c9abe0252400f147e12812b02e613771daad48e917b",
 }
 

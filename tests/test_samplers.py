@@ -16,6 +16,7 @@ from diffint import (
     euler_sample,
     ipndm_sample,
     log_rho,
+    make_grid,
     power_t,
     quadratic,
     reference_solve,
@@ -570,6 +571,52 @@ def test_rho_ab_zero_order_plan_is_ddim_plan(vp, ve):
         assert np.allclose(rho_ab.psi, ddim.psi, rtol=1e-12, atol=0)
         for a, b in zip(rho_ab.c, ddim.c):
             assert np.allclose(a, b, rtol=1e-12, atol=0)
+
+
+def _per_step_plans(spec, grid, r, eta):
+    """The per-step formulas of euler, ddim, ipndm (order r) and sddim
+    (noise scale eta), one step at a time: name -> (a, rows, s)."""
+    t, n = grid.times, grid.n_steps
+    plans = {name: ([], [], []) for name in ("euler", "ddim", "ipndm", "sddim")}
+    for i in range(1, n + 1):
+        dt = t[i] - t[i - 1]
+        euler = (1.0 - spec.f(t[i]) * dt, [-0.5 * spec.g2(t[i]) / spec.L(t[i]) * dt])
+        psi = transition(spec, t[i - 1], t[i])
+        c = spec.L(t[i - 1]) - psi * spec.L(t[i])
+        ipndm = (psi, [c * float(b) for b in IPNDM_BLEND[min(r, n - i)]])
+        l_t, l_prev = float(spec.L(t[i])), float(spec.L(t[i - 1]))
+        var = eta**2 * max(0.0, l_prev**2 / l_t**2 * (l_t**2 - (l_prev / psi) ** 2))
+        sddim = (psi, [np.sqrt(max(0.0, l_prev**2 - var)) - psi * l_t], np.sqrt(var))
+        for name, step in (("euler", euler), ("ddim", (psi, [c])), ("ipndm", ipndm),
+                           ("sddim", sddim)):
+            for column, value in zip(plans[name], step):
+                column.append(value)
+    return {name: (np.array(a), [np.array(row) for row in rows], np.array(s))
+            for name, (a, rows, s) in plans.items()}
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+@pytest.mark.parametrize("schedule", ["uniform", "quadratic", "power_rho", "log_rho"])
+def test_array_plans_equal_per_step_formulas(preset, schedule, request):
+    spec = request.getfixturevalue(preset)
+    t0 = 1e-3 if preset == "vp" else 1e-5
+    for n in (1, 2, 3, 10, 40):
+        grid = make_grid(schedule, t0=t0, t_end=1.0, n=n, kappa=7.0, spec=spec)
+        for r in range(4):
+            expected = _per_step_plans(spec, grid, r, 0.6)
+            plans = {"euler": _euler_plan(spec, grid), "ddim": _ddim_plan(spec, grid),
+                     "ipndm": _ipndm_plan(spec, grid, r)}
+            for name, plan in plans.items():
+                a, rows, _ = expected[name]
+                assert plan.psi.tobytes() == a.tobytes()
+                assert [row.tobytes() for row in plan.c] == [row.tobytes() for row in rows]
+            # an array squares by multiplication, a Python float through pow
+            plan, s = _sddim_plan(spec, grid, 0.6)
+            a, rows, s_ref = expected["sddim"]
+            assert plan.psi.tobytes() == a.tobytes()
+            np.testing.assert_allclose(np.concatenate(plan.c), np.concatenate(rows),
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(s, s_ref, rtol=1e-14, atol=0)
 
 
 def test_plan_row_sizes(vp):

@@ -1,3 +1,6 @@
+import json
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from diffint import (
     DegenerateNodesError,
     GridMismatchError,
+    ParameterError,
     VpSchedule,
     WeightTable,
     lagrange_basis,
@@ -156,6 +160,16 @@ def test_table_json_round_trip_bit_exact(vp):
     assert clone.to_json() == table.to_json()
 
 
+def test_table_from_json_rejects_malformed_documents(vp):
+    doc = json.loads(tab_weights(vp, quadratic(1e-3, 1.0, 4), 1).to_json())
+    for key in ("order", "times", "psi", "c"):
+        with pytest.raises(ParameterError):
+            WeightTable.from_json(json.dumps({k: v for k, v in doc.items() if k != key}))
+    for text in ("[]", "3", '"diffint-weight-table-v1"', "null"):
+        with pytest.raises(ParameterError):
+            WeightTable.from_json(text)
+
+
 def test_table_grid_mismatch(vp):
     table = tab_weights(vp, quadratic(1e-3, 1.0, 9), 1)
     with pytest.raises(GridMismatchError):
@@ -177,17 +191,18 @@ def test_table_psi_matches_transition(vp):
 
 
 def test_rho_weights_sum_to_interval(vp):
-    grid = quadratic(1e-3, 1.0, 10).with_rho(vp)
-    rho = grid.rho
+    rho = quadratic(1e-3, 1.0, 10).rho_values(vp)
     for r in (0, 1, 2, 3):
+        rows = rho_ab_weights(rho, r)
+        assert len(rows) == 10
         for i in range(1, 11):
-            w = rho_ab_weights(rho, i, r)
+            w = rows[i - 1]
             assert np.isclose(w.sum(), rho[i - 1] - rho[i], atol=1e-12, rtol=1e-12)
 
 
 def test_rho_weights_zero_order(vp):
     rho = rho_of_t(vp, quadratic(1e-3, 1.0, 10).times)
-    w = rho_ab_weights(rho, 5, 0)
+    w = rho_ab_weights(rho, 0)[5 - 1]
     assert w.size == 1
     assert np.isclose(w[0], rho[4] - rho[5], rtol=1e-15)
 
@@ -196,13 +211,48 @@ def test_rho_weights_classical_two_step():
     # uniform descending rho with signed step h: weights (3h/2, -h/2)
     rho = np.array([0.0, 1.0, 2.0, 3.0])  # ascending in index
     h = rho[1] - rho[2]  # signed step of the sampling direction: -1
-    w = rho_ab_weights(rho, 2, 1)
+    w = rho_ab_weights(rho, 1)[2 - 1]
     assert np.allclose(w, [1.5 * h, -0.5 * h], rtol=1e-14)
 
 
 def test_rho_weights_reject_duplicates():
     with pytest.raises(DegenerateNodesError):
-        rho_ab_weights(np.array([0.0, 1.0, 1.0, 3.0]), 1, 1)
+        rho_ab_weights(np.array([0.0, 1.0, 1.0, 3.0]), 1)
+
+
+def _exact_rho_row(rho, i, r):
+    """Row i integrated in exact rational arithmetic on the float nodes:
+    each Lagrange basis expanded in monomials, integrated from rho_i to
+    rho_{i-1}."""
+    nodes = [Fraction(v) for v in rho[i : i + min(r, rho.size - 1 - i) + 1].tolist()]
+    lo, hi = Fraction(float(rho[i])), Fraction(float(rho[i - 1]))
+    row = []
+    for j, node in enumerate(nodes):
+        poly = [Fraction(1)]  # lowest degree first
+        for k, other in enumerate(nodes):
+            if k != j:  # poly *= (x - other) / (node - other)
+                shifted = zip([Fraction(0)] + poly, poly + [Fraction(0)])
+                poly = [(a - other * b) / (node - other) for a, b in shifted]
+        row.append(sum(c * (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+                       for m, c in enumerate(poly)))
+    return row
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+@pytest.mark.parametrize("schedule", ["quadratic", "log_rho"])
+def test_rho_weights_match_exact_rational_integrals(preset, schedule, request):
+    # a monomial expansion in floats cancels: 4.4e-6 of sum |w| at VE
+    # quadratic, N = 160, r = 3
+    spec = request.getfixturevalue(preset)
+    t0 = 1e-3 if preset == "vp" else 1e-5
+    for n in (10, 160):
+        rho = make_grid(schedule, t0=t0, t_end=1.0, n=n, spec=spec).rho_values(spec)
+        for r in range(4):
+            for i, w in enumerate(rho_ab_weights(rho, r), 1):
+                exact = _exact_rho_row(rho, i, r)
+                scale = sum(abs(e) for e in exact)
+                gap = max(abs(Fraction(float(a)) - e) for a, e in zip(w, exact))
+                assert gap <= Fraction(1e-13) * scale, (n, r, i)
 
 
 # -- batched plan building ------------------------------------------------
@@ -278,6 +328,9 @@ def test_plan_builders_make_one_quadrature_call_per_row_size(vp, monkeypatch):
             calls.clear()
             tab_weights(vp, grid, r)
             assert len(calls) <= r + 1
+            assert len(calls) == len({min(r, n - i) + 1 for i in range(1, n + 1)})
+            calls.clear()
+            rho_ab_weights(grid.rho_values(vp), r)
             assert len(calls) == len({min(r, n - i) + 1 for i in range(1, n + 1)})
         calls.clear()
         _ei_score_plan(vp, grid)
