@@ -18,15 +18,24 @@ Conventions:
   batch of independent scalar states (and, for multi-axis arrays, as a
   per-axis factorized product distribution with iid axes).
 * The field, :func:`score` and each ``pf_loglik`` stage form the
-  marginal's means and variances directly (``_marginal``) instead of
-  building a :class:`GaussianMixture`, and every mixture evaluation
-  runs as one plain-numpy kernel whose log-sum-exp (``_logsumexp``)
-  repeats ``scipy.special.logsumexp``'s float64 steps, so the results
-  have the bits of ``marginal_at(gmm, spec, t).score(x)``.
+  marginal's means, variances and per-component bias
+  log w_k - 0.5 log(2 pi var_k) directly (``_marginal``) instead of
+  building a :class:`GaussianMixture`.  Every mixture evaluation, the
+  mixture's own methods included, runs one plain-numpy kernel
+  (``_posterior``) that works in place on its own temporaries and
+  whose log-sum-exp (``_logsumexp``) repeats
+  ``scipy.special.logsumexp``'s float64 steps, so the results have the
+  bits of ``marginal_at(gmm, spec, t).score(x)``.
+* An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
+  up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
+  full), and ``pf_loglik`` shares it between RK stages at the same
+  time.  A hit has the bits of a miss; a time whose marginal variance
+  underflows raises on every call and is never stored.
 
 All operations are pure functions of their inputs (plus an explicit
-seed for the stochastic ones), so instances can be shared freely
-across threads.  Every random draw comes from :func:`normals`, Philox
+seed for the stochastic ones), and a field's memo only ever holds what
+a miss would compute, so instances can be shared freely across
+threads.  Every random draw comes from :func:`normals`, Philox
 keyed by the two words (seed, stream): stream 0 holds the initial
 states of a batch and stream 1 + k the noise of the k-th step taken,
 with trajectory i at position i of each.  A shorter draw is a prefix
@@ -36,7 +45,7 @@ size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -80,8 +89,13 @@ def _logsumexp(a, keepdims=False):
         a_max = np.maximum.reduce(a, axis=0, keepdims=True)
         at_max = a == a_max
         m = np.add.reduce(at_max, axis=0, keepdims=True, dtype=float)
-        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + a_max
+        terms = np.where(at_max, -np.inf, a)
+        terms -= a_max
+        s = np.add.reduce(np.exp(terms, out=terms), axis=0, keepdims=True)
+        s /= m
+        out = np.log1p(s, out=s)
+        out += np.log(m, out=m)
+        out += a_max
         finite = np.isfinite(out)
         if not finite.all():
             direct = np.log(np.add.reduce(np.exp(a), axis=0, keepdims=True))
@@ -91,32 +105,45 @@ def _logsumexp(a, keepdims=False):
     return out[()] if out.ndim == 0 else out
 
 
-def _log_terms(x, weights, means, var):
-    """log w_k + log N(x; m_k, var_k) with the components on axis 0,
-    plus x - m_k and the variances broadcast against x."""
+def _bias(weights, var):
+    """log w_k - 0.5 log(2 pi var_k), the x-free part of each component's
+    log term."""
+    return np.log(weights) - 0.5 * np.log(2 * np.pi * var)
+
+
+def _log_terms(x, means, var, bias):
+    """x - m_k, the variances broadcast against x, and the log terms
+    bias_k - 0.5 (x - m_k)^2 / var_k (``bias`` from :func:`_bias`), with
+    the components on axis 0.  The first and last are fresh arrays of
+    shape (K,) + x.shape that the caller may overwrite."""
     x = np.asarray(x, dtype=float)
-    shape = (weights.size,) + (1,) * x.ndim
+    shape = (means.size,) + (1,) * x.ndim
     var = var.reshape(shape)
     dev = x - means.reshape(shape)
-    log_terms = (
-        np.log(weights.reshape(shape)) - 0.5 * np.log(2 * np.pi * var)
-        - 0.5 * dev**2 / var
-    )
-    return dev, var, log_terms
+    terms = np.multiply(dev, dev)
+    terms *= 0.5
+    terms /= var
+    return dev, var, np.subtract(bias.reshape(shape), terms, out=terms)
 
 
-def _responsibilities(x, weights, means, var):
-    """Posterior component weights at x, the component scores
-    -(x - m_k) / var_k and the broadcast variances."""
-    dev, var, log_terms = _log_terms(x, weights, means, var)
-    resp = np.exp(log_terms - _logsumexp(log_terms, keepdims=True))
-    return resp, -dev / var, var
+def _posterior(x, means, var, bias):
+    """The mixture kernel: posterior component weights r_k(x), the
+    component scores -(x - m_k) / var_k and the broadcast variances.
+    It works in place on :func:`_log_terms`' arrays, so the first two
+    are fresh arrays that the caller may overwrite."""
+    slopes, var, resp = _log_terms(x, means, var, bias)
+    resp -= _logsumexp(resp, keepdims=True)
+    np.exp(resp, out=resp)
+    slopes /= var
+    # negated here, not folded into the callers' sums: the fold would flip
+    # the sign of a sum that cancels to exactly zero
+    return resp, np.negative(slopes, out=slopes), var
 
 
-def _score(x, weights, means, var):
-    """Score of the mixture (weights, means, var) at x."""
-    resp, slopes, _ = _responsibilities(x, weights, means, var)
-    return np.add.reduce(resp * slopes, axis=0)
+def _score(x, means, var, bias):
+    """Score of the mixture (means, var, bias) at x."""
+    resp, slopes, _ = _posterior(x, means, var, bias)
+    return np.add.reduce(np.multiply(resp, slopes, out=slopes), axis=0)
 
 
 def _pow_square(s):
@@ -126,13 +153,16 @@ def _pow_square(s):
     return np.array([v**2 for v in np.ravel(s).tolist()]).reshape(np.shape(s))
 
 
-def _score_pair(x, weights, means, var):
-    """Score of the mixture and its x-derivative, from one set of log
-    terms and one logsumexp.  The score is squared as for a scalar x,
-    so an array x gives the bits of one call per element."""
-    resp, slopes, var = _responsibilities(x, weights, means, var)
-    s = np.sum(resp * slopes, axis=0)
-    return s, np.sum(resp * (slopes**2 - 1.0 / var), axis=0) - _pow_square(s)
+def _score_pair(x, means, var, bias):
+    """Score of the mixture and its x-derivative, from one kernel call.
+    The score is squared as for a scalar x, so an array x gives the bits
+    of one call per element."""
+    resp, slopes, var = _posterior(x, means, var, bias)
+    s = np.add.reduce(resp * slopes, axis=0)
+    np.square(slopes, out=slopes)
+    slopes -= 1.0 / var
+    slopes *= resp
+    return s, np.add.reduce(slopes, axis=0) - _pow_square(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,17 +195,21 @@ class GaussianMixture:
     def n_components(self) -> int:
         return self.weights.size
 
+    def _kernel_args(self):
+        """(means, variances, bias) in the form the mixture kernel takes."""
+        var = self.stds**2
+        return self.means, var, _bias(self.weights, var)
+
     def logpdf(self, x):
-        _, _, log_terms = _log_terms(x, self.weights, self.means, self.stds**2)
-        return _logsumexp(log_terms)
+        return _logsumexp(_log_terms(x, *self._kernel_args())[2])
 
     def score(self, x):
         """Gradient of the log density."""
-        return _score(x, self.weights, self.means, self.stds**2)
+        return _score(x, *self._kernel_args())
 
     def score_dx(self, x):
         """Derivative of the score (exact divergence in the scalar case)."""
-        return _score_pair(x, self.weights, self.means, self.stds**2)[1]
+        return _score_pair(x, *self._kernel_args())[1]
 
     def mean(self) -> float:
         return float(np.sum(self.weights * self.means))
@@ -213,37 +247,72 @@ def marginal_at(gmm: GaussianMixture, spec: DiffusionSpec, t: float) -> Gaussian
 
 
 def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
-    """L(t) and the means and variances of the time-t marginal, with the
-    bits of :func:`marginal_at`'s mixture, without building and
-    validating one; raises :class:`DomainError` when a variance
-    underflows."""
+    """L(t) and the means, variances and :func:`_bias` of the time-t
+    marginal, with the bits of :func:`marginal_at`'s mixture, without
+    building and validating one; raises :class:`DomainError` when a
+    variance underflows.  The arrays are read-only."""
     mu_t = float(spec.mu(t))
     l_t = float(spec.L(t))
     total_var = (mu_t * gmm.stds) ** 2 + l_t**2
     if (total_var < _VARIANCE_FLOOR).any():
         raise DomainError(f"marginal variance underflow at t={t}")
-    return l_t, mu_t * gmm.means, np.sqrt(total_var) ** 2
+    means = mu_t * gmm.means
+    var = np.sqrt(total_var) ** 2
+    bias = _bias(gmm.weights, var)
+    for arr in (means, var, bias):
+        arr.setflags(write=False)
+    return l_t, means, var, bias
 
 
 def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
     """Exact score of the time-t marginal, evaluated elementwise."""
-    _, means, var = _marginal(gmm, spec, t)
-    return _score(x, gmm.weights, means, var)
+    return _score(x, *_marginal(gmm, spec, t)[1:])
 
 
+# Bound on the per-time memo of one EpsilonField: one convergence study's
+# distinct times at dt = 1e-3 (about 2000 reference times plus at most
+# about 1000 grid and RK-stage times).
+_MEMO_SIZE = 4096
+
+
+@dataclass(frozen=True, eq=False)
 class EpsilonField:
-    """Noise-prediction field eps(x, t) = -L(t) * score(x, t) of a mixture."""
+    """Noise-prediction field eps(x, t) = -L(t) * score(x, t) of a mixture.
 
-    def __init__(self, gmm: GaussianMixture, spec: DiffusionSpec):
-        self.gmm = gmm
-        self.spec = spec
+    Everything that depends on t alone (L(t) and the marginal's means,
+    variances and bias, from :func:`_marginal`) is kept in a memo keyed
+    by ``float(t)``, so a time evaluated again costs only the x-dependent
+    kernel.  The memo holds at most ``_MEMO_SIZE`` (4096) times and is
+    cleared when full.  A hit returns the very arrays a miss computed,
+    so the results have the same bits either way.  A time whose variance
+    underflows raises :class:`DomainError` on every call and is never
+    stored.  The field stays safe to share across threads: each entry is
+    a pure function of its key, stored and cleared by single dict
+    operations, so a race can only cost a recomputation.  The field is
+    frozen, so the memo cannot outlive a change of ``gmm`` or ``spec``.
+    """
+
+    gmm: GaussianMixture
+    spec: DiffusionSpec
+    _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False)
+
+    def _marginal(self, t: float):
+        """:func:`_marginal` of this field's mixture at t, from the memo."""
+        key = float(t)
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = _marginal(self.gmm, self.spec, t)
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = entry
+        return entry
 
     def __call__(self, x, t: float):
-        l_t, means, var = _marginal(self.gmm, self.spec, t)
-        return -l_t * _score(x, self.gmm.weights, means, var)
+        l_t, means, var, bias = self._marginal(t)
+        return -l_t * _score(x, means, var, bias)
 
     def score(self, x, t: float):
-        return score(self.gmm, self.spec, x, t)
+        return _score(x, *self._marginal(t)[1:])
 
 
 def epsilon_field(gmm: GaussianMixture, spec: DiffusionSpec) -> EpsilonField:
@@ -447,14 +516,6 @@ def em_terminal_batch(
     return _em(spec, field, lam, x, dt, t0, seed, nan_diverged=True)
 
 
-def _marginal_score_pair(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
-    """``marginal_at(gmm, spec, t).score(x)`` and ``.score_dx(x)``, bit for
-    bit, from the marginal's means and variances without building and
-    validating the marginal mixture."""
-    _, means, var = _marginal(gmm, spec, t)
-    return _score_pair(x, gmm.weights, means, var)
-
-
 def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     """Exact-divergence log-likelihood along the sampling ODE.
 
@@ -476,9 +537,12 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     _check_step(dt)
     x = np.asarray(x0, dtype=float)
     acc = np.zeros_like(x)
+    # the two t + h/2 stages, and t + h and the next step's t, share one
+    # memo entry
+    field = EpsilonField(gmm, spec)
 
     def rhs(state_x, t):
-        s, s_dx = _marginal_score_pair(gmm, spec, state_x, t)
+        s, s_dx = _score_pair(state_x, *field._marginal(t)[1:])
         f_t = float(spec.f(t))
         g2_t = float(spec.g2(t))
         return f_t * state_x - 0.5 * g2_t * s, f_t - 0.5 * g2_t * s_dx

@@ -146,7 +146,12 @@ class WeightTable:
 
     @classmethod
     def from_json(cls, text: str) -> "WeightTable":
-        doc = json.loads(text)
+        """The table of a :meth:`to_json` document; raises
+        :class:`ParameterError` for any text that is not one."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParameterError(f"a weight-table document must be JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ParameterError("a weight-table document must be a JSON object")
         if doc.get("schema") != _SCHEMA:
@@ -154,12 +159,15 @@ class WeightTable:
         missing = {"order", "times", "psi", "c"} - set(doc)
         if missing:
             raise ParameterError(f"weight-table document lacks {sorted(missing)}")
-        return cls(
-            order=int(doc["order"]),
-            times=np.asarray(doc["times"], dtype=float),
-            psi=np.asarray(doc["psi"], dtype=float),
-            c=tuple(np.asarray(row, dtype=float) for row in doc["c"]),
-        )
+        if type(doc["order"]) is not int:
+            raise ParameterError(f"weight-table order must be an integer, got {doc['order']!r}")
+        try:
+            times = np.asarray(doc["times"], dtype=float)
+            psi = np.asarray(doc["psi"], dtype=float)
+            c = tuple(np.asarray(row, dtype=float) for row in doc["c"])
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"weight-table times, psi and c must be numeric: {exc}") from exc
+        return cls(order=doc["order"], times=times, psi=psi, c=c)
 
     def save(self, path):
         with open(path, "w") as fh:

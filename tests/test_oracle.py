@@ -1,3 +1,7 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.special
@@ -23,9 +27,11 @@ from diffint import (
     vesde,
     vpsde,
 )
+from diffint import oracle
 from diffint.oracle import (
+    _MEMO_SIZE,
     _logsumexp,
-    _marginal_score_pair,
+    _score_pair,
     draw_terminal_states,
     normals,
     reference_states,
@@ -159,8 +165,12 @@ def test_score_variance_underflow_guard():
     gmm = GaussianMixture([1.0], [0.0], [1.0])
     with pytest.raises(DomainError):
         score(gmm, tiny, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        epsilon_field(gmm, tiny)(0.0, 1.0)
+    field = epsilon_field(gmm, tiny)
+    for _ in range(2):  # a failure is never memoised
+        with pytest.raises(DomainError):
+            field(0.0, 1.0)
+        with pytest.raises(DomainError):
+            field.score(0.0, 1.0)
 
 
 # -- logsumexp kernel ---------------------------------------------------
@@ -469,19 +479,74 @@ def test_field_equals_marginal_mixture_score(preset, t0, request):
     gmm = GaussianMixture([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05])
     field = epsilon_field(gmm, spec)
     rng = np.random.default_rng(3)
-    for x in (0.7, rng.normal(0, 2, 1), rng.normal(0, 2, 64), rng.normal(0, 20, 8192)):
-        for t in (t0, 0.37, spec.t_end):
-            want = -float(spec.L(t)) * marginal_at(gmm, spec, t).score(x)
+    xs = (0.7, rng.normal(0, 2, 1), rng.normal(0, 2, 64), rng.normal(0, 20, 8192),
+          np.zeros(0), rng.normal(0, 2, (40, 30)))
+
+    def check(x, t):
+        mixture = marginal_at(gmm, spec, t)
+        want = -float(spec.L(t)) * mixture.score(x)
+        for _ in range(2):  # a memo miss, then a hit
             assert _same_bits(field(x, t), want)
-            assert _same_bits(score(gmm, spec, x, t), marginal_at(gmm, spec, t).score(x))
+            assert _same_bits(field.score(x, t), mixture.score(x))
+        assert _same_bits(score(gmm, spec, x, t), mixture.score(x))
+
+    for x in xs:
+        for t in (t0, 0.37, spec.t_end):
+            check(x, t)
+    # more distinct times than the memo holds, then the first ones again
+    for t in np.linspace(t0, spec.t_end, _MEMO_SIZE + 10):
+        field(0.7, t)
+    assert len(field._memo) <= _MEMO_SIZE
+    # the memo is only valid for the field's own mixture and diffusion
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        field.spec = vesde(0.01, 10.0)
+    for x in xs:
+        for t in (t0, 0.37, spec.t_end):
+            check(x, t)
+
+
+def test_field_shared_by_threads_matches_serial(vp, monkeypatch):
+    gmm = GaussianMixture([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05])
+    x = np.random.default_rng(5).normal(0, 2, 16)
+    # each thread walks the same times from its own offset, so the threads
+    # interleave misses, hits and memo clears on the same entries; a small
+    # bound makes the clears frequent
+    monkeypatch.setattr(oracle, "_MEMO_SIZE", 64)
+    times = np.linspace(1e-3, vp.t_end, 500)
+    n_threads = 4
+    serial = epsilon_field(gmm, vp)
+    want = [serial(x, t) for t in times]
+    shared = epsilon_field(gmm, vp)
+    got = [[None] * times.size for _ in range(n_threads)]
+
+    def work(j):
+        for i in range(times.size):
+            k = (i + j * times.size // n_threads) % times.size
+            got[j][k] = shared(x, times[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for j in range(n_threads):
+        assert all(_same_bits(g, w) for g, w in zip(got[j], want))
 
 
 def test_marginal_score_pair_matches_marginal_mixture(vp, ve):
     gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
     x = np.linspace(-2.0, 2.0, 9)
     for spec in (vp, ve):
+        field = epsilon_field(gmm, spec)
         for t in (0.0, 1e-3, 0.37, 0.5, 1.0):
-            s, s_dx = _marginal_score_pair(gmm, spec, x, t)
+            # what each pf_loglik stage evaluates
+            s, s_dx = _score_pair(x, *field._marginal(t)[1:])
             mixture = marginal_at(gmm, spec, t)
             assert np.array_equal(s, mixture.score(x))
             assert np.array_equal(s_dx, mixture.score_dx(x))

@@ -161,11 +161,19 @@ def test_table_json_round_trip_bit_exact(vp):
 
 
 def test_table_from_json_rejects_malformed_documents(vp):
-    doc = json.loads(tab_weights(vp, quadratic(1e-3, 1.0, 4), 1).to_json())
+    doc_text = tab_weights(vp, quadratic(1e-3, 1.0, 4), 1).to_json()
+    doc = json.loads(doc_text)
     for key in ("order", "times", "psi", "c"):
         with pytest.raises(ParameterError):
             WeightTable.from_json(json.dumps({k: v for k, v in doc.items() if k != key}))
-    for text in ("[]", "3", '"diffint-weight-table-v1"', "null"):
+    wrong_values = ({"c": 5}, {"order": "x"}, {"order": 1.5}, {"order": True},
+                    {"c": [["a"]] * len(doc["c"])}, {"times": ["x"] * len(doc["times"])},
+                    {"psi": "abc"}, {"times": {"a": 1}}, {"c": [[1.0, [2.0]]]})
+    for change in wrong_values:
+        with pytest.raises(ParameterError):
+            WeightTable.from_json(json.dumps({**doc, **change}))
+    for text in ("[]", "3", '"diffint-weight-table-v1"', "null", "", "{", "not json",
+                 doc_text[:-1]):
         with pytest.raises(ParameterError):
             WeightTable.from_json(text)
 
