@@ -493,11 +493,14 @@ def fit_order(n_values, errors, floor: float = ERROR_FLOOR):
 
 def _reference_batch(config: ExperimentConfig, spec: DiffusionSpec, field):
     """The batch of initial states and its trusted reference terminal
-    states: one draw, one self-check and one reference solve."""
+    states: one draw, one reference solve and one self-check.  The
+    self-check's solve at ref_dt follows the reference solve, so it
+    finds the field's times in its memo."""
     x_batch = draw_terminal_states(spec, config.seed, config.batch)
     t0 = config.t0_for(spec)
+    reference = reference_solve(spec, field, x_batch, config.ref_dt, t0).terminal
     reference_self_check(spec, field, x_batch, config.ref_dt, t0)
-    return x_batch, reference_solve(spec, field, x_batch, config.ref_dt, t0).terminal
+    return x_batch, reference
 
 
 def _convergence_case(config: ExperimentConfig, spec, field, x_batch, reference):

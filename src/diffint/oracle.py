@@ -22,8 +22,7 @@ Conventions:
   log w_k - 0.5 log(2 pi var_k) directly (``_marginal``) instead of
   building a :class:`GaussianMixture`.  Every mixture evaluation, the
   mixture's own methods included, runs one plain-numpy kernel
-  (``_posterior``) that works in place on its own temporaries and
-  whose log-sum-exp (``_logsumexp``) repeats
+  (``_responsibilities``) whose log-sum-exp (``_logsumexp``) repeats
   ``scipy.special.logsumexp``'s float64 steps, so the results have the
   bits of ``marginal_at(gmm, spec, t).score(x)``.
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
@@ -89,13 +88,8 @@ def _logsumexp(a, keepdims=False):
         a_max = np.maximum.reduce(a, axis=0, keepdims=True)
         at_max = a == a_max
         m = np.add.reduce(at_max, axis=0, keepdims=True, dtype=float)
-        terms = np.where(at_max, -np.inf, a)
-        terms -= a_max
-        s = np.add.reduce(np.exp(terms, out=terms), axis=0, keepdims=True)
-        s /= m
-        out = np.log1p(s, out=s)
-        out += np.log(m, out=m)
-        out += a_max
+        s = np.add.reduce(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=0, keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
         finite = np.isfinite(out)
         if not finite.all():
             direct = np.log(np.add.reduce(np.exp(a), axis=0, keepdims=True))
@@ -112,38 +106,28 @@ def _bias(weights, var):
 
 
 def _log_terms(x, means, var, bias):
-    """x - m_k, the variances broadcast against x, and the log terms
-    bias_k - 0.5 (x - m_k)^2 / var_k (``bias`` from :func:`_bias`), with
-    the components on axis 0.  The first and last are fresh arrays of
-    shape (K,) + x.shape that the caller may overwrite."""
+    """log w_k + log N(x; m_k, var_k) with the components on axis 0
+    (``bias`` is its x-free part, from :func:`_bias`), plus x - m_k and
+    the variances broadcast against x."""
     x = np.asarray(x, dtype=float)
     shape = (means.size,) + (1,) * x.ndim
     var = var.reshape(shape)
     dev = x - means.reshape(shape)
-    terms = np.multiply(dev, dev)
-    terms *= 0.5
-    terms /= var
-    return dev, var, np.subtract(bias.reshape(shape), terms, out=terms)
+    return dev, var, bias.reshape(shape) - 0.5 * dev**2 / var
 
 
-def _posterior(x, means, var, bias):
-    """The mixture kernel: posterior component weights r_k(x), the
-    component scores -(x - m_k) / var_k and the broadcast variances.
-    It works in place on :func:`_log_terms`' arrays, so the first two
-    are fresh arrays that the caller may overwrite."""
-    slopes, var, resp = _log_terms(x, means, var, bias)
-    resp -= _logsumexp(resp, keepdims=True)
-    np.exp(resp, out=resp)
-    slopes /= var
-    # negated here, not folded into the callers' sums: the fold would flip
-    # the sign of a sum that cancels to exactly zero
-    return resp, np.negative(slopes, out=slopes), var
+def _responsibilities(x, means, var, bias):
+    """Posterior component weights at x, the component scores
+    -(x - m_k) / var_k and the broadcast variances."""
+    dev, var, log_terms = _log_terms(x, means, var, bias)
+    resp = np.exp(log_terms - _logsumexp(log_terms, keepdims=True))
+    return resp, -dev / var, var
 
 
 def _score(x, means, var, bias):
     """Score of the mixture (means, var, bias) at x."""
-    resp, slopes, _ = _posterior(x, means, var, bias)
-    return np.add.reduce(np.multiply(resp, slopes, out=slopes), axis=0)
+    resp, slopes, _ = _responsibilities(x, means, var, bias)
+    return np.add.reduce(resp * slopes, axis=0)
 
 
 def _pow_square(s):
@@ -154,15 +138,12 @@ def _pow_square(s):
 
 
 def _score_pair(x, means, var, bias):
-    """Score of the mixture and its x-derivative, from one kernel call.
-    The score is squared as for a scalar x, so an array x gives the bits
-    of one call per element."""
-    resp, slopes, var = _posterior(x, means, var, bias)
-    s = np.add.reduce(resp * slopes, axis=0)
-    np.square(slopes, out=slopes)
-    slopes -= 1.0 / var
-    slopes *= resp
-    return s, np.add.reduce(slopes, axis=0) - _pow_square(s)
+    """Score of the mixture and its x-derivative, from one set of log
+    terms and one logsumexp.  The score is squared as for a scalar x,
+    so an array x gives the bits of one call per element."""
+    resp, slopes, var = _responsibilities(x, means, var, bias)
+    s = np.sum(resp * slopes, axis=0)
+    return s, np.sum(resp * (slopes**2 - 1.0 / var), axis=0) - _pow_square(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,9 +250,12 @@ def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
     return _score(x, *_marginal(gmm, spec, t)[1:])
 
 
-# Bound on the per-time memo of one EpsilonField: one convergence study's
-# distinct times at dt = 1e-3 (about 2000 reference times plus at most
-# about 1000 grid and RK-stage times).
+# Bound on the per-time memo of one EpsilonField, at about 530 bytes per
+# entry.  Measured distinct times per field: 2686 in one pass of the
+# benchmark sweep; 4624 to 5046 for the shipped convergence and study
+# configs, whose reference solve at ref_dt = 1e-3 (about 2000 times) is
+# repeated by the self-check's coarse solve right after it, and whose
+# self-check's dt/2 solve then fills the memo; 4151 for trace.
 _MEMO_SIZE = 4096
 
 
