@@ -583,9 +583,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # n_traj 4096 in place of its 50000
 GOLDEN = {
     "convergence.json": "5c8bd4edf3a7659f6317245d8c03007dcd8c71c778df5cf63c62f0b2859b4e6d",
-    "loglik.json": "756d9e10fb34321505b90136677576be517911f27141e7db30ca75acb399dee2",
-    "marginal.json": "ad594df072ac6fc20df483018e93de145175c74cade17a1df6c462f01128d40f",
-    "sample.json": "6b6fba65a44cbf6cadb18815dc31e32693d0f266585091578da55dc0f6209d37",
+    "loglik.json": "0576b5d3b8e5e8fcb4c4f135d3e65c82b559cbc907b3b54462876d449ef0f88b",
+    "marginal.json": "29fa523fddc316428816c92a075d1bd0b057c59034193bfa11d537b394a076a7",
+    "sample.json": "7fed3589bbe4b449c0ea57bf0ac96c918a4d5bfbed5b42b287a668e4587e179f",
     "study_ablation.json": "63087dc57796c916e27ac8e9d380bf1949958fbb6f891f02a1f8aa6d9cf52289",
     "study_convergence.json": "662937ba9848a01671346343ce0bbe18f3a5ed534421f34c36f64a535c354276",
     "trace.json": "68e411e7b6ca871803dc6c9abe0252400f147e12812b02e613771daad48e917b",

@@ -1,10 +1,11 @@
 import dataclasses
 import sys
 import threading
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,6 @@ from diffint import (
 from diffint import oracle
 from diffint.oracle import (
     _MEMO_SIZE,
-    _logsumexp,
     _score_pair,
     draw_terminal_states,
     normals,
@@ -173,7 +173,7 @@ def test_score_variance_underflow_guard():
             field.score(0.0, 1.0)
 
 
-# -- logsumexp kernel ---------------------------------------------------
+# -- mixture kernel ---------------------------------------------------
 
 
 def _same_bits(got, want):
@@ -184,22 +184,108 @@ def _same_bits(got, want):
     )
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's own overflow warning
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize("batch", [(), (0,), (5000,), (40, 30)])
-def test_logsumexp_matches_scipy_bit_for_bit(k, batch):
-    rng = np.random.default_rng(k)
-    a = rng.normal(0.0, 1.0, (k,) + batch) * 10.0 ** rng.uniform(-3, 3, (k,) + batch)
-    flat = a.reshape(k, -1)
-    if flat.shape[1]:
-        special = [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0, 710.0, -745.0]
-        hit = rng.random(flat.shape) < 0.1
-        flat[hit] = rng.choice(special, hit.sum())
-        flat[:, : flat.shape[1] // 4] = np.round(flat[:, : flat.shape[1] // 4])  # ties
-        flat[-1, -10:] = flat[0, -10:]  # ties across every component
-    for keepdims in (False, True):
-        want = scipy.special.logsumexp(a, axis=0, keepdims=keepdims)
-        assert _same_bits(_logsumexp(a, keepdims=keepdims), want)
+# K = 1, 2 and 3 components, and a tie: two equal components
+KERNEL_MIXTURES = [
+    ([1.0], [0.5], [0.25]),
+    ([0.3, 0.7], [1.0, -0.5], [0.2, 0.4]),
+    ([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05]),
+    ([0.25, 0.25, 0.5], [1.0, 1.0, -1.0], [0.2, 0.2, 0.3]),
+]
+ACCURACY_X = np.concatenate([np.linspace(-3.0, 3.0, 61), [-40.0, -15.0, 15.0, 40.0]])
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def _decimal_mixture(weights, means, var, x):
+    """logpdf, score and score_dx at x of the mixture with these float64
+    weights, means and variances, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(float(x))
+        terms = []
+        for w, m, v in zip(weights, means, var):
+            w, dev, v = Decimal(float(w)), x - Decimal(float(m)), Decimal(float(v))
+            terms.append((w.ln() - (2 * _PI * v).ln() / 2 - dev * dev / (2 * v), dev / v, v))
+        a_max = max(a for a, _, _ in terms)
+        e = [(a - a_max).exp() for a, _, _ in terms]
+        total = sum(e)
+        s = -sum(ek * slope for ek, (_, slope, _) in zip(e, terms)) / total
+        s2 = sum(ek * (slope * slope - 1 / v) for ek, (_, slope, v) in zip(e, terms)) / total
+        return a_max + total.ln(), s, s2 - s * s
+
+
+def _rel_error(got, want):
+    """max |got - want| / max(1, |want|) over the points."""
+    return max(
+        float(abs(Decimal(float(g)) - w) / max(Decimal(1), abs(w)))
+        for g, w in zip(np.ravel(got), want)
+    )
+
+
+@pytest.mark.parametrize("mixture", KERNEL_MIXTURES)
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_kernel_matches_high_precision_reference(mixture, preset, request):
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture(*mixture)
+    field = epsilon_field(gmm, spec)
+    x = ACCURACY_X
+    for t in (0.0, 1e-3, 0.37, spec.t_end):
+        l_t, means, var, _ = oracle._marginal(gmm, spec, t)
+        refs = [_decimal_mixture(gmm.weights, means, var, v) for v in x]
+        logpdf, s, s_dx = ([r[i] for r in refs] for i in range(3))
+        pushed = marginal_at(gmm, spec, t)
+        assert _rel_error(field(x, t), [-Decimal(l_t) * v for v in s]) < 1e-13
+        for got in (field.score(x, t), score(gmm, spec, x, t), pushed.score(x)):
+            assert _rel_error(got, s) < 1e-13
+        assert _rel_error(pushed.logpdf(x), logpdf) < 1e-13
+        assert _rel_error(pushed.score_dx(x), s_dx) < 1e-12
+        # what each pf_loglik stage evaluates
+        pair = _score_pair(x, *field._marginal(t)[1:])
+        assert _rel_error(pair[0], s) < 1e-13
+        assert _rel_error(pair[1], s_dx) < 1e-12
+
+
+# eight or more components is where numpy would sum a scalar x's terms
+# pairwise
+NINE = ([0.1] * 8 + [0.2], np.linspace(-2.0, 2.0, 9), [0.6] * 9)
+
+
+@pytest.mark.parametrize("mixture", KERNEL_MIXTURES[:3] + [NINE])
+@pytest.mark.parametrize("shape", [(5000,), (40, 30)])
+def test_array_gives_the_bits_of_one_call_per_element(mixture, shape, vp, ve):
+    gmm = GaussianMixture(*mixture)
+    x = np.random.default_rng(len(shape)).normal(0.0, 3.0, shape)
+    x.flat[:4] = (0.0, -0.0, gmm.means[0], -gmm.means[-1])
+    for spec, t in ((vp, 0.37), (ve, 1e-3)):
+        field = epsilon_field(gmm, spec)
+        pushed = marginal_at(gmm, spec, t)
+        for fn in (lambda v: field(v, t), pushed.score, pushed.score_dx, pushed.logpdf):
+            want = np.array([fn(v) for v in x.ravel().tolist()]).reshape(shape)
+            assert _same_bits(fn(x), want)
+
+
+@pytest.mark.parametrize("mixture", KERNEL_MIXTURES[:2])
+def test_kernel_non_finite_inputs(mixture, vp):
+    gmm = GaussianMixture(*mixture)
+    t = 0.37
+    field = epsilon_field(gmm, vp)
+    pushed = marginal_at(gmm, vp, t)
+    x = np.array([np.inf, -np.inf, 1e200, -1e200, np.nan])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # every log term is -inf at x = +-inf and where dev**2 overflows
+        logpdf = pushed.logpdf(x)
+        assert np.array_equal(logpdf[:4], np.full(4, -np.inf))
+        assert np.isnan(logpdf[4])
+        assert pushed.logpdf(np.inf) == -np.inf
+        assert np.isnan(pushed.logpdf(np.nan))
+        for got in (field(x, t), field.score(x, t), score(gmm, vp, x, t), pushed.score(x),
+                    pushed.score_dx(x)):
+            assert np.isnan(got).all()
+        assert np.isnan(field(np.inf, t))
+        # finite points with finite log terms raise no warning
+        finite = np.array([-40.0, -1e10, 0.0, 1e10, 40.0])
+        for fn in (lambda v: field(v, t), pushed.score, pushed.score_dx, pushed.logpdf):
+            assert np.isfinite(fn(finite)).all()
 
 
 # -- epsilon field ----------------------------------------------------
