@@ -93,19 +93,28 @@ def _shifted_weights(x, means, var, bias):
     have their max a_max taken out, e_k = exp(a_k - a_max) lies in
     [0, 1] with e_k = 1 at the max, dev_k = x - m_k, and ``var`` is
     broadcast against x.  The posterior weights are e / sum(e), and the
-    log density is a_max + log(sum(e)).  Where every a_k is -inf (x
-    infinite, or |x - m_k| so large that its square overflows) and
-    where x is nan, e is nan; the callers decide what that means.
+    log density is :func:`_log_sum` of (a_max, e).  Where every a_k is
+    -inf (x infinite, or |x - m_k| so large that its square overflows)
+    and where x is nan, e is nan; the callers decide what that means.
     """
     x = np.asarray(x, dtype=float)
     shape = (means.size,) + (1,) * x.ndim
     var = var.reshape(shape)
     dev = x - means.reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        a = bias.reshape(shape) - 0.5 * dev**2 / var
-        a_max = np.maximum.reduce(a, axis=0)
-        e = np.exp(a - a_max)
-    return a_max, e, dev, var
+        return (*_shift(bias.reshape(shape) - 0.5 * dev**2 / var), dev, var)
+
+
+def _shift(a):
+    """The max a_max over axis 0 of the log terms a, and exp(a - a_max)
+    (nan, with numpy's invalid flag, where a_max is infinite)."""
+    a_max = np.maximum.reduce(a, axis=0)
+    return a_max, np.exp(a - a_max)
+
+
+def _log_sum(a_max, e):
+    """log sum_k exp(a_k) from :func:`_shift`'s (a_max, e); a_max if infinite."""
+    return np.where(np.isinf(a_max), a_max, a_max + np.log(_sum_k(e)))[()]
 
 
 def _sum_k(terms):
@@ -170,9 +179,7 @@ class GaussianMixture:
 
     def logpdf(self, x):
         """Log density; -inf where every component's term is -inf."""
-        a_max, e, _, _ = _shifted_weights(x, *self._kernel_args())
-        out = np.where(a_max == -np.inf, a_max, a_max + np.log(_sum_k(e)))
-        return out[()]
+        return _log_sum(*_shifted_weights(x, *self._kernel_args())[:2])
 
     def score(self, x):
         """Gradient of the log density."""

@@ -6,6 +6,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,6 +183,35 @@ def _same_bits(got, want):
         and np.shape(got) == np.shape(want)
         and np.asarray(got).tobytes() == np.asarray(want).tobytes()
     )
+
+
+LOGSUMEXP_BATCHES = [(), (0,), (5000,), (40, 30)]
+
+
+# The kernel's log-sum-exp is a_max + log(sum(e)), not scipy's
+# a_max + log1p(s / m) + log(m), so for two or more terms it may differ
+# in the last bit (its accuracy is checked below).  It keeps scipy's
+# bits for one term, non-finite ones included, and scipy's shapes.
+@pytest.mark.parametrize(
+    ("batch", "k"),
+    [pytest.param(b, 1, id=f"batch{i}-1") for i, b in enumerate(LOGSUMEXP_BATCHES)]
+    + [pytest.param((0,), k, id=f"batch1-{k}") for k in (2, 3, 4)],
+)
+def test_logsumexp_matches_scipy_bit_for_bit(k, batch):
+    rng = np.random.default_rng(k)
+    a = rng.normal(0.0, 1.0, (k,) + batch) * 10.0 ** rng.uniform(-3, 3, (k,) + batch)
+    flat = a.reshape(k, -1)
+    if flat.shape[1]:
+        special = [np.inf, -np.inf, np.nan, 1e308, -1e308, 0.0, -0.0, 710.0, -745.0]
+        hit = rng.random(flat.shape) < 0.1
+        flat[hit] = rng.choice(special, hit.sum())
+        flat[:, : flat.shape[1] // 4] = np.round(flat[:, : flat.shape[1] // 4])  # ties
+        flat[-1, -10:] = flat[0, -10:]  # ties across every component
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # scipy's own log(0) at nan
+        want = scipy.special.logsumexp(a, axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in _shifted_weights
+        assert _same_bits(oracle._log_sum(*oracle._shift(a)), want)
 
 
 # K = 1, 2 and 3 components, and a tie: two equal components
