@@ -493,13 +493,13 @@ def fit_order(n_values, errors, floor: float = ERROR_FLOOR):
 
 def _reference_batch(config: ExperimentConfig, spec: DiffusionSpec, field):
     """The batch of initial states and its trusted reference terminal
-    states: one draw, one reference solve and one self-check.  The
-    self-check's solve at ref_dt follows the reference solve, so it
-    finds the field's times in its memo."""
+    states: one draw, one reference solve at ref_dt and one self-check,
+    which reuses that solve as its coarse one and solves only at
+    ref_dt / 2."""
     x_batch = draw_terminal_states(spec, config.seed, config.batch)
     t0 = config.t0_for(spec)
     reference = reference_solve(spec, field, x_batch, config.ref_dt, t0).terminal
-    reference_self_check(spec, field, x_batch, config.ref_dt, t0)
+    reference_self_check(spec, field, x_batch, config.ref_dt, t0, coarse=reference)
     return x_batch, reference
 
 

@@ -135,6 +135,7 @@ def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
     times = grid.times
     states = _start_states(grid, x_T)
     x = states[grid.n_steps]
+    noise = None if s is None else np.empty(x.shape)
     buffer = []  # most recent first: buffer[j] evaluated at t_{i+j}
     for i in range(grid.n_steps, 0, -1):
         row = plan.coeffs_for(i)
@@ -144,7 +145,9 @@ def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
         for j in range(row.size):
             x += row[j] * buffer[j]
         if s is not None:
-            x += s[i - 1] * normals(seed, 1 + grid.n_steps - i, x.shape)
+            normals(seed, 1 + grid.n_steps - i, x.shape, out=noise)
+            noise *= s[i - 1]
+            x += noise
         _check_finite(x, i, times[i - 1], sampler)
         states[i - 1] = x
     return SolverRun(sampler, order, grid, states, counting.count, seed=seed, notes=notes)

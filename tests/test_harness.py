@@ -614,14 +614,15 @@ def test_shipped_config_reports_are_pinned(name):
 
 
 def _memo_reference(fn):
-    """fn(spec, field, x, dt, t0) computed once per (x, dt, t0): the
-    reference is a pure function of them, so every caller gets its bits."""
+    """fn(spec, field, x, dt, t0, **kwargs) computed once per (x, dt, t0):
+    the reference is a pure function of them (the self-check's ``coarse``
+    terminal is the reference solve's), so every caller gets its bits."""
     cache = {}
 
-    def memo(spec, field, x, dt, t0):
+    def memo(spec, field, x, dt, t0, **kwargs):
         key = (np.asarray(x).tobytes(), dt, t0)
         if key not in cache:
-            cache[key] = fn(spec, field, x, dt, t0)
+            cache[key] = fn(spec, field, x, dt, t0, **kwargs)
         return cache[key]
 
     return memo

@@ -210,8 +210,8 @@ def test_logsumexp_matches_scipy_bit_for_bit(k, batch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # scipy's own log(0) at nan
         want = scipy.special.logsumexp(a, axis=0)
-    with np.errstate(invalid="ignore"):  # inf - inf, as in _shifted_weights
-        assert _same_bits(oracle._log_sum(*oracle._shift(a)), want)
+    with np.errstate(invalid="ignore"):  # inf - inf, as in the kernel's blocks
+        assert _same_bits(oracle._log_sum(*oracle._shift(a), np.empty(batch))[()], want)
 
 
 # K = 1, 2 and 3 components, and a tie: two equal components
@@ -260,7 +260,7 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
     x = ACCURACY_X
     for t in (0.0, 1e-3, 0.37, spec.t_end):
         l_t, means, var, _ = oracle._marginal(gmm, spec, t)
-        refs = [_decimal_mixture(gmm.weights, means, var, v) for v in x]
+        refs = [_decimal_mixture(gmm.weights, means.ravel(), var.ravel(), v) for v in x]
         logpdf, s, s_dx = ([r[i] for r in refs] for i in range(3))
         pushed = marginal_at(gmm, spec, t)
         assert _rel_error(field(x, t), [-Decimal(l_t) * v for v in s]) < 1e-13
@@ -316,6 +316,47 @@ def test_kernel_non_finite_inputs(mixture, vp):
         finite = np.array([-40.0, -1e10, 0.0, 1e10, 40.0])
         for fn in (lambda v: field(v, t), pushed.score, pushed.score_dx, pushed.logpdf):
             assert np.isfinite(fn(finite)).all()
+        # the same five values across a block edge of a wider array
+        wide = np.linspace(-3.0, 3.0, oracle._BLOCK + 7)
+        edge = slice(oracle._BLOCK - 2, oracle._BLOCK + 3)
+        wide[edge] = x
+        rest = np.ones(wide.size, dtype=bool)
+        rest[edge] = False
+        logpdf = pushed.logpdf(wide)
+        assert _same_bits(logpdf[edge], pushed.logpdf(x))
+        assert np.isfinite(logpdf[rest]).all()
+        for got in (field(wide, t), field.score(wide, t), score(gmm, vp, wide, t),
+                    pushed.score(wide), pushed.score_dx(wide)):
+            assert np.isnan(got[edge]).all()
+            assert np.isfinite(got[rest]).all()
+
+
+# widths on both sides of one block, over several blocks, and a 2-d array
+# whose flattened blocks cut across its rows
+BLOCK_SHAPES = [(oracle._BLOCK - 1,), (oracle._BLOCK,), (oracle._BLOCK + 1,),
+                (3 * oracle._BLOCK + 5,), (3, oracle._BLOCK + 1)]
+
+
+@pytest.mark.parametrize("shape", BLOCK_SHAPES, ids=str)
+def test_blocks_give_the_bits_of_slices_across_each_edge(shape, vp):
+    gmm = GaussianMixture([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05])
+    t = 0.37
+    field = epsilon_field(gmm, vp)
+    pushed = marginal_at(gmm, vp, t)
+    columns = field._marginal(t)[1:]
+    x = np.random.default_rng(shape[-1]).normal(0.0, 2.0, shape)
+    flat = x.reshape(-1)
+    fns = (lambda v: field(v, t), lambda v: field.score(v, t), pushed.score_dx,
+           pushed.logpdf, lambda v: _score_pair(v, *columns)[0],
+           lambda v: _score_pair(v, *columns)[1])
+    edges = list(range(oracle._BLOCK, flat.size, oracle._BLOCK)) + [flat.size]
+    for fn in fns:
+        whole = fn(x)
+        assert whole.shape == shape
+        whole = whole.reshape(-1)
+        for edge in edges:
+            part = slice(max(0, edge - 3), edge + 3)
+            assert _same_bits(whole[part], fn(flat[part]))
 
 
 # -- epsilon field ----------------------------------------------------
@@ -374,6 +415,9 @@ def test_reference_self_check(vp, gauss_oracle, x_batch):
     _, field = gauss_oracle
     gap = reference_self_check(vp, field, x_batch)
     assert gap < 1e-6
+    # a caller holding the solve at dt passes it and gets the same gap
+    coarse = reference_solve(vp, field, x_batch).terminal
+    assert reference_self_check(vp, field, x_batch, coarse=coarse) == gap
 
 
 def test_reference_matches_linear_closed_form(vp, x_batch):
@@ -453,6 +497,27 @@ def test_em_deterministic_given_seed(vp, gauss_oracle):
     assert np.array_equal(a, b)
 
 
+def test_em_batch_across_a_block_edge_keeps_its_prefix(vp, bimodal_oracle):
+    _, field = bimodal_oracle
+    small = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, 4, 8)
+    wide = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, 4, oracle._BLOCK + 8)
+    assert _same_bits(wide[:8], small)
+
+
+def test_em_and_sddim_leave_the_callers_states_alone(vp, bimodal_oracle):
+    _, field = bimodal_oracle
+    seed, grid = 3, uniform(1e-3, 1.0, 10)
+    x_T = draw_terminal_states(vp, seed, 16)
+    want_em = em_simulate(vp, field, 1.0, x_T.copy(), 1e-3, 1e-3, rng_seed=seed)
+    want_sddim = run_sampler("sddim", vp, field, grid, x_T.copy(), eta=1.0, seed=seed).states
+    before = x_T.copy()
+    x_T.setflags(write=False)
+    assert _same_bits(em_simulate(vp, field, 1.0, x_T, 1e-3, 1e-3, rng_seed=seed), want_em)
+    got = run_sampler("sddim", vp, field, grid, x_T, eta=1.0, seed=seed).states
+    assert _same_bits(got, want_sddim)
+    assert _same_bits(x_T, before)
+
+
 def test_em_rejects_bad_args(vp, gauss_oracle):
     _, field = gauss_oracle
     with pytest.raises(ParameterError):
@@ -516,6 +581,15 @@ def test_normals_are_standard_normal(seed, stream):
     assert abs(z.mean()) <= 3 * se_mean
     assert abs(z.var() - 1.0) <= 3 * se_var
     assert scipy.stats.kstest(z, "norm").pvalue > 1e-3
+
+
+def test_normals_into_a_buffer_are_the_same_draw():
+    buf = np.empty((3, 4))
+    assert normals(5, 2, (3, 4), out=buf) is buf
+    assert _same_bits(buf, normals(5, 2, (3, 4)))
+    scalar = np.empty(())
+    normals(5, 2, (), out=scalar)
+    assert _same_bits(scalar, normals(5, 2, ()))
 
 
 def test_normals_key_words_are_not_interchangeable():
