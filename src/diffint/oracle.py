@@ -24,17 +24,16 @@ Conventions:
   mixture's own methods included, runs one plain-numpy kernel
   (``_kernel``), a shifted softmax: with a_k the log terms and a_max
   their max, the weights are exp(a_k - a_max) / sum_j exp(a_j - a_max)
-  and the log density is a_max + log(sum_j exp(a_j - a_max)).  The
-  kernel works on ``x.reshape(-1)`` in blocks of at most 8192 states
-  (``_BLOCK``), in (K, block) temporaries that it allocates once per
-  call and reuses in place, so a 50000-wide batch faults no fresh pages
-  per call.  So the field has the bits of
-  ``marginal_at(gmm, spec, t).score(x)``, and against a 50-digit
-  reference the score, the field and the log density are within
-  1e-13 and the score's x-derivative within 1e-12, relative to
-  max(1, |value|) (measured up to 3.4e-15 and 4.9e-14).  A
+  and the log density is a_max + log(sum_j exp(a_j - a_max)).  So the
+  field has the bits of ``marginal_at(gmm, spec, t).score(x)``, and
+  against a 50-digit reference the score, the field and the log
+  density are within 1e-13 and the score's x-derivative within 1e-12,
+  relative to max(1, |value|) (measured up to 3.4e-15 and 4.9e-14).  A
   one-component mixture has weight exactly 1, so its score has the
-  bits of -(x - m) / var.
+  bits of -(x - m) / var.  The kernel works on ``x.reshape(-1)`` in
+  blocks of at most 8192 states (``_BLOCK``), in place in a per-thread
+  scratch buffer that outlives the call, so a call allocates only its
+  output; each state gets the bits of a call on it alone.
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
   full), and ``pf_loglik`` shares it between RK stages at the same
@@ -50,9 +49,10 @@ states of a batch and stream 1 + k the noise of the k-th step taken,
 with trajectory i at position i of each.  A shorter draw is a prefix
 of a longer one, so a trajectory sees the same draws at every batch
 size.  The EM loop works in place on its own copy of the states, with
-step buffers (the noise draw included) reused from step to step: a
-50000-wide lambda = 0 :func:`em_terminal_batch` takes about 600 minor
-page faults, not 505k (shared 2-vCPU machine, ``resource.getrusage``).
+step buffers (the noise draw included) reused from step to step.  With
+the kernel's scratch, a 50000-wide lambda = 0 :func:`em_terminal_batch`
+(K = 2) takes about 600 minor page faults instead of 505k, and 1.1 s
+instead of 2.4 s (shared 2-vCPU machine, ``resource.getrusage``).
 """
 
 from __future__ import annotations
@@ -91,11 +91,16 @@ _VARIANCE_FLOOR = 1e-300
 # (``_scratch``) that is reused in place from block to block and from
 # call to call, so a call allocates only its output.  Measured with
 # K = 2 on a shared 2-vCPU machine: a field call on 8192 states fell
-# from 153 to 112 us and on 50000 from 2800 to 900 us, and a 50000-wide
+# from 159 to 113 us and on 50000 from 2800 to 880 us, and a 50000-wide
 # lambda = 0 em_terminal_batch from 505k minor page faults to about 600.
 # Blocks of 4096 made a field call on 8192 states about 40% slower.
 _BLOCK = 8192
 
+# The scratch outlives the call because a fresh (5, 8192) buffer next to
+# a fresh 50000-wide output still made the allocator hand the heap back
+# to the OS after every EM step (146k minor faults per 999 steps).  Each
+# block writes every element it reads, so no value carries between
+# calls; one buffer per thread keeps shared fields thread-safe.
 _scratch = threading.local()
 
 
@@ -105,32 +110,13 @@ def _bias(weights, var):
     return np.log(weights) - 0.5 * np.log(2 * np.pi * var)
 
 
-def _columns(*arrays):
-    """The per-component arrays as read-only (K, 1) columns, the form the
-    mixture kernel takes."""
-    cols = tuple(arr.reshape(-1, 1) for arr in arrays)
-    for col in cols:
-        col.setflags(write=False)
-    return cols
-
-
-def _work(size: int) -> np.ndarray:
-    """This thread's kernel scratch: a flat buffer of at least ``size``
-    floats, kept for the next call; it grows to the largest request,
-    at most (2K + 1) * _BLOCK floats for K components."""
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.size < size:
-        buf = _scratch.buf = np.empty(size)
-    return buf
-
-
 def _kernel(block_fn, n_out, x, means, var, bias, *args):
     """Run the mixture kernel on x, in blocks of at most ``_BLOCK`` states.
 
     ``means``, ``var`` and ``bias`` (from :func:`_bias`) are (K, 1)
     columns.  For each block of ``x.reshape(-1)``, the log terms
     a_k = bias_k - 0.5 dev_k^2 / var_k, with dev_k = x - m_k, go through
-    :func:`_shift` in two (K, block) buffers of :func:`_work`, e and dev, and
+    :func:`_shift` in two (K, block) buffers, e and dev, and
     ``block_fn(a_max, e, dev, var, out, *args)`` writes the block's
     columns of the (n_out, x.size) output and may overwrite the buffers.
     Returns the output as an (n_out,) + x.shape array.  Where x is
@@ -141,11 +127,14 @@ def _kernel(block_fn, n_out, x, means, var, bias, *args):
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    k = means.shape[0]
-    out = np.empty((n_out, flat.size))
-    work = _work((2 * k + 1) * min(flat.size, _BLOCK))
-    for lo in range(0, flat.size, _BLOCK):
-        xb = flat[lo : lo + _BLOCK]
+    n, k = flat.size, len(means)
+    out = np.empty((n_out, n))
+    # this thread's scratch, grown to the largest call's (2K + 1) blocks
+    work = getattr(_scratch, "buf", None)
+    if work is None or work.size < (2 * k + 1) * min(n, _BLOCK):
+        work = _scratch.buf = np.empty((2 * k + 1) * min(n, _BLOCK))
+    for lo in range(0, n, _BLOCK):
+        xb, ob = flat[lo : lo + _BLOCK], out[:, lo : lo + _BLOCK]
         m = xb.size
         rows = work[: (2 * k + 1) * m].reshape(2 * k + 1, m)
         dev, a, a_max = rows[:k], rows[k:-1], rows[-1]
@@ -157,7 +146,7 @@ def _kernel(block_fn, n_out, x, means, var, bias, *args):
             a /= var
             np.subtract(bias, a, a)
             _shift(a, a_max)
-        block_fn(a_max, a, dev, var, out[:, lo : lo + m], *args)
+        block_fn(a_max, a, dev, var, ob, *args)
     return out.reshape((n_out,) + x.shape)
 
 
@@ -273,9 +262,10 @@ class GaussianMixture:
         return self.weights.size
 
     def _kernel_args(self):
-        """(means, variances, bias) in the form the mixture kernel takes."""
-        var = self.stds**2
-        return _columns(self.means, var, _bias(self.weights, var))
+        """(means, variances, bias) as the (K, 1) columns the mixture
+        kernel takes."""
+        var = (self.stds**2).reshape(-1, 1)
+        return self.means.reshape(-1, 1), var, _bias(self.weights.reshape(-1, 1), var)
 
     def logpdf(self, x):
         """Log density; -inf where every component's term is -inf."""
@@ -332,12 +322,17 @@ def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
     form the mixture kernel takes."""
     mu_t = float(spec.mu(t))
     l_t = float(spec.L(t))
-    total_var = (mu_t * gmm.stds) ** 2 + l_t**2
+    # computed on column views, so that each memo entry owns three small
+    # arrays and holds no views of larger ones
+    total_var = (mu_t * gmm.stds.reshape(-1, 1)) ** 2 + l_t**2
     if (total_var < _VARIANCE_FLOOR).any():
         raise DomainError(f"marginal variance underflow at t={t}")
-    means = mu_t * gmm.means
+    means = mu_t * gmm.means.reshape(-1, 1)
     var = np.sqrt(total_var) ** 2
-    return (l_t, *_columns(means, var, _bias(gmm.weights, var)))
+    bias = _bias(gmm.weights.reshape(-1, 1), var)
+    for arr in (means, var, bias):
+        arr.setflags(write=False)
+    return l_t, means, var, bias
 
 
 def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
