@@ -110,6 +110,21 @@ def _bias(weights, var):
     return np.log(weights) - 0.5 * np.log(2 * np.pi * var)
 
 
+def _rows(k: int, m: int):
+    """This thread's scratch as the rows of one block of m states: dev
+    and e, (k, m) each, and a_max, (m,).  The buffer grows to the largest
+    block asked for, and the views of the last (k, m) are kept, which
+    saves slicing them again on a run of calls of one width."""
+    rows = getattr(_scratch, "rows", None)
+    if rows is None or rows[0] != (k, m):
+        buf = getattr(_scratch, "buf", None)
+        if buf is None or buf.size < (2 * k + 1) * m:
+            buf = _scratch.buf = np.empty((2 * k + 1) * m)
+        work = buf[: (2 * k + 1) * m].reshape(2 * k + 1, m)
+        rows = _scratch.rows = ((k, m), work[:k], work[k:-1], work[-1])
+    return rows[1:]
+
+
 def _kernel(block_fn, n_out, x, means, var, bias, *args):
     """Run the mixture kernel on x, in blocks of at most ``_BLOCK`` states.
 
@@ -129,15 +144,9 @@ def _kernel(block_fn, n_out, x, means, var, bias, *args):
     flat = x.reshape(-1)
     n, k = flat.size, len(means)
     out = np.empty((n_out, n))
-    # this thread's scratch, grown to the largest call's (2K + 1) blocks
-    work = getattr(_scratch, "buf", None)
-    if work is None or work.size < (2 * k + 1) * min(n, _BLOCK):
-        work = _scratch.buf = np.empty((2 * k + 1) * min(n, _BLOCK))
     for lo in range(0, n, _BLOCK):
         xb, ob = flat[lo : lo + _BLOCK], out[:, lo : lo + _BLOCK]
-        m = xb.size
-        rows = work[: (2 * k + 1) * m].reshape(2 * k + 1, m)
-        dev, a, a_max = rows[:k], rows[k:-1], rows[-1]
+        dev, a, a_max = _rows(k, xb.size)
         # the third argument of a ufunc is its output
         with np.errstate(over="ignore", invalid="ignore"):
             np.subtract(xb, means, dev)
