@@ -133,7 +133,9 @@ def main(argv=None) -> int:
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     report = {
         "slug": args.slug,
-        "command": [Path(sys.argv[0]).name, *sys.argv[1:]],
+        # the base directory is machine-local, so the record names it BASE
+        "command": [Path(sys.argv[0]).name,
+                    *("BASE" if arg == str(args.base) else arg for arg in sys.argv[1:])],
         "seconds": args.seconds,
         "base": {"rev": args.base_rev or git_rev(trees["base"])},
         "change": {"rev": git_rev(ROOT), "dirty": bool(subprocess.run(
