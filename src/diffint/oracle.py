@@ -19,7 +19,8 @@ Conventions:
   per-axis factorized product distribution with iid axes).
 * The field, :func:`score` and each ``pf_loglik`` stage form the
   marginal's means, variances and per-component bias
-  log w_k - 0.5 log(2 pi var_k) directly (``_marginal``) instead of
+  log w_k - 0.5 log(2 pi var_k) directly (``_marginals``, at one time
+  or many, with the bits of the one-time formula at each) instead of
   building a :class:`GaussianMixture`.  Every mixture evaluation, the
   mixture's own methods included, runs one plain-numpy kernel
   (``_kernel``), a shifted softmax: with a_k the log terms and a_max
@@ -36,9 +37,13 @@ Conventions:
   output; each state gets the bits of a call on it alone.
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
-  full), and ``pf_loglik`` shares it between RK stages at the same
-  time.  A hit has the bits of a miss; a time whose marginal variance
+  full).  A hit has the bits of a miss; a time whose marginal variance
   underflows raises on every call and is never stored.
+* :func:`pf_loglik` knows its stage times in advance, so it tabulates
+  their per-time work (f, g2 and the marginal's columns) for a window
+  of at most ``_MEMO_SIZE`` times (2047 RK4 steps) at once, and
+  integrates the state and its divergence as one stacked array, with
+  the bits of one evaluation per stage.
 
 All operations are pure functions of their inputs (plus an explicit
 seed for the stochastic ones), and a field's memo only ever holds what
@@ -147,16 +152,24 @@ def _kernel(block_fn, n_out, x, means, var, bias, *args):
     for lo in range(0, n, _BLOCK):
         xb, ob = flat[lo : lo + _BLOCK], out[:, lo : lo + _BLOCK]
         dev, a, a_max = _rows(k, xb.size)
-        # the third argument of a ufunc is its output
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.subtract(xb, means, dev)
-            np.square(dev, a)
-            a *= 0.5
-            a /= var
-            np.subtract(bias, a, a)
-            _shift(a, a_max)
+        _log_terms(xb, means, var, bias, dev, a, a_max)
         block_fn(a_max, a, dev, var, ob, *args)
     return out.reshape((n_out,) + x.shape)
+
+
+# numpy 2 keeps the decorator's state per call, so it is thread-safe, and
+# entering it costs about a third of a ``with np.errstate`` block
+@np.errstate(over="ignore", invalid="ignore")
+def _log_terms(xb, means, var, bias, dev, a, a_max):
+    """The log terms of the block xb, shifted by :func:`_shift`: dev_k
+    into ``dev``, e_k into ``a`` and a_max into ``a_max``."""
+    # the third argument of a ufunc is its output
+    np.subtract(xb, means, dev)
+    np.square(dev, a)
+    a *= 0.5
+    a /= var
+    np.subtract(bias, a, a)
+    _shift(a, a_max)
 
 
 def _shift(a, out=None):
@@ -323,25 +336,38 @@ def marginal_at(gmm: GaussianMixture, spec: DiffusionSpec, t: float) -> Gaussian
     )
 
 
-def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
-    """L(t) and the means, variances and :func:`_bias` of the time-t
-    marginal, with the bits of :func:`marginal_at`'s mixture, without
-    building and validating one; raises :class:`DomainError` when a
-    variance underflows.  The arrays are read-only (K, 1) columns, the
-    form the mixture kernel takes."""
-    mu_t = float(spec.mu(t))
-    l_t = float(spec.L(t))
-    # computed on column views, so that each memo entry owns three small
-    # arrays and holds no views of larger ones
-    total_var = (mu_t * gmm.stds.reshape(-1, 1)) ** 2 + l_t**2
-    if (total_var < _VARIANCE_FLOOR).any():
+def _marginals(gmm: GaussianMixture, spec: DiffusionSpec, times):
+    """L(t), (T,), and the means, variances and :func:`_bias` of the
+    time-t marginal, (K, T) each, one column per time of ``times`` (a
+    1-d array, or one time), each with the bits of :func:`marginal_at`'s
+    mixture, without building and validating one.  The arrays are
+    read-only; raises :class:`DomainError` at the first time whose
+    variance underflows."""
+    mu = np.reshape(spec.mu(times), (1, -1))
+    l_t = np.reshape(spec.L(times), -1)
+    # l^2 as a Python float power, as the one-time formula of marginal_at
+    # takes it: numpy's array square differs from it at a few times
+    l_sq = np.array([v**2 for v in l_t.tolist()])
+    total_var = (mu * gmm.stds.reshape(-1, 1)) ** 2 + l_sq
+    low = (total_var < _VARIANCE_FLOOR).any(axis=0)
+    if low.any():
+        t = times if np.ndim(times) == 0 else times[low.argmax()]
         raise DomainError(f"marginal variance underflow at t={t}")
-    means = mu_t * gmm.means.reshape(-1, 1)
+    means = mu * gmm.means.reshape(-1, 1)
     var = np.sqrt(total_var) ** 2
     bias = _bias(gmm.weights.reshape(-1, 1), var)
-    for arr in (means, var, bias):
+    for arr in (l_t, means, var, bias):
         arr.setflags(write=False)
     return l_t, means, var, bias
+
+
+def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
+    """:func:`_marginals` at the one time t, as the float L(t) and (K, 1)
+    columns, the form the mixture kernel takes.  Each array is computed
+    at its own size, so that a memo entry owns three small arrays and
+    holds no views of larger ones."""
+    l_t, means, var, bias = _marginals(gmm, spec, t)
+    return float(l_t[0]), means, var, bias
 
 
 def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
@@ -623,40 +649,69 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     density whenever L(0) = 0 (the VP preset), and the data convolved
     with N(0, L(0)^2) otherwise (the VE preset's noise floor).
 
-    Scalar case only: an array ``x0`` holds independent points, which
-    are integrated together and give the same bits as one call per
-    point, since every step of the mixture kernel is elementwise in x
-    or a sum over the components in one fixed order.  A point whose
+    An array ``x0`` holds independent points, which are integrated
+    together and give the same bits as one call per point, since every
+    step of the mixture kernel is elementwise in x or a sum over the
+    components in one fixed order.  The state and the divergence are
+    integrated as one stacked array.  Everything that depends on t alone
+    (f, g2 and the marginal's columns) is tabulated by
+    :func:`_loglik_table` for a window of at most ``(_MEMO_SIZE - 1) // 2``
+    steps at a time, so memory stays bounded at any dt.  A point whose
     state or divergence turns non-finite fails the whole call with
-    :class:`DivergenceError`.  Returns nats.
+    :class:`DivergenceError`; a stage time whose marginal variance
+    underflows raises :class:`DomainError` before its window is
+    integrated.  Returns nats.
     """
     _check_step(dt)
     x = np.asarray(x0, dtype=float)
-    acc = np.zeros_like(x)
-    # the two t + h/2 stages, and t + h and the next step's t, share one
-    # memo entry
-    field = EpsilonField(gmm, spec)
-
-    def rhs(state_x, t):
-        s, s_dx = _score_pair(state_x, *field._marginal(t)[1:])
-        f_t = float(spec.f(t))
-        g2_t = float(spec.g2(t))
-        return f_t * state_x - 0.5 * g2_t * s, f_t - 0.5 * g2_t * s_dx
-
+    y = np.zeros((2,) + x.shape)
+    y[0] = x
     n = max(1, int(np.ceil(spec.t_end / dt - 1e-12)))
     h = spec.t_end / n
+    window = (_MEMO_SIZE - 1) // 2
     t = 0.0
-    for k in range(n):
-        k1x, k1a = rhs(x, t)
-        k2x, k2a = rhs(x + 0.5 * h * k1x, t + 0.5 * h)
-        k3x, k3a = rhs(x + 0.5 * h * k2x, t + 0.5 * h)
-        k4x, k4a = rhs(x + h * k3x, t + h)
-        x = x + h * (k1x + 2 * k2x + 2 * k3x + k4x) / 6.0
-        acc = acc + h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(acc))):
-            raise DivergenceError(
-                f"likelihood ODE diverged at step {k}", step_index=k, time=t
-            )
-        t += h
+    for start in range(0, n, window):
+        # the step that starts at column j has its stages at columns j,
+        # j + 1 (both t + h/2 stages) and j + 2, where the next one starts
+        times = [t]
+        for _ in range(min(window, n - start)):
+            times += (t + 0.5 * h, t + h)
+            t += h
+        f, g2, means, var, bias = _loglik_table(gmm, spec, np.array(times))
+        means, var, bias = (arr.T[:, :, None] for arr in (means, var, bias))
+
+        def rhs(state_x, col):
+            # (f x - c s, f - c s_dx) with c = g2 / 2, as f x + (-c) s:
+            # a - b = a + (-b) and (-c) s = -(c s), bit for bit
+            pair = _kernel(_pair_block, 2, state_x, means[col], var[col], bias[col])
+            pair *= -(0.5 * g2[col])
+            pair[0] += f[col] * state_x
+            pair[1] += f[col]
+            return pair
+
+        for j in range(0, len(times) - 1, 2):
+            x = y[0]
+            k1 = rhs(x, j)
+            k2 = rhs(x + 0.5 * h * k1[0], j + 1)
+            k3 = rhs(x + 0.5 * h * k2[0], j + 1)
+            k4 = rhs(x + h * k3[0], j + 2)
+            y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+            if not np.isfinite(y).all():
+                k = start + j // 2
+                raise DivergenceError(
+                    f"likelihood ODE diverged at step {k}", step_index=k, time=times[j]
+                )
     terminal = marginal_at(gmm, spec, spec.t_end)
-    return terminal.logpdf(x) + acc
+    return terminal.logpdf(y[0]) + y[1]
+
+
+def _loglik_table(gmm: GaussianMixture, spec: DiffusionSpec, times):
+    """f(t) and g2(t), as lists of floats, and the marginal's means,
+    variances and bias, (K, T) each (:func:`_marginals`), at the
+    increasing times ``times``.  f and g2 come from one call of the spec
+    per time: a vectorised call need not give the bits of a scalar one
+    (the VE preset's g2 squares sigma with numpy's scalar power at one
+    time, and with an array square at many)."""
+    f = [float(spec.f(t)) for t in times.tolist()]
+    g2 = [float(spec.g2(t)) for t in times.tolist()]
+    return (f, g2) + _marginals(gmm, spec, times)[1:]

@@ -334,7 +334,8 @@ def rho_rk_sample(
     all interior stages of the run in one call before the first step;
     interval endpoints reuse the grid's own times so no inversion
     error enters there.  A stage time that lands below t_0 (roundoff
-    in the inversion) is clamped to t_0 and recorded in the run notes.
+    in the inversion) is clamped to t_0 and recorded in the run notes;
+    mu is then taken at all the interior stage times in one call.
     nfe = stages * N.
     """
     if method not in RK_METHODS:
@@ -352,6 +353,9 @@ def rho_rk_sample(
     inner = sorted(set(c) - {0.0, 1.0})
     if inner:
         t_inner = t_of_rho(spec, rho[1:, None] + np.array(inner) * (rho[:-1] - rho[1:])[:, None])
+        clamped = t_inner < grid.t0
+        t_inner = np.where(clamped, grid.t0, t_inner)
+        mu_inner = spec.mu(t_inner)
     for i in range(grid.n_steps, 0, -1):
         h = rho[i - 1] - rho[i]
         ks = []
@@ -363,11 +367,11 @@ def rho_rk_sample(
                 t_stage = times[i - 1]
                 mu_stage = mu[i - 1]
             else:
-                t_stage = float(t_inner[i - 1, inner.index(c[s_idx])])
-                if t_stage < grid.t0:
+                j = inner.index(c[s_idx])
+                if clamped[i - 1, j]:
                     notes.append(f"stage time clamped to t0 at step {i}")
-                    t_stage = grid.t0
-                mu_stage = float(spec.mu(t_stage))
+                t_stage = float(t_inner[i - 1, j])
+                mu_stage = float(mu_inner[i - 1, j])
             y_stage = y
             for m, a_sm in enumerate(a[s_idx]):
                 if a_sm != 0.0:

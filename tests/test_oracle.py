@@ -663,6 +663,85 @@ def test_loglik_array_equals_scalar_calls(preset, request):
     assert np.array_equal(batched, singles)
 
 
+LOGLIK_MIXTURES = [([1.0], [0.4], [0.8]), ([0.3, 0.7], [1.0, -0.5], [0.2, 0.4]),
+                   ([0.2, 0.5, 0.3], [-1.0, 0.1, 1.2], [0.3, 0.25, 0.5])]
+
+
+class _TableTaken(Exception):
+    pass
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_loglik_table_has_the_bits_of_one_call_per_time(preset, request, monkeypatch):
+    # Naive vectorisation fails this: on VE, spec.g2 on an array squares
+    # sigma with numpy's array square, not the scalar power, and differs
+    # at 4 of the 2001 stage times; squaring L(t) as an array moves the
+    # variance column at 1 or 2 of them on either preset.
+    spec = request.getfixturevalue(preset)
+    taken, table = [], oracle._loglik_table
+
+    def first_table(*args):
+        taken.append((args[2], table(*args)))
+        raise _TableTaken
+
+    monkeypatch.setattr(oracle, "_loglik_table", first_table)
+    for mixture in LOGLIK_MIXTURES:
+        gmm = GaussianMixture(*mixture)
+        with pytest.raises(_TableTaken):
+            pf_loglik(gmm, spec, 0.3)
+        times, (f, g2, means, var, bias) = taken.pop()
+        # every stage time of the default dt: t_k by t += h, and t_k + h/2
+        h = spec.t_end / 1000
+        t, want_times = 0.0, [0.0]
+        for _ in range(1000):
+            want_times += [t + 0.5 * h, t + h]
+            t += h
+        assert times.tolist() == want_times
+        for i, t in enumerate(want_times):
+            assert f[i] == float(spec.f(t)) and g2[i] == float(spec.g2(t))
+            for columns in (oracle._marginal(gmm, spec, t)[1:],
+                            marginal_at(gmm, spec, t)._kernel_args()):
+                for got, want in zip((means, var, bias), columns):
+                    assert _same_bits(got[:, i : i + 1], want)
+
+
+def _loglik_runs(spec, gmm, x0s):
+    return [pf_loglik(gmm, spec, x0) for x0 in x0s]
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_loglik_windows_keep_the_bits(preset, request, monkeypatch):
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
+    x0s = (0.3, np.array([-1.3, 0.0, 1.7]))
+    whole = _loglik_runs(spec, gmm, x0s)
+    assert type(whole[0]) is np.float64
+    sizes = []
+    table = oracle._loglik_table
+    monkeypatch.setattr(oracle, "_loglik_table",
+                        lambda *args: sizes.append(args[2].size) or table(*args))
+    # the table holds at most _MEMO_SIZE times; at 15 each window has
+    # 7 steps (15 times), but the last, which has the 6 steps left of 1000
+    for memo_size in (_MEMO_SIZE, 15):
+        monkeypatch.setattr(oracle, "_MEMO_SIZE", memo_size)
+        sizes.clear()
+        got = _loglik_runs(spec, gmm, x0s)
+        assert all(_same_bits(g, w) for g, w in zip(got, whole))
+        assert max(sizes) <= memo_size
+    assert sizes[:143] == [15] * 142 + [13]
+
+
+@pytest.mark.parametrize("memo_size", [_MEMO_SIZE, 15])
+def test_loglik_divergence_names_its_step(memo_size, ve, monkeypatch):
+    # step 819 is the first of a window when each window has 7 steps
+    monkeypatch.setattr(oracle, "_MEMO_SIZE", memo_size)
+    gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
+    with pytest.raises(DivergenceError, match="at step 819$") as err:
+        pf_loglik(gmm, ve, np.array([0.0, 5e152]))
+    assert err.value.step_index == 819
+    assert err.value.time == 0.8190000000000006
+
+
 @pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
 def test_field_equals_marginal_mixture_score(preset, t0, request):
     spec = request.getfixturevalue(preset)

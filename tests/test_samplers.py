@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from diffint import (
 from diffint.diffusion import rho_of_t, t_of_rho, transition
 from diffint.harness import fit_order
 from diffint.samplers import (
+    RK_METHODS,
     _ddim_plan,
     _ei_score_plan,
     _euler_plan,
@@ -263,6 +265,36 @@ def test_rho_rk_constant_field_exact(vp):
         run = rho_rk_sample(vp, field, grid, method, 1.0)
         expected = mu[0] * (1.0 / mu[-1] + const * (rho[0] - rho[-1]))
         assert abs(float(run.terminal) - expected) < 1e-10
+
+
+@pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
+def test_rho_rk_stage_mu_is_mu_of_the_stage_time(preset, t0, request):
+    # Under a zero field y = x / mu stays put, so each evaluation gets
+    # mu(t) y at its stage time t, with mu(t) as one scalar call gives it.
+    # t(rho) moved down by 0.02 puts the first steps' interior stages
+    # below t0, where they are clamped to t0 before mu is taken.
+    spec = request.getfixturevalue(preset)
+    shifted = dataclasses.replace(
+        spec, t_of_rho_closed=lambda rho: spec.t_of_rho_closed(rho) - 0.02
+    )
+    grid = quadratic(t0, 1.0, 12)
+    x = np.array([-1.0, 0.2, 1.4]) * spec.pi_std
+    y = x / spec.mu(grid.times)[-1]
+    calls = []
+
+    def zero(x, t):
+        calls.append((x, t))
+        return np.zeros_like(x)
+
+    for method in ("midpoint", "heun2", "kutta3", "rk4"):
+        calls.clear()
+        run = rho_rk_sample(shifted, zero, grid, method, x)
+        assert all((float(spec.mu(t)) * y).tobytes() == x_t.tobytes() for x_t, t in calls)
+        # one note per clamped stage; a stage at c = 1 of the last step
+        # is t0 itself, and heun2 has no interior stages to clamp
+        at_t0 = sum(t == t0 for _, t in calls)
+        assert at_t0 - (1.0 in RK_METHODS[method][0]) == len(run.notes)
+        assert len(run.notes) > 0 or method == "heun2"
 
 
 def test_rho_rk_unknown_method(vp, gauss_oracle):
