@@ -340,23 +340,25 @@ def _marginals(gmm: GaussianMixture, spec: DiffusionSpec, times):
     """L(t), (T,), and the means, variances and :func:`_bias` of the
     time-t marginal, (K, T) each, one column per time of ``times`` (a
     1-d array, or one time), each with the bits of :func:`marginal_at`'s
-    mixture, without building and validating one.  The arrays are
-    read-only; raises :class:`DomainError` at the first time whose
+    mixture, without building and validating one.  The (K, T) arrays
+    are read-only; raises :class:`DomainError` at the first time whose
     variance underflows."""
-    mu = np.reshape(spec.mu(times), (1, -1))
-    l_t = np.reshape(spec.L(times), -1)
+    # mu has the shape of times, so against the (K, 1) data columns it
+    # gives (K, T) arrays, or (K, 1) ones for one time
+    mu = spec.mu(times)
+    l_t = np.asarray(spec.L(times), dtype=float).reshape(-1)
     # l^2 as a Python float power, as the one-time formula of marginal_at
     # takes it: numpy's array square differs from it at a few times
     l_sq = np.array([v**2 for v in l_t.tolist()])
     total_var = (mu * gmm.stds.reshape(-1, 1)) ** 2 + l_sq
-    low = (total_var < _VARIANCE_FLOOR).any(axis=0)
+    low = total_var < _VARIANCE_FLOOR
     if low.any():
-        t = times if np.ndim(times) == 0 else times[low.argmax()]
+        t = times if np.ndim(times) == 0 else times[low.any(axis=0).argmax()]
         raise DomainError(f"marginal variance underflow at t={t}")
     means = mu * gmm.means.reshape(-1, 1)
     var = np.sqrt(total_var) ** 2
     bias = _bias(gmm.weights.reshape(-1, 1), var)
-    for arr in (l_t, means, var, bias):
+    for arr in (means, var, bias):
         arr.setflags(write=False)
     return l_t, means, var, bias
 
