@@ -705,16 +705,12 @@ def test_loglik_table_has_the_bits_of_one_call_per_time(preset, request, monkeyp
                     assert _same_bits(got[:, i : i + 1], want)
 
 
-def _loglik_runs(spec, gmm, x0s):
-    return [pf_loglik(gmm, spec, x0) for x0 in x0s]
-
-
 @pytest.mark.parametrize("preset", ["vp", "ve"])
 def test_loglik_windows_keep_the_bits(preset, request, monkeypatch):
     spec = request.getfixturevalue(preset)
     gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
     x0s = (0.3, np.array([-1.3, 0.0, 1.7]))
-    whole = _loglik_runs(spec, gmm, x0s)
+    whole = [pf_loglik(gmm, spec, x0) for x0 in x0s]
     assert type(whole[0]) is np.float64
     sizes = []
     table = oracle._loglik_table
@@ -725,7 +721,7 @@ def test_loglik_windows_keep_the_bits(preset, request, monkeypatch):
     for memo_size in (_MEMO_SIZE, 15):
         monkeypatch.setattr(oracle, "_MEMO_SIZE", memo_size)
         sizes.clear()
-        got = _loglik_runs(spec, gmm, x0s)
+        got = [pf_loglik(gmm, spec, x0) for x0 in x0s]
         assert all(_same_bits(g, w) for g, w in zip(got, whole))
         assert max(sizes) <= memo_size
     assert sizes[:143] == [15] * 142 + [13]
