@@ -17,7 +17,9 @@ runs the base first when i is even and the change first when it is odd,
 so that a drift of machine speed during the series falls on both sides.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 values of each run, the median and quartiles of each side, the pairs the
-change wins (better by the metric's direction), and the median change.
+change wins (better by the metric's direction), and the median change;
+``setup_samples_s`` keeps each run's set-up probes, whose median is its
+``setup_s``.
 ``--trace`` adds one traced run per tree and workload (seed 0), and
 compares their ``counters_sha256``: equal hashes mean the same work.
 """
@@ -152,15 +154,18 @@ def main(argv=None) -> int:
             for side in order:
                 result = run_bench(trees[side], workload, seed, args.seconds, trace=False)
                 runs[side].append(result)
-                value = result["metrics"]["items_per_s"]["value"]
-                print(f"{workload} seed {seed} pair {i} {side}: items_per_s {value:.4g}",
-                      file=sys.stderr, flush=True)
+                got = result["metrics"]
+                print(f"{workload} seed {seed} pair {i} {side}: items_per_s "
+                      f"{got['items_per_s']['value']:.4g} setup_s "
+                      f"{got['setup_s']['value']:.3g}", file=sys.stderr, flush=True)
         report["series"].append({
             "workload": workload,
             "seed": seed,
             "pairs": pairs,
             "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
             "metrics": summarise(runs["base"], runs["change"], metrics),
+            "setup_samples_s": {side: [r["detail"]["setup_samples_s"] for r in rs]
+                                for side, rs in runs.items()},
         })
     if args.trace:
         report["traced"] = {}

@@ -32,7 +32,9 @@ this is rho = sqrt((1 - alpha) / alpha); for the VE preset it is
 sigma(t).  Both presets invert it in closed form, elementwise on
 arrays: on VP, int_0^t beta = log(1 + rho^2) is a quadratic in t; on
 VE, t = log(rho / sigma_min) / log(sigma_max / sigma_min).  Custom
-specs invert by bracketed root finding, one element at a time.
+specs invert by bracketed root finding, one element at a time, with
+scipy's ``brentq``; scipy is imported on that first root search, so
+importing this module loads numpy only.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import quadrature
 from .errors import DomainError, ParameterError
@@ -207,6 +208,14 @@ def transition(spec: DiffusionSpec, t, s, *, method: str = "auto"):
     return out
 
 
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, imported on first use rather than with
+    this module (scipy's import costs more than all of diffint's)."""
+    from scipy.optimize import brentq as root
+
+    return root(f, a, b, **kwargs)
+
+
 def rho_of_t(spec: DiffusionSpec, t):
     """Monotone time rescaling rho(t) = L(t) / mu(t)."""
     return spec.L(t) / spec.mu(t)
@@ -216,7 +225,9 @@ def t_of_rho(spec: DiffusionSpec, rho):
     """Invert :func:`rho_of_t` elementwise on [0, t_end].
 
     Uses the spec's ``t_of_rho_closed`` when present and bracketed root
-    finding (one brentq per element) otherwise.  ``rho(0)`` maps to 0.0
+    finding (one :func:`brentq` per element) otherwise; scipy is
+    imported by the first such root search, never for a closed form.
+    ``rho(0)`` maps to 0.0
     and ``rho(t_end)`` to ``t_end`` exactly.  Returns a float for a
     scalar ``rho`` and an array otherwise.  Raises
     :class:`DomainError` when any element lies outside

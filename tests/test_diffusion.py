@@ -1,4 +1,9 @@
 import dataclasses
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,3 +266,37 @@ def test_custom_spec_inverts_through_brentq(monkeypatch):
     out = t_of_rho(spec, rho_of_t(spec, t))
     assert len(roots) == 3  # the two endpoints snap without a root search
     assert np.max(np.abs(out - t)) < 1e-12
+
+
+_NO_SCIPY_SCRIPT = textwrap.dedent("""
+    import json, sys
+    sys.path[:] = json.loads(sys.argv[1])
+    config, out = sys.argv[2], sys.argv[3]
+
+    import diffint, diffint.cli
+    from diffint import GaussianMixture, epsilon_field, make_grid, rho_rk_sample, vesde, vpsde
+    from diffint.timegrid import SCHEDULE_NAMES
+
+    for spec in (vpsde(), vesde(0.01, 50.0)):
+        for name in SCHEDULE_NAMES:
+            make_grid(name, t0=1e-3, t_end=spec.t_end, n=12, kappa=2.0, spec=spec)
+        field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+        rho_rk_sample(spec, field, make_grid("log_rho", t0=1e-3, t_end=spec.t_end,
+                                             n=8, spec=spec), "rk4", [0.3, -1.2])
+    code = diffint.cli.main(["sample", "--config", config, "--out", out])
+    print(json.dumps({"exit": code,
+                      "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+""")
+
+
+def test_preset_work_does_not_import_scipy(tmp_path):
+    """scipy is only imported by a root search; the presets never need one."""
+    config = Path(__file__).resolve().parent.parent / "configs" / "sample.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(sys.path), str(config),
+         str(tmp_path / "report.csv")],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"exit": 0, "scipy": []}
+    assert (tmp_path / "report.csv").stat().st_size > 0

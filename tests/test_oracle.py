@@ -600,6 +600,13 @@ def test_normals_key_words_are_not_interchangeable():
     assert abs(np.corrcoef(a, b)[0, 1]) <= 3 / np.sqrt(a.size)
 
 
+@pytest.mark.parametrize("seed, stream", [(2**64, 0), (-1, 1), (-1, 0), (0, 2**64), (0, -1)])
+def test_normals_reject_words_outside_64_bits(seed, stream):
+    # (2**64, 0) would alias key (0, 1) and (-1, 1) key (2**64 - 1, 0)
+    with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
+        normals(seed, stream, 4)
+
+
 def test_em_standard_normal_mean(vp):
     # N(0, 1) data: the reverse-time family should return standard
     # normal terminals; 50k trajectory mean within 3 standard errors.
