@@ -227,9 +227,8 @@ def t_of_rho(spec: DiffusionSpec, rho):
     Uses the spec's ``t_of_rho_closed`` when present and bracketed root
     finding (one :func:`brentq` per element) otherwise; scipy is
     imported by the first such root search, never for a closed form.
-    ``rho(0)`` maps to 0.0
-    and ``rho(t_end)`` to ``t_end`` exactly.  Returns a float for a
-    scalar ``rho`` and an array otherwise.  Raises
+    ``rho(0)`` maps to 0.0 and ``rho(t_end)`` to ``t_end`` exactly.
+    Returns a float for a scalar ``rho`` and an array otherwise.  Raises
     :class:`DomainError` when any element lies outside
     [rho(0), rho(t_end)] beyond roundoff slack.
     """
