@@ -20,8 +20,11 @@ values of each run, the median and quartiles of each side, the pairs the
 change wins (better by the metric's direction), and the median change;
 ``setup_samples_s`` keeps each run's set-up probes, whose median is its
 ``setup_s``.
-``--trace`` adds one traced run per tree and workload (seed 0), and
-compares their ``counters_sha256``: equal hashes mean the same work.
+``--trace`` adds one traced run per tree and workload (seed 0).  It keeps
+each side's cost counters and their ``counters_sha256``, names the
+counters that differ, and sets ``work_equal`` when no counter differs but
+``harness.render.bytes``, the length of the rendered reports, which
+changes with their digits even where the work done is the same.
 """
 
 from __future__ import annotations
@@ -112,6 +115,21 @@ def summarise(base_runs, change_runs, metrics):
     return out
 
 
+# counters that measure the digits of the results, not the work done
+NOT_WORK = {"harness.render.bytes"}
+
+
+def compare_counters(base: dict, change: dict) -> dict:
+    """Both sides' traced counters ({span: {count: value}}), the names
+    ``span.count`` of those that differ, and whether the work is equal."""
+    flat = [{f"{span}.{key}": value for span, counts in side.items()
+             for key, value in counts.items()} for side in (base, change)]
+    differ = sorted(name for name in flat[0].keys() | flat[1].keys()
+                    if flat[0].get(name) != flat[1].get(name))
+    return {"counters": {"base": base, "change": change}, "differ": differ,
+            "work_equal": set(differ) <= NOT_WORK}
+
+
 def machine():
     import numpy
 
@@ -170,9 +188,13 @@ def main(argv=None) -> int:
     if args.trace:
         report["traced"] = {}
         for workload in dict.fromkeys(args.workload):
-            hashes = {side: run_bench(tree, workload, 0, args.seconds, trace=True)
-                      ["detail"]["counters_sha256"] for side, tree in trees.items()}
-            report["traced"][workload] = {**hashes, "equal": hashes["base"] == hashes["change"]}
+            detail = {side: run_bench(tree, workload, 0, args.seconds, trace=True)["detail"]
+                      for side, tree in trees.items()}
+            hashes = {side: d["counters_sha256"] for side, d in detail.items()}
+            report["traced"][workload] = {
+                **hashes, "equal": hashes["base"] == hashes["change"],
+                **compare_counters(detail["base"]["counters"], detail["change"]["counters"]),
+            }
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     path = ROOT / f"BENCH_{args.slug}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

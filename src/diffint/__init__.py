@@ -25,8 +25,6 @@ from .oracle import (
     EpsilonField,
     GaussianMixture,
     Trajectory,
-    em_simulate,
-    em_terminal_batch,
     epsilon_field,
     marginal_at,
     pf_loglik,
@@ -41,6 +39,8 @@ from .samplers import (
     ddim_sample,
     ddim_step,
     ei_score_sample,
+    em_simulate,
+    em_terminal_batch,
     euler_sample,
     ipndm_sample,
     rho_ab_sample,

@@ -47,7 +47,6 @@ from .oracle import (
     EpsilonField,
     GaussianMixture,
     draw_terminal_states,
-    em_terminal_batch,
     epsilon_field,
     fixed_step_times,
     marginal_at,
@@ -56,7 +55,8 @@ from .oracle import (
     reference_solve,
     reference_states,
 )
-from .samplers import SAMPLER_NAMES, SolverRun, check_sampler_args, run_sampler
+from .samplers import (SAMPLER_NAMES, SolverRun, _check_lam, check_sampler_args,
+                       em_terminal_batch, run_sampler)
 from .weights import lagrange_basis, tab_weights
 
 SCHEMA = "diffint-report-v2"
@@ -198,9 +198,8 @@ class ExperimentConfig:
         if min(orders, default=0) < 0 or len(set(orders)) != len(orders):
             raise ConfigError(f"orders must be distinct and >= 0: {list(self.orders)}")
         [float(v) for v in self.x0_list]
-        if not all(0 <= float(v) < np.inf for v in self.lambda_list):
-            raise ConfigError(f"lambda_list entries must be finite and >= 0: "
-                              f"{list(self.lambda_list)}")
+        for lam in self.lambda_list:
+            _check_lam(lam)
         if np.ndim(np.asarray(self.x_t, dtype=float)) and self.kind == "trace":
             raise ConfigError(f"trace experiments need a scalar x_t, got {self.x_t!r}")
         if self.batch < 1 or self.n_traj < 1 or self.points_per_interval < 0:

@@ -1,5 +1,5 @@
 """Analytic ground truth: Gaussian-mixture marginals, exact scores,
-a reference ODE solver, a stochastic simulator, and exact likelihood.
+a reference ODE solver, seeded random streams, and exact likelihood.
 
 A linear diffusion pushes a Gaussian mixture forward to another
 Gaussian mixture: component k of the data law N(m_k, s_k^2) becomes
@@ -53,11 +53,8 @@ keyed by the two words (seed, stream): stream 0 holds the initial
 states of a batch and stream 1 + k the noise of the k-th step taken,
 with trajectory i at position i of each.  A shorter draw is a prefix
 of a longer one, so a trajectory sees the same draws at every batch
-size.  The EM loop works in place on its own copy of the states, with
-step buffers (the noise draw included) reused from step to step.  With
-the kernel's scratch, a 50000-wide lambda = 0 :func:`em_terminal_batch`
-(K = 2) takes about 600 minor page faults instead of 505k, and 1.1 s
-instead of 2.4 s (shared 2-vCPU machine, ``resource.getrusage``).
+size.  The Euler-Maruyama simulator of the reverse-time family, which
+consumes these streams, is a step plan of :mod:`diffint.samplers`.
 """
 
 from __future__ import annotations
@@ -81,8 +78,6 @@ __all__ = [
     "reference_solve",
     "reference_states",
     "reference_self_check",
-    "em_simulate",
-    "em_terminal_batch",
     "draw_terminal_states",
     "normals",
     "pf_loglik",
@@ -97,13 +92,15 @@ _VARIANCE_FLOOR = 1e-300
 # call to call, so a call allocates only its output.  Measured with
 # K = 2 on a shared 2-vCPU machine: a field call on 8192 states fell
 # from 159 to 113 us and on 50000 from 2800 to 880 us, and a 50000-wide
-# lambda = 0 em_terminal_batch from 505k minor page faults to about 600.
-# Blocks of 4096 made a field call on 8192 states about 40% slower.
+# lambda = 0 ``samplers.em_terminal_batch``, 999 field calls, from 505k
+# minor page faults to under 800.  Blocks of 4096 made a field call on
+# 8192 states about 40% slower.
 _BLOCK = 8192
 
 # The scratch outlives the call because a fresh (5, 8192) buffer next to
 # a fresh 50000-wide output still made the allocator hand the heap back
-# to the OS after every EM step (146k minor faults per 999 steps).  Each
+# to the OS after every field call of an EM run (146k minor faults per
+# 999 calls).  Each
 # block writes every element it reads, so no value carries between
 # calls; one buffer per thread keeps shared fields thread-safe.
 _scratch = threading.local()
@@ -553,94 +550,6 @@ def draw_terminal_states(spec: DiffusionSpec, seed: int, n: int) -> np.ndarray:
     deterministic and stochastic batch runs start from the same states,
     and the first n draws are the same for every larger n."""
     return spec.pi_std * normals(seed, 0, n)
-
-
-def _em(spec: DiffusionSpec, field, lam: float, x, dt: float, t0: float, seed: int,
-        nan_diverged: bool):
-    """The EM loop from t_end down to t0, in place on the float array x
-    (the caller's own copy), which it returns (a numpy scalar if 0-d).
-    Step k draws its noise from stream 1 + k of ``seed``, state i at
-    position i.  A non-finite state is set to NaN given ``nan_diverged``,
-    and raises :class:`DivergenceError` otherwise.
-
-    Each step is x <- x - (f x - (1 + lam^2)/2 g2 s) h + lam sqrt(g2 h) xi
-    with s = -eps / L, every operation with the operands and in the
-    order of the out-of-place expression, into buffers reused from step
-    to step."""
-    if lam < 0:
-        raise ParameterError(f"lam must be >= 0, got {lam}")
-    times = fixed_step_times(spec.t_end, t0, dt)
-    s_val, drift, noise = (np.empty(x.shape) for _ in range(3))
-    finite = np.empty(x.shape, dtype=bool)
-    for k in range(times.size - 1):
-        t = times[k]
-        h = times[k] - times[k + 1]
-        g2 = spec.g2(t)
-        np.negative(field(x, t), out=s_val)
-        s_val /= spec.L(t)
-        np.multiply(0.5 * (1 + lam**2) * g2, s_val, out=s_val)
-        np.multiply(spec.f(t), x, out=drift)
-        drift -= s_val
-        drift *= h
-        x -= drift
-        if lam > 0:
-            normals(seed, 1 + k, x.shape, out=noise)
-            np.multiply(lam * np.sqrt(g2) * np.sqrt(h), noise, out=noise)
-            x += noise
-        if not np.isfinite(x, out=finite).all():
-            if not nan_diverged:
-                raise DivergenceError(
-                    f"EM simulation diverged at step {k} (t={times[k]})",
-                    step_index=k,
-                    time=times[k],
-                )
-            x[~finite] = np.nan
-    return x[()]
-
-
-def em_simulate(
-    spec: DiffusionSpec,
-    field,
-    lam: float,
-    x_T,
-    dt: float,
-    t0: float,
-    rng_seed: int,
-):
-    """Euler-Maruyama simulation of the reverse-time family
-
-        dx = [f x - (1 + lam^2)/2 * g2 * score] dt + lam sqrt(g2) dw
-
-    from t_end down to t0, with score = -eps / L taken from ``field``.
-    lam = 0 recovers the deterministic sampling ODE; lam = 1 is the
-    reverse SDE.  Deterministic given ``rng_seed``: step k takes its
-    noise from :func:`normals` stream 1 + k of that seed, so a vector
-    ``x_T`` gets the noise :func:`em_terminal_batch` gives its
-    trajectories.
-    """
-    return _em(spec, field, lam, np.array(x_T, dtype=float), dt, t0, rng_seed,
-               nan_diverged=False)
-
-
-def em_terminal_batch(
-    spec: DiffusionSpec,
-    field,
-    lam: float,
-    dt: float,
-    t0: float,
-    seed: int,
-    n_traj: int,
-) -> np.ndarray:
-    """Terminal states of ``n_traj`` independent EM trajectories.
-
-    Trajectory i starts from draw i of :func:`draw_terminal_states` and
-    takes the noise of step k from position i of :func:`normals` stream
-    1 + k, so its result does not depend on ``n_traj``; the steps are
-    :func:`em_simulate`'s.  Non-finite trajectories are returned as NaN
-    rather than raising.
-    """
-    x = draw_terminal_states(spec, seed, n_traj)
-    return _em(spec, field, lam, x, dt, t0, seed, nan_diverged=True)
 
 
 def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):

@@ -17,8 +17,9 @@ plan (a :class:`~diffint.weights.WeightTable`: a_i in ``psi``, rows c_i
 in ``c``) from the diffusion and the grid arrays in one pass:
 elementwise expressions in t_i and t_{i-1} for all steps at once, or
 one weight build for ``ei_score``, ``tab`` and ``rho_ab``.  One executor
-runs them all: it owns the evaluation count, the history buffer, the
-finite check and the recorded states.  Plans:
+runs them all, in place on its own copy of the state: it owns the
+evaluation count, the history buffer, the finite check and the recorded
+states (none for EM, which keeps the terminal only).  Plans:
 
 * ``euler``     a = 1 - f dt, c = -g2 dt / (2 L): the sampling ODE.
 * ``ei_score``  a = Psi(t_{i-1}, t_i), c = -w / L(t_i): holds the raw
@@ -28,6 +29,10 @@ finite check and the recorded states.  Plans:
 * ``rho_ab``    a = mu_{i-1} / mu_i, c = mu_{i-1} x AB weights in rho.
 * ``ipndm``     ddim's a, and ddim's c times a fixed-step blend.
 * ``sddim``     stochastic ddim, noise scale eta in [0, 1].
+* EM            euler's a, c times (1 + lam^2) and s = lam sqrt(g2 dt) on
+                the fixed-step grid: Euler-Maruyama on the reverse-time
+                family dx = [f x - (1 + lam^2)/2 g2 score] dt + lam g dw
+                (:func:`em_simulate`, :func:`em_terminal_batch`).
 
 ``rho_rk_sample`` (midpoint, heun2, kutta3, rk4 in rho) evaluates the
 field between nodes and keeps its own loop.
@@ -40,6 +45,7 @@ shared with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -49,7 +55,7 @@ import numpy as np
 from . import quadrature
 from .diffusion import DiffusionSpec, t_of_rho, transition
 from .errors import DivergenceError, GridMismatchError, ParameterError
-from .oracle import normals
+from .oracle import draw_terminal_states, fixed_step_times, normals
 from .timegrid import TimeGrid
 from .weights import WeightTable, _check_order, rho_ab_weights, tab_weights
 
@@ -65,6 +71,8 @@ __all__ = [
     "ipndm_sample",
     "sddim_step",
     "sddim_sample",
+    "em_simulate",
+    "em_terminal_batch",
     "run_sampler",
     "check_sampler_args",
     "SAMPLER_NAMES",
@@ -115,42 +123,63 @@ def _start_states(grid: TimeGrid, x_T) -> np.ndarray:
     return states
 
 
-def _check_finite(x, i: int, t: float, sampler: str):
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(
-            f"{sampler} diverged stepping into node {i - 1} (t={t})",
-            step_index=i - 1,
-            time=t,
-        )
+def _diverged(sampler: str, i: int, t: float) -> DivergenceError:
+    return DivergenceError(f"{sampler} diverged stepping into node {i - 1} (t={t})",
+                           step_index=i - 1, time=t)
 
 
-def _execute(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
-             *, s=None, seed=None, notes=()) -> SolverRun:
-    """Run ``plan`` from node N to node 0: one field evaluation per step,
-    x <- a_i x + sum_j c_ij eps_{i+j} over the ``row.size`` most recent
-    ones, plus s_i xi given ``s``: the k-th step taken (k = N - i) draws
-    xi from :func:`~diffint.oracle.normals` stream 1 + k of ``seed``,
-    state j at position j."""
+def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
+             states=None, nan_diverged=False):
+    """Run ``plan`` from node N to node 0 of ``plan.times``: one field
+    evaluation per step, x <- a_i x + sum_j c_ij eps_{i+j} over the
+    ``row.size`` most recent ones, plus s_i xi given ``s``: the k-th step
+    taken (k = N - i) draws xi from :func:`~diffint.oracle.normals`
+    stream 1 + k of ``seed``, state j at position j.  x is the executor's
+    own copy of ``x_T``, updated in place with step buffers reused from
+    step to step (an evaluation that shares its memory is copied first),
+    and written to ``states[i - 1]`` given ``states``.  A non-finite state
+    raises :class:`DivergenceError`, or is set to NaN given
+    ``nan_diverged``.  Returns x at node 0 (a numpy scalar if 0-d) and
+    the evaluation count."""
     counting = _CountingField(field)
-    times = grid.times
-    states = _start_states(grid, x_T)
-    x = states[grid.n_steps]
+    times = plan.times
+    n = times.size - 1
+    x = np.array(x_T, dtype=float)
+    term = np.empty(x.shape)
     noise = None if s is None else np.empty(x.shape)
+    finite = np.empty(x.shape, dtype=bool)
     buffer = []  # most recent first: buffer[j] evaluated at t_{i+j}
-    for i in range(grid.n_steps, 0, -1):
+    for i in range(n, 0, -1):
         row = plan.coeffs_for(i)
-        buffer.insert(0, counting(x, times[i]))
+        eps = counting(x, times[i])
+        if np.may_share_memory(eps, x):
+            eps = np.copy(eps)
+        buffer.insert(0, eps)
         del buffer[row.size :]
-        x = plan.psi_for(i) * x
+        x *= plan.psi_for(i)
         for j in range(row.size):
-            x += row[j] * buffer[j]
+            np.multiply(row[j], buffer[j], out=term)
+            x += term
         if s is not None:
-            normals(seed, 1 + grid.n_steps - i, x.shape, out=noise)
+            normals(seed, 1 + n - i, x.shape, out=noise)
             noise *= s[i - 1]
             x += noise
-        _check_finite(x, i, times[i - 1], sampler)
-        states[i - 1] = x
-    return SolverRun(sampler, order, grid, states, counting.count, seed=seed, notes=notes)
+        if not np.isfinite(x, out=finite).all():
+            if not nan_diverged:
+                raise _diverged(sampler, i, times[i - 1])
+            x[~finite] = np.nan
+        if states is not None:
+            states[i - 1] = x
+    return x[()], counting.count
+
+
+def _run(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
+         *, s=None, seed=None, notes=()) -> SolverRun:
+    """:func:`_execute` on ``grid`` recording the state at every node."""
+    states = _start_states(grid, x_T)
+    _, nfe = _execute(sampler, plan, field, states[grid.n_steps], s=s, seed=seed,
+                      states=states)
+    return SolverRun(sampler, order, grid, states, nfe, seed=seed, notes=notes)
 
 
 def _ddim_coeffs(spec: DiffusionSpec, t, t_prev):
@@ -187,10 +216,12 @@ def _zero_order_plan(grid: TimeGrid, psi, c) -> WeightTable:
     return WeightTable(order=0, times=grid.times, psi=psi, c=tuple(c[:, None]))
 
 
-def _euler_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
+def _euler_plan(spec: DiffusionSpec, grid: TimeGrid, scale: float = 1.0) -> WeightTable:
+    """euler's plan, with c times ``scale`` (exact at 1)."""
     t, t_prev = grid.times[1:], grid.times[:-1]
     dt = t - t_prev
-    return _zero_order_plan(grid, 1.0 - spec.f(t) * dt, -0.5 * spec.g2(t) / spec.L(t) * dt)
+    return _zero_order_plan(grid, 1.0 - spec.f(t) * dt,
+                            scale * (-0.5 * spec.g2(t) / spec.L(t) * dt))
 
 
 def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
@@ -227,9 +258,31 @@ def _sddim_plan(spec: DiffusionSpec, grid: TimeGrid, eta: float):
     return _zero_order_plan(grid, psi, c), s if eta > 0.0 else None
 
 
+def _check_lam(lam: float) -> float:
+    """1 + lam^2 of the reverse-time family; raises :class:`ParameterError`
+    unless lam >= 0 and that is finite."""
+    lam = float(lam)
+    scale = 1.0 + lam * lam  # a float product overflows to inf, not an error
+    if not (lam >= 0.0 and math.isfinite(scale)):
+        raise ParameterError(f"lambda must be >= 0 with 1 + lambda^2 finite, got {lam}")
+    return scale
+
+
+def _em_plan(spec: DiffusionSpec, lam: float, dt: float, t0: float):
+    """The Euler-Maruyama step of the reverse-time family on the grid of
+    :func:`~diffint.oracle.fixed_step_times` from t_end down to t0:
+    euler's plan with c times (1 + lam^2), plus the noise scales
+    s = lam sqrt(g2) sqrt(h) (index i-1; None when lam = 0)."""
+    scale = _check_lam(lam)
+    grid = TimeGrid(fixed_step_times(spec.t_end, t0, dt)[::-1])
+    t = grid.times[1:]
+    s = lam * np.sqrt(spec.g2(t)) * np.sqrt(t - grid.times[:-1]) if lam > 0 else None
+    return _euler_plan(spec, grid, scale), s
+
+
 def euler_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
     """First-order step on dx/dt = f x + g2 / (2 L) eps."""
-    return _execute("euler", None, _euler_plan(spec, grid), field, grid, x_T)
+    return _run("euler", None, _euler_plan(spec, grid), field, grid, x_T)
 
 
 def ei_score_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
@@ -242,7 +295,7 @@ def ei_score_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRu
     with score = -eps / L.  Exact when the score itself is constant on
     the interval.
     """
-    return _execute("ei_score", None, _ei_score_plan(spec, grid), field, grid, x_T)
+    return _run("ei_score", None, _ei_score_plan(spec, grid), field, grid, x_T)
 
 
 def ddim_step(spec: DiffusionSpec, x_t, eps_val, t: float, t_prev: float):
@@ -258,7 +311,7 @@ def ddim_step(spec: DiffusionSpec, x_t, eps_val, t: float, t_prev: float):
 
 
 def ddim_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
-    return _execute("ddim", 0, _ddim_plan(spec, grid), field, grid, x_T)
+    return _run("ddim", 0, _ddim_plan(spec, grid), field, grid, x_T)
 
 
 def tab_sample(
@@ -284,7 +337,7 @@ def tab_sample(
             raise GridMismatchError(
                 f"weight table has order {weights.order}, requested {r}"
             )
-    return _execute("tab", r, weights, field, grid, x_T)
+    return _run("tab", r, weights, field, grid, x_T)
 
 
 def rho_ab_sample(
@@ -297,7 +350,7 @@ def rho_ab_sample(
     :func:`ddim_step`; higher orders extrapolate the noise prediction
     with a polynomial in rho.
     """
-    return _execute("rho_ab", r, _rho_ab_plan(spec, grid, r), field, grid, x_T)
+    return _run("rho_ab", r, _rho_ab_plan(spec, grid, r), field, grid, x_T)
 
 
 # classical explicit tableaus: stage offsets c, stage rows a, output weights b
@@ -380,7 +433,8 @@ def rho_rk_sample(
         for m in range(len(c)):
             y = y + h * b[m] * ks[m]
         x = mu[i - 1] * y
-        _check_finite(x, i, times[i - 1], f"rho_{method}")
+        if not np.all(np.isfinite(x)):
+            raise _diverged(f"rho_{method}", i, times[i - 1])
         states[i - 1] = x
     return SolverRun(
         f"rho_{method}", None, grid, states, counting.count, notes=tuple(notes)
@@ -414,7 +468,7 @@ def ipndm_sample(
     notes = ()
     if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
         notes = ("blend coefficients assume a uniform grid; grid is non-uniform",)
-    return _execute("ipndm", r, plan, field, grid, x_T, notes=notes)
+    return _run("ipndm", r, plan, field, grid, x_T, notes=notes)
 
 
 def sddim_step(
@@ -454,7 +508,42 @@ def sddim_sample(
     if seed is None:
         raise ParameterError("sddim needs a seed")
     plan, s = _sddim_plan(spec, grid, eta)
-    return _execute("sddim", None, plan, field, grid, x_T, s=s, seed=seed)
+    return _run("sddim", None, plan, field, grid, x_T, s=s, seed=seed)
+
+
+def em_simulate(spec: DiffusionSpec, field, lam: float, x_T, dt: float, t0: float,
+                rng_seed: int):
+    """Euler-Maruyama simulation of the reverse-time family
+
+        dx = [f x - (1 + lam^2)/2 * g2 * score] dt + lam sqrt(g2) dw
+
+    from t_end down to t0 in steps of at most ``dt``, with
+    score = -eps / L taken from ``field``, returning the terminal state.
+    lam = 0 recovers the deterministic sampling ODE, with the bits of
+    :func:`euler_sample` on the same grid; lam = 1 is the reverse SDE.
+    Deterministic given ``rng_seed``: step k takes its noise from
+    :func:`~diffint.oracle.normals` stream 1 + k of that seed, so a
+    vector ``x_T`` gets the noise :func:`em_terminal_batch` gives its
+    trajectories.  A non-finite state raises :class:`DivergenceError`.
+    """
+    plan, s = _em_plan(spec, lam, dt, t0)
+    return _execute("em", plan, field, x_T, s=s, seed=rng_seed)[0]
+
+
+def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: float,
+                      seed: int, n_traj: int) -> np.ndarray:
+    """Terminal states of ``n_traj`` independent EM trajectories.
+
+    Trajectory i starts from draw i of
+    :func:`~diffint.oracle.draw_terminal_states` and takes the noise of
+    step k from position i of :func:`~diffint.oracle.normals` stream
+    1 + k, so its result does not depend on ``n_traj``; the steps are
+    :func:`em_simulate`'s.  Non-finite trajectories are returned as NaN
+    rather than raising.
+    """
+    plan, s = _em_plan(spec, lam, dt, t0)
+    x = draw_terminal_states(spec, seed, n_traj)
+    return _execute("em", plan, field, x, s=s, seed=seed, nan_diverged=True)[0]
 
 
 # public name -> runner(spec, field, grid, x_T, **keyword arguments of run_sampler)

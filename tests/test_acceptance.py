@@ -43,7 +43,7 @@ from diffint import (
     vpsde,
 )
 from diffint.harness import draw_terminal_states, fit_order
-from diffint.oracle import em_terminal_batch
+from diffint.samplers import em_terminal_batch
 
 from helpers import adaptive_simpson
 

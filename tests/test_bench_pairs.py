@@ -1,0 +1,24 @@
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+
+def test_compare_counters_ignores_only_the_report_bytes():
+    base = {"harness.render": {"calls": 6, "distinct": 0, "bytes": 7311},
+            "oracle.em": {"calls": 6, "distinct": 0, "traj": 49152}}
+    digits = {**base, "harness.render": {"calls": 6, "distinct": 0, "bytes": 7308}}
+    got = bench_pairs.compare_counters(base, digits)
+    assert got["differ"] == ["harness.render.bytes"] and got["work_equal"]
+    assert got["counters"] == {"base": base, "change": digits}
+    # a counter present on one side only is a change of work
+    more = {**digits, "oracle.field": {"calls": 1, "distinct": 0}}
+    got = bench_pairs.compare_counters(base, more)
+    assert got["differ"] == ["harness.render.bytes", "oracle.field.calls",
+                             "oracle.field.distinct"]
+    assert not got["work_equal"]
+    assert bench_pairs.compare_counters(base, base) == {
+        "counters": {"base": base, "change": base}, "differ": [], "work_equal": True}

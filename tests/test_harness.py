@@ -24,7 +24,8 @@ from diffint.harness import (
     run_sample,
     run_trace,
 )
-from diffint.oracle import EpsilonField, em_terminal_batch
+from diffint.oracle import EpsilonField
+from diffint.samplers import em_terminal_batch
 from diffint.timegrid import TimeGrid
 
 
@@ -179,7 +180,7 @@ def test_marginal_lambda_zero_matches_euler_batch(vp, gauss_oracle):
     grid = TimeGrid(np.linspace(vp.t_end, t0, n + 1)[::-1].copy())
     x_batch = draw_terminal_states(vp, seed, n_traj)
     euler = euler_sample(vp, field, grid, x_batch).terminal
-    assert np.max(np.abs(terminal - euler)) < 1e-12
+    assert np.array_equal(terminal, euler)
 
 
 def test_marginal_report_shape_and_se_scaling():
@@ -420,6 +421,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         # each extrapolation order is one report column
         {"kind": "trace", "x_t": 1.0, "orders": [-1]},
         {"kind": "trace", "x_t": 1.0, "orders": [2, 2]},
+        # 1 + lambda^2 overflows
+        {"kind": "marginal", "lambda_list": [1e200]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -584,7 +587,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = {
     "convergence.json": "5c8bd4edf3a7659f6317245d8c03007dcd8c71c778df5cf63c62f0b2859b4e6d",
     "loglik.json": "0576b5d3b8e5e8fcb4c4f135d3e65c82b559cbc907b3b54462876d449ef0f88b",
-    "marginal.json": "29fa523fddc316428816c92a075d1bd0b057c59034193bfa11d537b394a076a7",
+    "marginal.json": "e599000abf1b5dbb29330f69a060508078177ff58e496fdf9c63967869d8d6e1",
     "sample.json": "7fed3589bbe4b449c0ea57bf0ac96c918a4d5bfbed5b42b287a668e4587e179f",
     "study_ablation.json": "63087dc57796c916e27ac8e9d380bf1949958fbb6f891f02a1f8aa6d9cf52289",
     "study_convergence.json": "662937ba9848a01671346343ce0bbe18f3a5ed534421f34c36f64a535c354276",

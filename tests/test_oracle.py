@@ -17,8 +17,6 @@ from diffint import (
     GaussianMixture,
     ParameterError,
     VpSchedule,
-    em_simulate,
-    em_terminal_batch,
     epsilon_field,
     marginal_at,
     pf_loglik,
@@ -37,7 +35,7 @@ from diffint.oracle import (
     normals,
     reference_states,
 )
-from diffint.samplers import euler_sample, run_sampler
+from diffint.samplers import em_simulate, em_terminal_batch, euler_sample, run_sampler
 from diffint.timegrid import TimeGrid
 
 from helpers import central_difference, gaussian_pf_terminal
@@ -487,7 +485,7 @@ def test_em_lambda_zero_matches_euler(vp, gauss_oracle):
     em = em_simulate(vp, field, 0.0, 1.3, dt, t0, rng_seed=0)
     grid = TimeGrid(np.linspace(vp.t_end, t0, n + 1)[::-1].copy())
     eu = euler_sample(vp, field, grid, 1.3).terminal
-    assert abs(float(em) - float(eu)) < 1e-12
+    assert _same_bits(em, eu)
 
 
 def test_em_deterministic_given_seed(vp, gauss_oracle):
@@ -520,10 +518,44 @@ def test_em_and_sddim_leave_the_callers_states_alone(vp, bimodal_oracle):
 
 def test_em_rejects_bad_args(vp, gauss_oracle):
     _, field = gauss_oracle
-    with pytest.raises(ParameterError):
-        em_simulate(vp, field, -0.5, 1.0, 1e-3, 1e-3, rng_seed=0)
-    with pytest.raises(ParameterError):
-        em_simulate(vp, field, 1.0, 1.0, 5e-3, 1e-3, rng_seed=0)
+    cases = [
+        (-0.5, 1e-3, 1e-3), (np.nan, 1e-3, 1e-3), (np.inf, 1e-3, 1e-3),
+        # 1 + lam^2 overflows
+        (1e200, 1e-3, 1e-3),
+        (1.0, 5e-3, 1e-3),
+        # the EM grid is a TimeGrid, whose first time must be positive
+        (1.0, 1e-3, 0.0),
+    ]
+    for lam, dt, t0 in cases:
+        with pytest.raises(ParameterError):
+            em_simulate(vp, field, lam, 1.0, dt, t0, rng_seed=0)
+        with pytest.raises(ParameterError):
+            em_terminal_batch(vp, field, lam, dt, t0, 0, 4)
+
+
+def test_em_divergence_is_nan_in_the_batch_and_raises_in_simulate(vp, gauss_oracle):
+    # a field that sends one trajectory to -inf once t falls below 0.5
+    _, field = gauss_oracle
+    seed, n, pos, dt, t0 = 5, 16, 3, 1e-3, 1e-3
+
+    def blowup(x, t):
+        eps = field(x, t)
+        if t < 0.5:
+            eps[pos] = np.inf
+        return eps
+
+    want = em_terminal_batch(vp, field, 1.0, dt, t0, seed, n)
+    got = em_terminal_batch(vp, blowup, 1.0, dt, t0, seed, n)
+    assert np.isnan(got[pos]) and np.isfinite(want).all()
+    keep = np.arange(n) != pos
+    assert _same_bits(got[keep], want[keep])
+    # the first step leaving a node below 0.5 diverges stepping into the node after it
+    times = oracle.fixed_step_times(vp.t_end, t0, dt)[::-1]
+    i = np.flatnonzero(times < 0.5)[-1]
+    with pytest.raises(DivergenceError) as info:
+        em_simulate(vp, blowup, 1.0, draw_terminal_states(vp, seed, n), dt, t0, rng_seed=seed)
+    assert info.value.step_index == i - 1
+    assert info.value.time == times[i - 1]
 
 
 # -- random streams ---------------------------------------------------
@@ -566,7 +598,11 @@ def test_em_batch_is_the_loop_on_its_streams(vp, gauss_oracle):
         drift = vp.f(t) * x - 0.5 * (1 + lam**2) * vp.g2(t) * s_val
         x = x - drift * h
         x = x + lam * np.sqrt(vp.g2(t)) * np.sqrt(h) * normals(seed, 1 + k, n)
-    assert np.array_equal(terminal, x)
+    # the executor's step (1 - f h) x + (1 + lam^2) c eps rounds
+    # differently from the SDE form: 1.8e-15 relative here, and at most
+    # 3.9e-13 on VP and VE batches up to lam = 2; drawing step k's noise
+    # from stream 2 + k instead moves a terminal by 13%
+    assert np.max(np.abs(terminal - x) / np.abs(x)) <= 1e-11
     # em_simulate runs the same loop on the same streams
     assert np.array_equal(terminal, em_simulate(vp, field, lam, x_t, dt, t0, rng_seed=seed))
 

@@ -686,3 +686,15 @@ def test_rho_rk_inverts_all_stage_times_in_one_call(vp, gauss_oracle, monkeypatc
             assert times[1::2] == [
                 t_of_rho(vp, rho[i] + 0.5 * (rho[i - 1] - rho[i])) for i in range(8, 0, -1)
             ]
+
+
+def test_executor_copies_an_evaluation_that_aliases_the_state(vp):
+    # the executor updates its state in place, so a field that returns
+    # the state itself (or a view of it) must not see its history change
+    grid = quadratic(1e-3, 1.0, 6)
+    x_T = np.array([0.4, -1.1, 2.0])
+    for name, kwargs in (("tab", {"order": 3}), ("ipndm", {"order": 3}), ("ddim", {})):
+        want = run_sampler(name, vp, lambda x, t: np.copy(x), grid, x_T, **kwargs).states
+        for field in (lambda x, t: x, lambda x, t: x[...]):
+            got = run_sampler(name, vp, field, grid, x_T, **kwargs).states
+            assert np.array_equal(got, want)
