@@ -396,10 +396,6 @@ class MetricReport:
             return self.to_csv()
         raise ConfigError(f"unknown format {fmt!r}")
 
-    def write(self, path, fmt: str):
-        with open(path, "w") as fh:
-            fh.write(self.render(fmt))
-
 
 def _csv_cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):

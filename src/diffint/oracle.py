@@ -39,11 +39,11 @@ Conventions:
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
   full).  A hit has the bits of a miss; a time whose marginal variance
   underflows raises on every call and is never stored.
-* :func:`pf_loglik` knows its stage times in advance, so it tabulates
-  their per-time work (f, g2 and the marginal's columns) for a window
-  of at most ``_MEMO_SIZE`` times (2047 RK4 steps) at once, and
-  integrates the state and its divergence as one stacked array, with
-  the bits of one evaluation per stage.
+* Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
+  RK4 stepper, ``_rk4``.  :func:`pf_loglik` tabulates the per-time work
+  (f, g2 and the marginal's columns) of a window of at most 2047 steps
+  at once, and steps the state and its divergence as one stacked array,
+  with the bits of one evaluation per stage.
 
 All operations are pure functions of their inputs (plus an explicit
 seed for the stochastic ones), and a field's memo only ever holds what
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field as dataclass_field
+from numbers import Integral
 
 import numpy as np
 
@@ -429,31 +430,45 @@ def epsilon_field(gmm: GaussianMixture, spec: DiffusionSpec) -> EpsilonField:
     return EpsilonField(gmm, spec)
 
 
-def ode_rhs(spec: DiffusionSpec, field, x, t: float):
-    """Right side of the sampling ODE in noise-prediction form:
-    dx/dt = f(t) x + g2(t) / (2 L(t)) * eps(x, t)."""
-    return spec.f(t) * x + 0.5 * spec.g2(t) / spec.L(t) * field(x, t)
+def _steps(t_from: float, t_to: float, dt: float):
+    """The step rule of every fixed-step oracle solve: n equal steps of at
+    most dt (checked by :func:`_check_step`) from t_from to t_to, as
+    (n, h) with the signed h = (t_to - t_from) / n."""
+    _check_step(dt)
+    n = max(1, int(np.ceil(abs(t_to - t_from) / dt - 1e-12)))
+    return n, (t_to - t_from) / n
 
 
-def _rk4_span(spec, field, x, t_hi: float, t_lo: float, dt: float):
-    """Classical RK4 from t_hi down to t_lo with fixed step <= dt."""
-    n = max(1, int(np.ceil((t_hi - t_lo) / dt - 1e-12)))
-    h = (t_hi - t_lo) / n
-    t = t_hi
-    for k in range(n):
-        k1 = ode_rhs(spec, field, x, t)
-        k2 = ode_rhs(spec, field, x - 0.5 * h * k1, t - 0.5 * h)
-        k3 = ode_rhs(spec, field, x - 0.5 * h * k2, t - 0.5 * h)
-        k4 = ode_rhs(spec, field, x - h * k3, t - h)
-        x = x - h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"reference solve diverged at step {k} (t={t - h})",
-                step_index=k,
-                time=t - h,
-            )
-        t -= h
-    return x
+def _stage_windows(t, n: int, h):
+    """The stage times of n RK4 steps of size h from t, in windows of at
+    most ``(_MEMO_SIZE - 1) // 2`` steps: yields the index of a window's
+    first step and its list t_k, t_k + h/2, t_k + h, ..., with t carried
+    by ``t += h`` across windows, so their size never moves a time."""
+    window = (_MEMO_SIZE - 1) // 2
+    for first in range(0, n, window):
+        times = [t]
+        for _ in range(min(window, n - first)):
+            times += (t + 0.5 * h, t + h)
+            t += h
+        yield first, times
+
+
+def _rk4(rhs, y, h, times, what: str, first: int):
+    """The oracle's one RK4 loop: classical steps of size h (negative to
+    step down) over one :func:`_stage_windows` window, with ``rhs(y, j)``
+    the right side at times[j].  A non-finite state raises
+    :class:`DivergenceError` naming ``what``, the step counted from the
+    solve's start (this window's is ``first``) and the time it starts from."""
+    for j in range(0, len(times) - 1, 2):
+        k1 = rhs(y, j)
+        k2 = rhs(y + 0.5 * h * k1, j + 1)
+        k3 = rhs(y + 0.5 * h * k2, j + 1)
+        k4 = rhs(y + h * k3, j + 2)
+        y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
+        if not np.isfinite(y).all():
+            k = first + j // 2
+            raise DivergenceError(f"{what} diverged at step {k}", step_index=k, time=times[j])
+    return y
 
 
 def reference_solve(
@@ -481,15 +496,25 @@ def reference_states(
 
     Integration starts at times[-1] with state x_T and proceeds
     downward; the returned array is indexed like ``times`` (entry i is
-    the state at times[i], entry -1 the initial condition).
+    the state at times[i], entry -1 the initial condition).  Each span
+    takes the steps of :func:`_steps` through :func:`_rk4` on
+    dx/dt = f(t) x + g2(t) / (2 L(t)) eps(x, t), with scalar spec calls.
     """
     _check_step(dt)
     times = np.asarray(times, dtype=float)
     x = np.asarray(x_T, dtype=float)
     out = np.empty((times.size,) + x.shape)
     out[-1] = x
+    done = 0
     for i in range(times.size - 1, 0, -1):
-        x = _rk4_span(spec, field, x, times[i], times[i - 1], dt)
+        n, h = _steps(times[i], times[i - 1], dt)
+        for first, stage in _stage_windows(times[i], n, h):
+            def rhs(y, j):
+                t = stage[j]
+                return spec.f(t) * y + 0.5 * spec.g2(t) / spec.L(t) * field(y, t)
+
+            x = _rk4(rhs, x, h, stage, "reference solve", done + first)
+        done += n
         out[i - 1] = x
     return out
 
@@ -526,20 +551,20 @@ def _check_step(dt: float):
 def fixed_step_times(t_hi: float, t_lo: float, dt: float) -> np.ndarray:
     """Equal steps of at most ``dt`` (checked by :func:`_check_step`) from
     t_hi down to t_lo, endpoints included."""
-    _check_step(dt)
-    n = max(1, int(np.ceil((t_hi - t_lo) / dt - 1e-12)))
-    return np.linspace(t_hi, t_lo, n + 1)
+    return np.linspace(t_hi, t_lo, _steps(t_hi, t_lo, dt)[0] + 1)
 
 
 def normals(seed: int, stream: int, n, out=None) -> np.ndarray:
     """Standard normals ``standard_normal(n)`` of Philox keyed by the two
     words (seed, stream), 0 <= seed, stream < 2**64, written into ``out``
     (of shape n) when given.  The draw of a smaller n is a prefix of the
-    draw of a larger one.  A word outside that range raises
-    :class:`ParameterError`, since it would alias another key."""
-    if not (0 <= seed < 2**64 and 0 <= stream < 2**64):
-        raise ParameterError(f"seed and stream must lie in [0, 2**64), got {seed}, {stream}")
-    gen = np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
+    draw of a larger one.  A word that is not an integer in that range
+    raises :class:`ParameterError`, since it would alias another key."""
+    if not (isinstance(seed, Integral) and isinstance(stream, Integral)
+            and 0 <= seed < 2**64 and 0 <= stream < 2**64):
+        raise ParameterError(f"seed and stream must be integers in [0, 2**64), "
+                             f"got {seed!r}, {stream!r}")
+    gen = np.random.Generator(np.random.Philox(key=int(seed) + (int(stream) << 64)))
     return gen.standard_normal(n, out=out)
 
 
@@ -568,55 +593,34 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     An array ``x0`` holds independent points, which are integrated
     together and give the same bits as one call per point, since every
     step of the mixture kernel is elementwise in x or a sum over the
-    components in one fixed order.  The state and the divergence are
-    integrated as one stacked array.  Everything that depends on t alone
-    (f, g2 and the marginal's columns) is tabulated by
-    :func:`_loglik_table` for a window of at most ``(_MEMO_SIZE - 1) // 2``
-    steps at a time, so memory stays bounded at any dt.  A point whose
-    state or divergence turns non-finite fails the whole call with
-    :class:`DivergenceError`; a stage time whose marginal variance
-    underflows raises :class:`DomainError` before its window is
-    integrated.  Returns nats.
+    components in one fixed order.  The state and the divergence step
+    as one stacked array through :func:`_rk4`, one :func:`_stage_windows`
+    window at a time, for which :func:`_loglik_table` tabulates what
+    depends on t alone (f, g2 and the marginal's columns), so memory
+    stays bounded at any dt.  A point whose state or divergence turns
+    non-finite fails the whole call with :class:`DivergenceError`; a
+    stage time whose marginal variance underflows raises
+    :class:`DomainError` before its window is integrated.  Returns nats.
     """
-    _check_step(dt)
     x = np.asarray(x0, dtype=float)
     y = np.zeros((2,) + x.shape)
     y[0] = x
-    n = max(1, int(np.ceil(spec.t_end / dt - 1e-12)))
-    h = spec.t_end / n
-    window = (_MEMO_SIZE - 1) // 2
-    t = 0.0
-    for start in range(0, n, window):
-        # the step that starts at column j has its stages at columns j,
-        # j + 1 (both t + h/2 stages) and j + 2, where the next one starts
-        times = [t]
-        for _ in range(min(window, n - start)):
-            times += (t + 0.5 * h, t + h)
-            t += h
+    n, h = _steps(0.0, spec.t_end, dt)
+    for first, times in _stage_windows(0.0, n, h):
         f, g2, means, var, bias = _loglik_table(gmm, spec, np.array(times))
         means, var, bias = (arr.T[:, :, None] for arr in (means, var, bias))
 
-        def rhs(state_x, col):
+        def rhs(state, col):
             # (f x - c s, f - c s_dx) with c = g2 / 2, as f x + (-c) s:
             # a - b = a + (-b) and (-c) s = -(c s), bit for bit
+            state_x = state[0]
             pair = _kernel(_pair_block, 2, state_x, means[col], var[col], bias[col])
             pair *= -(0.5 * g2[col])
             pair[0] += f[col] * state_x
             pair[1] += f[col]
             return pair
 
-        for j in range(0, len(times) - 1, 2):
-            x = y[0]
-            k1 = rhs(x, j)
-            k2 = rhs(x + 0.5 * h * k1[0], j + 1)
-            k3 = rhs(x + 0.5 * h * k2[0], j + 1)
-            k4 = rhs(x + h * k3[0], j + 2)
-            y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-            if not np.isfinite(y).all():
-                k = start + j // 2
-                raise DivergenceError(
-                    f"likelihood ODE diverged at step {k}", step_index=k, time=times[j]
-                )
+        y = _rk4(rhs, y, h, times, "likelihood ODE", first)
     terminal = marginal_at(gmm, spec, spec.t_end)
     return terminal.logpdf(y[0]) + y[1]
 

@@ -188,7 +188,7 @@ def _check_order(r: int):
         raise ParameterError(f"order must be in 0..{MAX_ORDER}, got {r}")
 
 
-def _step_rows(x: np.ndarray, r: int, kernel, *, rtol: float = 1e-12) -> tuple:
+def _step_rows(x: np.ndarray, r: int, kernel) -> tuple:
     """Row i (i = 1..N) holds, for each Lagrange basis l_j over the
     nodes x_i, ..., x_{i+r_i} with r_i = min(r, N - i),
 
@@ -213,14 +213,13 @@ def _step_rows(x: np.ndarray, r: int, kernel, *, rtol: float = 1e-12) -> tuple:
             kern = kernel(x_lo[:, None], tau)
             return np.stack([kern * lagrange_basis(nodes, j, tau) for j in range(m)])
 
-        c = -quadrature.integrate(integrand, x_lo, x_hi, rtol=rtol)
+        c = -quadrature.integrate(integrand, x_lo, x_hi)
         for k, step in enumerate(i):
             rows[step - 1] = c[:, k]
     return tuple(rows)
 
 
-def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int,
-                *, rtol: float = 1e-12) -> WeightTable:
+def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
     """Build the weight table for order-r extrapolation on ``grid``.
 
     The rows C_ij take the basis in t and the kernel
@@ -234,7 +233,7 @@ def tab_weights(spec: DiffusionSpec, grid: TimeGrid, r: int,
     def kernel(t_lo, tau):
         return 0.5 * transition(spec, t_lo, tau) * spec.g2(tau) / spec.L(tau)
 
-    rows = _step_rows(times, r, kernel, rtol=rtol)
+    rows = _step_rows(times, r, kernel)
     psi = transition(spec, times[:-1], times[1:])
     return WeightTable(order=r, times=times, psi=psi, c=rows)
 

@@ -447,15 +447,32 @@ def test_reference_states_align_with_reference_solve(vp, gauss_oracle):
     t0 = 1e-3
     traj = reference_solve(vp, field, 1.0, t0=t0)
     nodes = reference_states(vp, field, 1.0, traj.times[::-1])
-    assert np.allclose(nodes[::-1], traj.states, atol=1e-12)
+    assert np.array_equal(nodes[::-1], traj.states)
 
 
-def test_reference_divergence_error(vp):
+def test_reference_divergence_error(vp, gauss_oracle):
     exploding = lambda x, t: np.full_like(np.asarray(x, dtype=float), 1e308)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as err:
             reference_solve(vp, exploding, 1.0)
     assert err.value.step_index is not None
+    # a field that turns inf below t = 0.5: the error counts steps from
+    # the start of the solve and names the time its step starts from
+    _, field = gauss_oracle
+
+    def blowup(x, t):
+        eps = field(x, t)
+        return eps * np.inf if t < 0.5 else eps
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError, match="at step 500$") as err:
+            reference_solve(vp, blowup, 1.0)
+        assert (err.value.step_index, err.value.time) == (500, 0.5)
+        # nodes 1.0 and 0.6 are 400 steps apart; from 0.6, t accumulates
+        # to just below 0.501 in 99 steps, so step 99 of that span ends below 0.5
+        with pytest.raises(DivergenceError) as err:
+            reference_states(vp, blowup, 1.0, [0.1, 0.6, 1.0])
+        assert (err.value.step_index, err.value.time) == (499, 0.5009999999999999)
 
 
 # -- hold-error parameterization ordering (concentrated data) ----------
@@ -531,6 +548,11 @@ def test_em_rejects_bad_args(vp, gauss_oracle):
             em_simulate(vp, field, lam, 1.0, dt, t0, rng_seed=0)
         with pytest.raises(ParameterError):
             em_terminal_batch(vp, field, lam, dt, t0, 0, 4)
+    # the noise of lam > 0 needs an integer seed
+    with pytest.raises(ParameterError):
+        em_simulate(vp, field, 1.0, 1.0, 1e-3, 1e-3, rng_seed=None)
+    with pytest.raises(ParameterError):
+        em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, None, 4)
 
 
 def test_em_divergence_is_nan_in_the_batch_and_raises_in_simulate(vp, gauss_oracle):
@@ -636,9 +658,11 @@ def test_normals_key_words_are_not_interchangeable():
     assert abs(np.corrcoef(a, b)[0, 1]) <= 3 / np.sqrt(a.size)
 
 
-@pytest.mark.parametrize("seed, stream", [(2**64, 0), (-1, 1), (-1, 0), (0, 2**64), (0, -1)])
+@pytest.mark.parametrize("seed, stream", [(2**64, 0), (-1, 1), (-1, 0), (0, 2**64), (0, -1),
+                                          (None, 0), (1.5, 0), (0, 2.5)])
 def test_normals_reject_words_outside_64_bits(seed, stream):
-    # (2**64, 0) would alias key (0, 1) and (-1, 1) key (2**64 - 1, 0)
+    # (2**64, 0) would alias key (0, 1), (-1, 1) key (2**64 - 1, 0) and
+    # (1.5, 0) key (1, 0)
     with pytest.raises(ParameterError, match=r"\[0, 2\*\*64\)"):
         normals(seed, stream, 4)
 
