@@ -25,21 +25,17 @@ from .oracle import (
     EpsilonField,
     GaussianMixture,
     Trajectory,
-    epsilon_field,
     marginal_at,
     pf_loglik,
     reference_self_check,
     reference_solve,
-    score,
 )
 from .samplers import (
     IPNDM_BLEND,
     SAMPLER_NAMES,
     SolverRun,
     ddim_sample,
-    ddim_step,
     ei_score_sample,
-    em_simulate,
     em_terminal_batch,
     euler_sample,
     ipndm_sample,
@@ -47,7 +43,6 @@ from .samplers import (
     rho_rk_sample,
     run_sampler,
     sddim_sample,
-    sddim_step,
     tab_sample,
 )
 from .timegrid import TimeGrid, log_rho, make_grid, power_rho, power_t, quadratic, uniform

@@ -47,7 +47,6 @@ from .oracle import (
     EpsilonField,
     GaussianMixture,
     draw_terminal_states,
-    epsilon_field,
     fixed_step_times,
     marginal_at,
     pf_loglik,
@@ -65,8 +64,14 @@ PACKAGE_VERSION = "0.1.0"
 # sampling stops short of t = 0; preset-specific floors
 _DEFAULT_T0 = {"vpsde": 1e-3, "vesde": 1e-5}
 
-# a field annotated with one of these types is converted by calling it
-_CONVERTED_TYPES = (int, float, tuple, dict)
+
+def _integer(value, name: str) -> int:
+    """int(value), for a value that is a whole number: int() would
+    truncate a float such as 10.5 to 10."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
 
 # the keys each config object may hold (each element, for a study's lists)
 _OBJECT_KEYS = {
@@ -101,10 +106,11 @@ class ExperimentConfig:
 
     The fields are the config format's one declaration: loading rejects
     any other key, requires the fields without a default, and converts
-    each value whose annotation is int, float, tuple or dict by calling
-    that type; ``kind``, ``out``, ``format`` and ``x_t`` are kept as
-    given and checked by :meth:`validate`, which also rejects any key of
-    a sampler, schedule or gmm object outside ``_OBJECT_KEYS``.  A
+    each value whose annotation is int (a whole number), float, tuple
+    or dict by calling that type; ``kind``, ``out``, ``format`` and
+    ``x_t`` are kept as given and checked by :meth:`validate`, which
+    also rejects any key of a sampler, schedule or gmm object outside
+    ``_OBJECT_KEYS``.  A
     study's ``sampler`` and ``schedule`` are instead non-empty lists of
     the objects a convergence config takes, held as tuples of dicts.
     """
@@ -194,17 +200,20 @@ class ExperimentConfig:
         # every value a runner converts must convert here
         kwargs = _sampler_kwargs(self)
         check_sampler_args(name, kwargs["order"], kwargs["eta"])
-        orders = [int(v) for v in self.orders]
+        orders = [_integer(v, "an orders entry") for v in self.orders]
         if min(orders, default=0) < 0 or len(set(orders)) != len(orders):
             raise ConfigError(f"orders must be distinct and >= 0: {list(self.orders)}")
         [float(v) for v in self.x0_list]
         for lam in self.lambda_list:
             _check_lam(lam)
-        if np.ndim(np.asarray(self.x_t, dtype=float)) and self.kind == "trace":
+        x_t = np.asarray(self.x_t, dtype=float)
+        if x_t.ndim and self.kind == "trace":
             raise ConfigError(f"trace experiments need a scalar x_t, got {self.x_t!r}")
+        if x_t.ndim > 1:
+            raise ConfigError(f"x_t must be a number or a list of numbers, got {self.x_t!r}")
         if self.batch < 1 or self.n_traj < 1 or self.points_per_interval < 0:
             raise ConfigError("batch and n_traj must be >= 1, points_per_interval >= 0")
-        if min((int(v) for v in self.n_list), default=1) < 1:
+        if min((_integer(v, "an n_list entry") for v in self.n_list), default=1) < 1:
             raise ConfigError(f"n_list entries must be >= 1: {list(self.n_list)}")
         if self.kind == "convergence":
             if not self.n_list:
@@ -234,7 +243,7 @@ class ExperimentConfig:
                     f"t_end {spec.t_end!r}"
                 )
             for n in self.n_list:
-                self.build_grid(spec, n=int(n))
+                self.build_grid(spec, n=n)
 
     def _validate_study(self):
         cases = self._cases()
@@ -318,13 +327,13 @@ class ExperimentConfig:
             sched["name"],
             t0=self.t0_for(spec),
             t_end=float(sched.get("t_end", spec.t_end)),
-            n=int(n if n is not None else sched["n"]),
+            n=_integer(n if n is not None else sched["n"], "schedule n"),
             kappa=float(sched["kappa"]) if "kappa" in sched else None,
             spec=spec,
         )
 
     def build_field(self, spec: DiffusionSpec) -> EpsilonField:
-        return epsilon_field(self.build_gmm(), spec)
+        return EpsilonField(self.build_gmm(), spec)
 
 
 def _convert(f, kind: str, raw: dict):
@@ -341,7 +350,9 @@ def _convert(f, kind: str, raw: dict):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"study experiments need a nonempty {f.name} list")
         return tuple(dict(v) for v in value)
-    return f.type(value) if f.type in _CONVERTED_TYPES else value
+    if f.type is int:
+        return _integer(value, f.name)
+    return f.type(value) if f.type in (float, tuple, dict) else value
 
 
 def _full_schedule(schedule: dict, spec: DiffusionSpec) -> dict:
@@ -422,7 +433,7 @@ def _provenance(config: ExperimentConfig) -> dict:
 def _sampler_kwargs(config: ExperimentConfig) -> dict:
     s = config.sampler
     return {
-        "order": int(s.get("order", 0)),
+        "order": _integer(s.get("order", 0), "sampler order"),
         "eta": float(s.get("eta", 0.0)),
         "seed": config.seed,
     }
@@ -503,7 +514,7 @@ def _convergence_case(config: ExperimentConfig, spec, field, x_batch, reference)
     schedule over config.n_list, and the fitted order."""
     rows = []
     for n in config.n_list:
-        grid = config.build_grid(spec, n=int(n))
+        grid = config.build_grid(spec, n=n)
         run = run_sampler(
             config.sampler["name"], spec, field, grid, x_batch,
             **_sampler_kwargs(config),
@@ -596,7 +607,7 @@ def run_marginal(config: ExperimentConfig) -> MetricReport:
     """
     spec = config.build_spec()
     gmm = config.build_gmm()
-    field = epsilon_field(gmm, spec)
+    field = EpsilonField(gmm, spec)
     t0 = config.t0_for(spec)
     data_mean = gmm.mean()
     data_var = gmm.variance()
@@ -668,7 +679,7 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
     """
     spec = config.build_spec()
     gmm = config.build_gmm()
-    field = epsilon_field(gmm, spec)
+    field = EpsilonField(gmm, spec)
     grid = config.build_grid(spec)
     times = grid.times
     n = grid.n_steps
@@ -678,7 +689,7 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
         x_t = float(np.asarray(config.x_t, dtype=float))
     node_states = reference_states(spec, field, x_t, times, config.ref_dt)
     node_eps = np.array([field(node_states[i], times[i]) for i in range(n + 1)])
-    orders = tuple(int(r) for r in config.orders)
+    orders = tuple(_integer(r, "an orders entry") for r in config.orders)
     columns = ("interval", "t", "is_node", "delta_s_score", "delta_s_eps") + tuple(
         f"delta_eps_r{r}" for r in orders
     )

@@ -17,8 +17,8 @@ Conventions:
 * Arrays are processed elementwise, so a vector input doubles as a
   batch of independent scalar states (and, for multi-axis arrays, as a
   per-axis factorized product distribution with iid axes).
-* The field, :func:`score` and each ``pf_loglik`` stage form the
-  marginal's means, variances and per-component bias
+* The field, its :meth:`EpsilonField.score` and each ``pf_loglik``
+  stage form the marginal's means, variances and per-component bias
   log w_k - 0.5 log(2 pi var_k) directly (``_marginals``, at one time
   or many, with the bits of the one-time formula at each) instead of
   building a :class:`GaussianMixture`.  Every mixture evaluation, the
@@ -72,9 +72,7 @@ __all__ = [
     "GaussianMixture",
     "Trajectory",
     "marginal_at",
-    "score",
     "EpsilonField",
-    "epsilon_field",
     "fixed_step_times",
     "reference_solve",
     "reference_states",
@@ -277,10 +275,6 @@ class GaussianMixture:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_components(self) -> int:
-        return self.weights.size
-
     def _kernel_args(self):
         """(means, variances, bias) as the (K, 1) columns the mixture
         kernel takes."""
@@ -305,10 +299,6 @@ class GaussianMixture:
     def variance(self) -> float:
         second = np.sum(self.weights * (self.stds**2 + self.means**2))
         return float(second - self.mean() ** 2)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        ks = rng.choice(self.n_components, size=n, p=self.weights)
-        return self.means[ks] + self.stds[ks] * rng.standard_normal(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,11 +360,6 @@ def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
     return float(l_t[0]), means, var, bias
 
 
-def score(gmm: GaussianMixture, spec: DiffusionSpec, x, t: float):
-    """Exact score of the time-t marginal, evaluated elementwise."""
-    return _score(x, *_marginal(gmm, spec, t)[1:])
-
-
 # Bound on the per-time memo of one EpsilonField, at about 530 bytes per
 # entry.  Measured distinct times per field: 2686 in one pass of the
 # benchmark sweep; 4624 to 5046 for the shipped convergence and study
@@ -423,11 +408,8 @@ class EpsilonField:
         return _score(x, means, var, bias, -l_t)
 
     def score(self, x, t: float):
+        """Exact score of the time-t marginal, evaluated elementwise."""
         return _score(x, *self._marginal(t)[1:])
-
-
-def epsilon_field(gmm: GaussianMixture, spec: DiffusionSpec) -> EpsilonField:
-    return EpsilonField(gmm, spec)
 
 
 def _steps(t_from: float, t_to: float, dt: float):

@@ -32,7 +32,7 @@ states (none for EM, which keeps the terminal only).  Plans:
 * EM            euler's a, c times (1 + lam^2) and s = lam sqrt(g2 dt) on
                 the fixed-step grid: Euler-Maruyama on the reverse-time
                 family dx = [f x - (1 + lam^2)/2 g2 score] dt + lam g dw
-                (:func:`em_simulate`, :func:`em_terminal_batch`).
+                (:func:`em_terminal_batch`).
 
 ``rho_rk_sample`` (midpoint, heun2, kutta3, rk4 in rho) evaluates the
 field between nodes and keeps its own loop.
@@ -63,15 +63,12 @@ __all__ = [
     "SolverRun",
     "euler_sample",
     "ei_score_sample",
-    "ddim_step",
     "ddim_sample",
     "tab_sample",
     "rho_ab_sample",
     "rho_rk_sample",
     "ipndm_sample",
-    "sddim_step",
     "sddim_sample",
-    "em_simulate",
     "em_terminal_batch",
     "run_sampler",
     "check_sampler_args",
@@ -183,8 +180,11 @@ def _run(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
 
 
 def _ddim_coeffs(spec: DiffusionSpec, t, t_prev):
-    """a = Psi(t_prev, t) and c = L(t_prev) - a L(t) of the transfer step,
-    elementwise."""
+    """a = Psi(t_prev, t) and c = L(t_prev) - a L(t), elementwise, of the
+    exponential transfer step that holds the noise prediction fixed,
+    x_prev = a x_t + c eps.  For the VP preset, a = sqrt(alpha_prev /
+    alpha_t) and L = sqrt(1 - alpha), which is the deterministic DDIM
+    update."""
     psi = transition(spec, t_prev, t)
     return psi, spec.L(t_prev) - psi * spec.L(t)
 
@@ -200,8 +200,18 @@ def _check_ipndm_order(r: int):
 
 
 def _sddim_coeffs(spec: DiffusionSpec, t, t_prev, eta: float):
-    """(a, c, s) of the stochastic transfer step (see :func:`sddim_step`),
-    elementwise."""
+    """(a, c, s) of the stochastic transfer step x_prev = a x_t + c eps
+    + s xi, xi ~ N(0, 1), elementwise:
+
+        var = eta^2 L_prev^2 / L_t^2 (L_t^2 - Psi(t, t_prev)^2 L_prev^2),
+        a = Psi(t_prev, t),  c = sqrt(L_prev^2 - var) - a L_t,  s = sqrt(var).
+
+    On VP (alpha = mu^2) var is the DDIM eta^2 (1 - alpha_prev) /
+    (1 - alpha) (1 - alpha / alpha_prev); on VE it is
+    eta^2 sigma_prev^2 (sigma^2 - sigma_prev^2) / sigma^2.  eta = 0 gives
+    :func:`_ddim_coeffs` and s = 0; the variance terms are clamped at
+    zero so the degenerate endpoint L(t_prev) = 0 cannot produce a
+    negative radicand."""
     _check_eta(eta)
     psi, c = _ddim_coeffs(spec, t, t_prev)
     if eta == 0.0:
@@ -298,18 +308,6 @@ def ei_score_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRu
     return _run("ei_score", None, _ei_score_plan(spec, grid), field, grid, x_T)
 
 
-def ddim_step(spec: DiffusionSpec, x_t, eps_val, t: float, t_prev: float):
-    """Exponential transfer step holding the noise prediction fixed:
-
-        x_prev = Psi(t_prev, t) x_t + (L(t_prev) - Psi(t_prev, t) L(t)) eps.
-
-    For the VP preset, Psi = sqrt(alpha_prev / alpha_t) and
-    L = sqrt(1 - alpha), which is the deterministic DDIM update.
-    """
-    psi, c = _ddim_coeffs(spec, t, t_prev)
-    return psi * x_t + c * eps_val
-
-
 def ddim_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
     return _run("ddim", 0, _ddim_plan(spec, grid), field, grid, x_T)
 
@@ -347,8 +345,8 @@ def rho_ab_sample(
 
     Written in x, the step is x_{i-1} = (mu_{i-1} / mu_i) x_i
     + mu_{i-1} sum_j w_j eps_{i+j}.  The zero-order method reproduces
-    :func:`ddim_step`; higher orders extrapolate the noise prediction
-    with a polynomial in rho.
+    :func:`ddim_sample`'s step; higher orders extrapolate the noise
+    prediction with a polynomial in rho.
     """
     return _run("rho_ab", r, _rho_ab_plan(spec, grid, r), field, grid, x_T)
 
@@ -459,7 +457,7 @@ def ipndm_sample(
     Step i blends the last j+1 node evaluations with the fixed-step
     multistep coefficients, j = min(history, r) ramping up from zero
     (the first step is therefore exactly a ddim step), and advances
-    with :func:`ddim_step`'s coefficients.  The blend coefficients
+    with :func:`ddim_sample`'s coefficients.  The blend coefficients
     assume a uniform grid; a non-uniform grid is accepted but flagged
     in the run notes.
     """
@@ -471,75 +469,34 @@ def ipndm_sample(
     return _run("ipndm", r, plan, field, grid, x_T, notes=notes)
 
 
-def sddim_step(
-    spec: DiffusionSpec,
-    x_t,
-    eps_val,
-    t: float,
-    t_prev: float,
-    eta: float,
-    rng: np.random.Generator,
-):
-    """Stochastic variant of the exponential transfer step:
-
-        var = eta^2 L_prev^2 / L_t^2 (L_t^2 - Psi(t, t_prev)^2 L_prev^2),
-        x_prev = Psi(t_prev, t) x_t
-                 + (sqrt(L_prev^2 - var) - Psi(t_prev, t) L_t) eps + sqrt(var) xi,
-
-    xi ~ N(0, I).  On VP (alpha = mu^2) var is the DDIM
-    eta^2 (1 - a_prev) / (1 - a) (1 - a / a_prev); on VE it is
-    eta^2 sigma_prev^2 (sigma^2 - sigma_prev^2) / sigma^2.  eta = 0
-    reduces exactly to :func:`ddim_step` and draws nothing; the
-    variance terms are clamped at zero so the degenerate endpoint
-    L(t_prev) = 0 cannot produce a negative radicand.
-    """
-    a, c, s = _sddim_coeffs(spec, t, t_prev, eta)
-    if eta == 0.0:
-        return a * x_t + c * eps_val
-    x_t = np.asarray(x_t, dtype=float)
-    return a * x_t + c * eps_val + s * rng.standard_normal(x_t.shape)
-
-
 def sddim_sample(
     spec: DiffusionSpec, field, grid: TimeGrid, eta: float, x_T, seed: int
 ) -> SolverRun:
-    """Iterate :func:`sddim_step` over the grid; the noise of each step
-    comes from its own stream of ``seed`` (see :func:`_execute`)."""
+    """Stochastic ddim: the step of :func:`_sddim_coeffs` over the grid;
+    the noise of each step comes from its own stream of ``seed`` (see
+    :func:`_execute`).  eta = 0 has the bits of :func:`ddim_sample` and
+    draws nothing."""
     if seed is None:
         raise ParameterError("sddim needs a seed")
     plan, s = _sddim_plan(spec, grid, eta)
     return _run("sddim", None, plan, field, grid, x_T, s=s, seed=seed)
 
 
-def em_simulate(spec: DiffusionSpec, field, lam: float, x_T, dt: float, t0: float,
-                rng_seed: int):
-    """Euler-Maruyama simulation of the reverse-time family
+def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: float,
+                      seed: int, n_traj: int) -> np.ndarray:
+    """Terminal states of ``n_traj`` independent Euler-Maruyama
+    trajectories of the reverse-time family
 
         dx = [f x - (1 + lam^2)/2 * g2 * score] dt + lam sqrt(g2) dw
 
     from t_end down to t0 in steps of at most ``dt``, with
-    score = -eps / L taken from ``field``, returning the terminal state.
-    lam = 0 recovers the deterministic sampling ODE, with the bits of
-    :func:`euler_sample` on the same grid; lam = 1 is the reverse SDE.
-    Deterministic given ``rng_seed``: step k takes its noise from
-    :func:`~diffint.oracle.normals` stream 1 + k of that seed, so a
-    vector ``x_T`` gets the noise :func:`em_terminal_batch` gives its
-    trajectories.  A non-finite state raises :class:`DivergenceError`.
-    """
-    plan, s = _em_plan(spec, lam, dt, t0)
-    return _execute("em", plan, field, x_T, s=s, seed=rng_seed)[0]
-
-
-def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: float,
-                      seed: int, n_traj: int) -> np.ndarray:
-    """Terminal states of ``n_traj`` independent EM trajectories.
-
-    Trajectory i starts from draw i of
-    :func:`~diffint.oracle.draw_terminal_states` and takes the noise of
-    step k from position i of :func:`~diffint.oracle.normals` stream
-    1 + k, so its result does not depend on ``n_traj``; the steps are
-    :func:`em_simulate`'s.  Non-finite trajectories are returned as NaN
-    rather than raising.
+    score = -eps / L taken from ``field``.  lam = 0 recovers the
+    deterministic sampling ODE, with the bits of :func:`euler_sample` on
+    the same grid; lam = 1 is the reverse SDE.  Trajectory i starts from
+    draw i of :func:`~diffint.oracle.draw_terminal_states` and takes the
+    noise of step k from position i of :func:`~diffint.oracle.normals`
+    stream 1 + k, so its result does not depend on ``n_traj``.
+    Non-finite trajectories are returned as NaN rather than raising.
     """
     plan, s = _em_plan(spec, lam, dt, t0)
     x = draw_terminal_states(spec, seed, n_traj)

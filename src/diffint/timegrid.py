@@ -19,7 +19,6 @@ its parameters.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,11 +39,6 @@ __all__ = [
 ]
 
 SCHEDULE_NAMES = ("uniform", "quadratic", "power_t", "power_rho", "log_rho")
-
-
-def grid_fingerprint(times: np.ndarray) -> str:
-    """Stable identity of a grid: hash of the exact float64 bytes."""
-    return hashlib.sha256(np.ascontiguousarray(times, dtype=float).tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +84,6 @@ class TimeGrid:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def grid_id(self) -> str:
-        return grid_fingerprint(self.times)
 
     def rho_values(self, spec: DiffusionSpec) -> np.ndarray:
         return self.rho if self.rho is not None else rho_of_t(spec, self.times)

@@ -41,7 +41,7 @@ import numpy as np
 from . import quadrature
 from .diffusion import DiffusionSpec, transition
 from .errors import DegenerateNodesError, GridMismatchError, ParameterError
-from .timegrid import TimeGrid, grid_fingerprint
+from .timegrid import TimeGrid
 
 __all__ = [
     "lagrange_basis",
@@ -86,8 +86,8 @@ class WeightTable:
 
     ``psi[i-1]`` is the state factor a_i (Psi(t_{i-1}, t_i) for ``tab``)
     and ``c[i-1]`` the coefficient row for the step from t_i to t_{i-1}
-    (j = 0 first).  ``times`` is the grid the table was built from;
-    :attr:`grid_id` matches ``TimeGrid.grid_id`` for that grid.
+    (j = 0 first).  ``times`` is the grid the table was built from, and
+    :meth:`check_grid` accepts only a grid with exactly these times.
     """
 
     order: int
@@ -121,10 +121,6 @@ class WeightTable:
     @property
     def n_steps(self) -> int:
         return self.times.size - 1
-
-    @property
-    def grid_id(self) -> str:
-        return grid_fingerprint(self.times)
 
     def psi_for(self, i: int) -> float:
         """State factor a_i (Psi(t_{i-1}, t_i) for ``tab``) for the step leaving node i."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from diffint import GaussianMixture, epsilon_field, vesde, vpsde
+from diffint import EpsilonField, GaussianMixture, vesde, vpsde
 
 
 @pytest.fixture(scope="session")
@@ -18,20 +18,20 @@ def ve():
 def gauss_oracle(vp):
     """Single Gaussian N(0.5, 0.25^2): the workhorse convergence oracle."""
     gmm = GaussianMixture([1.0], [0.5], [0.25])
-    return gmm, epsilon_field(gmm, vp)
+    return gmm, EpsilonField(gmm, vp)
 
 
 @pytest.fixture(scope="session")
 def concentrated_oracle(vp):
     """Concentrated Gaussian N(0, 0.1^2): stresses the small-t regime."""
     gmm = GaussianMixture([1.0], [0.0], [0.1])
-    return gmm, epsilon_field(gmm, vp)
+    return gmm, EpsilonField(gmm, vp)
 
 
 @pytest.fixture(scope="session")
 def bimodal_oracle(vp):
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.2, 0.2])
-    return gmm, epsilon_field(gmm, vp)
+    return gmm, EpsilonField(gmm, vp)
 
 
 @pytest.fixture(scope="session")

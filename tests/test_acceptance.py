@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from diffint import (
+    EpsilonField,
     GaussianMixture,
     IPNDM_BLEND,
     OracleTrustError,
     VpSchedule,
     ddim_sample,
-    ddim_step,
     ei_score_sample,
-    epsilon_field,
     euler_sample,
     ipndm_sample,
     lagrange_basis,
@@ -33,7 +32,7 @@ from diffint import (
     rho_ab_weights,
     rho_of_t,
     rho_rk_sample,
-    sddim_step,
+    sddim_sample,
     t_of_rho,
     tab_sample,
     tab_weights,
@@ -44,6 +43,7 @@ from diffint import (
 )
 from diffint.harness import draw_terminal_states, fit_order
 from diffint.samplers import em_terminal_batch
+from diffint.timegrid import TimeGrid
 
 from helpers import adaptive_simpson
 
@@ -55,7 +55,7 @@ _trust_gap = {}
 def oracle_trust_gate():
     """Criterion 11 precondition: abort everything on self-check failure."""
     spec = vpsde()
-    field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+    field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     probe = np.array([1.0, -1.0, 0.5, 2.0])
     try:
         _trust_gap["gap"] = reference_self_check(spec, field, probe, 1e-3, T0, tol=1e-6)
@@ -74,7 +74,7 @@ def test_criterion_01_ddim_equivalence():
     started = time.perf_counter()
     spec = vpsde()
     sched = VpSchedule()
-    field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+    field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     grid = quadratic(T0, 1.0, 10)
     x_init = np.random.default_rng(0).standard_normal(100)
     run = tab_sample(spec, field, grid, 0, x_init)
@@ -111,7 +111,7 @@ def test_criterion_02_transition_algebra():
 def test_criterion_03_convergence_orders():
     started = time.perf_counter()
     spec = vpsde()
-    field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+    field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     batch = draw_terminal_states(spec, 0, 64)
     reference = reference_solve(spec, field, batch, 1e-3, T0).terminal
     n_values = (10, 20, 40, 80, 160)
@@ -149,7 +149,7 @@ def test_criterion_04_marginal_equivalence():
     started = time.perf_counter()
     spec = vpsde()
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.2, 0.2])
-    field = epsilon_field(gmm, spec)
+    field = EpsilonField(gmm, spec)
     details = []
     for lam in (0.0, 1.0):
         terminal = em_terminal_batch(spec, field, lam, 1e-3, T0, seed=0, n_traj=50000)
@@ -174,7 +174,7 @@ def test_criterion_05_rho_transform_equivalence():
     rng = np.random.default_rng(2)
     for t in rng.uniform(1e-4, 1.0, 100):
         assert abs(t_of_rho(spec, float(rho_of_t(spec, t))) - t) <= 1e-10
-    field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+    field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     states = np.array([-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])
     grid = quadratic(T0, 1.0, 160)
     reference = reference_solve(spec, field, states, 1e-3, T0).terminal
@@ -249,7 +249,7 @@ def test_criterion_07_ipndm_coefficients():
         Fraction(-9, 24),
     )
     spec = vpsde()
-    field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+    field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     grid = uniform(T0, 1.0, 10)
     first_ipndm = ipndm_sample(spec, field, grid, 3, 1.0).states[9]
     first_ddim = ddim_sample(spec, field, grid, 1.0).states[9]
@@ -261,7 +261,7 @@ def test_criterion_07_ipndm_coefficients():
 def test_criterion_08_ablation_ordering():
     started = time.perf_counter()
     spec = vpsde()
-    field = epsilon_field(GaussianMixture([1.0], [0.0], [0.1]), spec)
+    field = EpsilonField(GaussianMixture([1.0], [0.0], [0.1]), spec)
     grid = power_t(T0, 1.0, 10, 7.0)
     batch = draw_terminal_states(spec, 0, 64)
     reference = reference_solve(spec, field, batch, 1e-3, T0).terminal
@@ -287,10 +287,10 @@ def test_criterion_09_stochastic_step_moments():
     started = time.perf_counter()
     spec = vpsde()
     x, eps, t, t_prev, eta = 0.8, 0.25, 0.6, 0.35, 0.7
-    rng = np.random.Generator(np.random.Philox(key=5))
-    draws = np.array(
-        [sddim_step(spec, x, eps, t, t_prev, eta, rng) for _ in range(10000)]
-    )
+    # 10000 draws of one step from x with the noise prediction held at eps
+    field = lambda state, _: np.full(np.shape(state), eps)
+    grid, x_T = TimeGrid([t_prev, t]), np.full(10000, x)
+    draws = sddim_sample(spec, field, grid, eta, x_T, seed=5).terminal
     a_t = float(spec.mu(t)) ** 2
     a_prev = float(spec.mu(t_prev)) ** 2
     var_eta = eta**2 * (1 - a_prev) / (1 - a_t) * (1 - a_t / a_prev)
@@ -299,9 +299,8 @@ def test_criterion_09_stochastic_step_moments():
     se = np.sqrt(var_eta / draws.size)
     assert abs(draws.mean() - mean_closed) <= 3 * se
     assert abs(draws.var() - var_eta) <= 0.05 * var_eta
-    assert sddim_step(spec, x, eps, t, t_prev, 0.0, rng) == ddim_step(
-        spec, x, eps, t, t_prev
-    )
+    assert np.array_equal(sddim_sample(spec, field, grid, 0.0, x_T, seed=5).terminal,
+                          ddim_sample(spec, field, grid, x_T).terminal)
     _passes(
         9,
         f"step mean within 3se, variance within 5% (var {draws.var():.4e} "

@@ -103,7 +103,8 @@ def test_transition_vp_hand_value(vp):
     # int_0^1 beta = 10.05, int_0^0.5 beta = 0.05 + 9.95/4 = 2.5375
     expected = np.exp(-(10.05 - 2.5375) / 2)
     assert np.isclose(transition(vp, 1.0, 0.5), expected, rtol=1e-12)
-    assert np.isclose(transition(vp, 1.0, 0.5, method="quadrature"), expected, rtol=1e-10)
+    by_quadrature = dataclasses.replace(vp, transition_closed=None)
+    assert np.isclose(transition(by_quadrature, 1.0, 0.5), expected, rtol=1e-10)
 
 
 def test_transition_semigroup_and_inverse(vp, ve):
@@ -119,30 +120,12 @@ def test_transition_semigroup_and_inverse(vp, ve):
 
 
 def test_transition_quadrature_matches_closed_form(vp):
+    # a spec without a closed form integrates the drift
+    by_quadrature = dataclasses.replace(vp, transition_closed=None)
     rng = np.random.default_rng(5)
     for _ in range(100):
         t, s = rng.uniform(0, 1, 2)
-        assert np.isclose(
-            transition(vp, t, s, method="quadrature"),
-            transition(vp, t, s, method="closed"),
-            rtol=1e-10,
-        )
-
-
-def test_transition_closed_unavailable_for_custom():
-    from diffint import DiffusionSpec
-
-    spec = DiffusionSpec(
-        f=lambda t: -0.5 * np.ones_like(np.asarray(t, dtype=float)),
-        g2=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        mu=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float)),
-        L=lambda t: np.sqrt(-np.expm1(-np.asarray(t, dtype=float))),
-        t_end=1.0,
-    )
-    with pytest.raises(ParameterError):
-        transition(spec, 0.7, 0.2, method="closed")
-    # quadrature path: exp(int_s^t -1/2) = exp(-(t-s)/2)
-    assert np.isclose(transition(spec, 0.7, 0.2), np.exp(-0.25), rtol=1e-12)
+        assert np.isclose(transition(by_quadrature, t, s), transition(vp, t, s), rtol=1e-10)
 
 
 # -- rho transform ----------------------------------------------------
@@ -274,13 +257,13 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
     config, out = sys.argv[2], sys.argv[3]
 
     import diffint, diffint.cli
-    from diffint import GaussianMixture, epsilon_field, make_grid, rho_rk_sample, vesde, vpsde
+    from diffint import EpsilonField, GaussianMixture, make_grid, rho_rk_sample, vesde, vpsde
     from diffint.timegrid import SCHEDULE_NAMES
 
     for spec in (vpsde(), vesde(0.01, 50.0)):
         for name in SCHEDULE_NAMES:
             make_grid(name, t0=1e-3, t_end=spec.t_end, n=12, kappa=2.0, spec=spec)
-        field = epsilon_field(GaussianMixture([1.0], [0.5], [0.25]), spec)
+        field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
         rho_rk_sample(spec, field, make_grid("log_rho", t0=1e-3, t_end=spec.t_end,
                                              n=8, spec=spec), "rk4", [0.3, -1.2])
     code = diffint.cli.main(["sample", "--config", config, "--out", out])

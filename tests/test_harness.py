@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffint import ConfigError, WeightTable, epsilon_field, euler_sample, harness
+from diffint import ConfigError, WeightTable, euler_sample, harness
 from diffint.cli import main
 from diffint.harness import (
     KINDS,
@@ -423,6 +423,21 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"kind": "trace", "x_t": 1.0, "orders": [2, 2]},
         # 1 + lambda^2 overflows
         {"kind": "marginal", "lambda_list": [1e200]},
+        # x_t is a number or a list of numbers
+        {"x_t": [[1.0, 2.0], [3.0, 4.0]]},
+        {"x_t": [[1.0]]},
+        {"x_t": [[]]},
+        # int() would drop the fraction of an integer value
+        {"seed": 1.5},
+        {"batch": 2.5},
+        {"kind": "marginal", "n_traj": 10.5},
+        {"kind": "trace", "x_t": 1.0, "points_per_interval": 2.5},
+        {"kind": "convergence", "n_list": [10, 10.5, 20]},
+        {"kind": "trace", "x_t": 1.0, "orders": [0, 1.5]},
+        {"schedule": {"name": "quadratic", "t0": 1e-3, "n": 10.7}},
+        {"sampler": {"name": "tab", "order": 1.5}},
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "tab", "order": 0.5}],
+         "schedule": [{"name": "uniform", "n": 10}]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -462,6 +477,7 @@ _FUZZ_SCALARS = st.one_of(st.none(), st.booleans(), _FUZZ_NUMBERS, st.text(max_s
 _FUZZ_VALUES = st.one_of(
     _FUZZ_SCALARS,
     st.lists(_FUZZ_SCALARS, max_size=3),
+    st.lists(st.lists(_FUZZ_SCALARS, max_size=3), max_size=3),
     st.dictionaries(st.text(max_size=3), _FUZZ_SCALARS, max_size=2),
 )
 _FUZZ_KEYS = [

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 from diffint import (
     DivergenceError,
     DomainError,
+    EpsilonField,
     GaussianMixture,
     ParameterError,
     VpSchedule,
-    epsilon_field,
     marginal_at,
     pf_loglik,
     reference_self_check,
     reference_solve,
-    score,
     uniform,
     vesde,
     vpsde,
@@ -35,7 +34,7 @@ from diffint.oracle import (
     normals,
     reference_states,
 )
-from diffint.samplers import em_simulate, em_terminal_batch, euler_sample, run_sampler
+from diffint.samplers import _em_plan, _execute, em_terminal_batch, euler_sample, run_sampler
 from diffint.timegrid import TimeGrid
 
 from helpers import central_difference, gaussian_pf_terminal
@@ -111,7 +110,8 @@ def test_marginal_pushforward_moments_match_simulation(vp):
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.2, 0.2])
     rng = np.random.default_rng(11)
     t = 0.4
-    x0 = gmm.sample(10000, rng)
+    ks = rng.choice(gmm.weights.size, size=10000, p=gmm.weights)
+    x0 = gmm.means[ks] + gmm.stds[ks] * rng.standard_normal(ks.size)
     xt = float(vp.mu(t)) * x0 + float(vp.L(t)) * rng.standard_normal(x0.size)
     pushed = marginal_at(gmm, vp, t)
     pm = float(np.sum(pushed.weights * pushed.means))
@@ -132,23 +132,24 @@ def test_score_zero_at_single_component_mean(vp):
     gmm = GaussianMixture([1.0], [0.7], [0.3])
     t = 0.35
     mean_t = float(vp.mu(t)) * 0.7
-    assert float(score(gmm, vp, mean_t, t)) == pytest.approx(0.0, abs=1e-14)
+    assert float(EpsilonField(gmm, vp).score(mean_t, t)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_score_matches_density_gradient(vp):
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.2, 0.2])
+    field = EpsilonField(gmm, vp)
     rng = np.random.default_rng(12)
     for _ in range(50):
         t = rng.uniform(0.05, 1.0)
         x = rng.uniform(-2.5, 2.5)
         pushed = marginal_at(gmm, vp, t)
         fd = central_difference(pushed.logpdf, x, 1e-5)
-        assert np.isclose(float(score(gmm, vp, x, t)), fd, rtol=1e-5, atol=1e-7)
+        assert np.isclose(float(field.score(x, t)), fd, rtol=1e-5, atol=1e-7)
 
 
 def test_score_symmetric_midpoint_is_zero(vp):
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.3, 0.3])
-    assert float(score(gmm, vp, 0.0, 0.6)) == pytest.approx(0.0, abs=1e-14)
+    assert float(EpsilonField(gmm, vp).score(0.0, 0.6)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_score_variance_underflow_guard():
@@ -162,9 +163,7 @@ def test_score_variance_underflow_guard():
         t_end=1.0,
     )
     gmm = GaussianMixture([1.0], [0.0], [1.0])
-    with pytest.raises(DomainError):
-        score(gmm, tiny, 0.0, 1.0)
-    field = epsilon_field(gmm, tiny)
+    field = EpsilonField(gmm, tiny)
     for _ in range(2):  # a failure is never memoised
         with pytest.raises(DomainError):
             field(0.0, 1.0)
@@ -254,7 +253,7 @@ def _rel_error(got, want):
 def test_kernel_matches_high_precision_reference(mixture, preset, request):
     spec = request.getfixturevalue(preset)
     gmm = GaussianMixture(*mixture)
-    field = epsilon_field(gmm, spec)
+    field = EpsilonField(gmm, spec)
     x = ACCURACY_X
     for t in (0.0, 1e-3, 0.37, spec.t_end):
         l_t, means, var, _ = oracle._marginal(gmm, spec, t)
@@ -262,7 +261,7 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
         logpdf, s, s_dx = ([r[i] for r in refs] for i in range(3))
         pushed = marginal_at(gmm, spec, t)
         assert _rel_error(field(x, t), [-Decimal(l_t) * v for v in s]) < 1e-13
-        for got in (field.score(x, t), score(gmm, spec, x, t), pushed.score(x)):
+        for got in (field.score(x, t), pushed.score(x)):
             assert _rel_error(got, s) < 1e-13
         assert _rel_error(pushed.logpdf(x), logpdf) < 1e-13
         assert _rel_error(pushed.score_dx(x), s_dx) < 1e-12
@@ -284,7 +283,7 @@ def test_array_gives_the_bits_of_one_call_per_element(mixture, shape, vp, ve):
     x = np.random.default_rng(len(shape)).normal(0.0, 3.0, shape)
     x.flat[:4] = (0.0, -0.0, gmm.means[0], -gmm.means[-1])
     for spec, t in ((vp, 0.37), (ve, 1e-3)):
-        field = epsilon_field(gmm, spec)
+        field = EpsilonField(gmm, spec)
         pushed = marginal_at(gmm, spec, t)
         for fn in (lambda v: field(v, t), pushed.score, pushed.score_dx, pushed.logpdf):
             want = np.array([fn(v) for v in x.ravel().tolist()]).reshape(shape)
@@ -295,7 +294,7 @@ def test_array_gives_the_bits_of_one_call_per_element(mixture, shape, vp, ve):
 def test_kernel_non_finite_inputs(mixture, vp):
     gmm = GaussianMixture(*mixture)
     t = 0.37
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     pushed = marginal_at(gmm, vp, t)
     x = np.array([np.inf, -np.inf, 1e200, -1e200, np.nan])
     with warnings.catch_warnings():
@@ -306,8 +305,7 @@ def test_kernel_non_finite_inputs(mixture, vp):
         assert np.isnan(logpdf[4])
         assert pushed.logpdf(np.inf) == -np.inf
         assert np.isnan(pushed.logpdf(np.nan))
-        for got in (field(x, t), field.score(x, t), score(gmm, vp, x, t), pushed.score(x),
-                    pushed.score_dx(x)):
+        for got in (field(x, t), field.score(x, t), pushed.score(x), pushed.score_dx(x)):
             assert np.isnan(got).all()
         assert np.isnan(field(np.inf, t))
         # finite points with finite log terms raise no warning
@@ -323,8 +321,8 @@ def test_kernel_non_finite_inputs(mixture, vp):
         logpdf = pushed.logpdf(wide)
         assert _same_bits(logpdf[edge], pushed.logpdf(x))
         assert np.isfinite(logpdf[rest]).all()
-        for got in (field(wide, t), field.score(wide, t), score(gmm, vp, wide, t),
-                    pushed.score(wide), pushed.score_dx(wide)):
+        for got in (field(wide, t), field.score(wide, t), pushed.score(wide),
+                    pushed.score_dx(wide)):
             assert np.isnan(got[edge]).all()
             assert np.isfinite(got[rest]).all()
 
@@ -339,7 +337,7 @@ BLOCK_SHAPES = [(oracle._BLOCK - 1,), (oracle._BLOCK,), (oracle._BLOCK + 1,),
 def test_blocks_give_the_bits_of_slices_across_each_edge(shape, vp):
     gmm = GaussianMixture([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05])
     t = 0.37
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     pushed = marginal_at(gmm, vp, t)
     columns = field._marginal(t)[1:]
     x = np.random.default_rng(shape[-1]).normal(0.0, 2.0, shape)
@@ -362,14 +360,14 @@ def test_blocks_give_the_bits_of_slices_across_each_edge(shape, vp):
 
 def test_eps_zero_at_marginal_mean(vp):
     gmm = GaussianMixture([1.0], [0.4], [0.2])
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     t = 0.5
     assert float(field(float(vp.mu(t)) * 0.4, t)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_eps_late_time_limit(vp):
     gmm = GaussianMixture([1.0], [0.0], [0.5])
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     t = 1.0
     l_t = float(vp.L(t))
     var = float(vp.mu(t)) ** 2 * 0.25 + l_t**2
@@ -380,14 +378,14 @@ def test_eps_late_time_limit(vp):
 
 def test_eps_score_consistency(vp):
     gmm = GaussianMixture([0.5, 0.5], [1.0, -1.0], [0.2, 0.2])
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     rng = np.random.default_rng(13)
     for _ in range(20):
         t = rng.uniform(0.05, 1.0)
         x = rng.uniform(-2, 2)
         assert np.isclose(
             -float(field(x, t)) / float(vp.L(t)),
-            float(score(gmm, vp, x, t)),
+            float(field.score(x, t)),
             rtol=1e-12,
         )
 
@@ -420,7 +418,7 @@ def test_reference_self_check(vp, gauss_oracle, x_batch):
 
 def test_reference_matches_linear_closed_form(vp, x_batch):
     gmm = GaussianMixture([1.0], [0.0], [0.5])
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     got = reference_solve(vp, field, x_batch).terminal
     expected = gaussian_pf_terminal(vp, 0.5, x_batch, 1e-3)
     assert np.max(np.abs(got - expected)) < 1e-6
@@ -497,19 +495,20 @@ def test_final_step_hold_error_prefers_eps_param(vp, concentrated_oracle):
 
 def test_em_lambda_zero_matches_euler(vp, gauss_oracle):
     _, field = gauss_oracle
-    dt, t0 = 1e-3, 1e-3
+    dt, t0, seed = 1e-3, 1e-3, 0
     n = int(round((vp.t_end - t0) / dt))
-    em = em_simulate(vp, field, 0.0, 1.3, dt, t0, rng_seed=0)
+    em = em_terminal_batch(vp, field, 0.0, dt, t0, seed, 8)
     grid = TimeGrid(np.linspace(vp.t_end, t0, n + 1)[::-1].copy())
-    eu = euler_sample(vp, field, grid, 1.3).terminal
+    eu = euler_sample(vp, field, grid, draw_terminal_states(vp, seed, 8)).terminal
     assert _same_bits(em, eu)
 
 
 def test_em_deterministic_given_seed(vp, gauss_oracle):
     _, field = gauss_oracle
-    a = em_simulate(vp, field, 1.0, 0.7, 1e-3, 1e-3, rng_seed=42)
-    b = em_simulate(vp, field, 1.0, 0.7, 1e-3, 1e-3, rng_seed=42)
+    a = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, 42, 4)
+    b = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, 42, 4)
     assert np.array_equal(a, b)
+    assert not np.array_equal(a, em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, 43, 4))
 
 
 def test_em_batch_across_a_block_edge_keeps_its_prefix(vp, bimodal_oracle):
@@ -523,11 +522,12 @@ def test_em_and_sddim_leave_the_callers_states_alone(vp, bimodal_oracle):
     _, field = bimodal_oracle
     seed, grid = 3, uniform(1e-3, 1.0, 10)
     x_T = draw_terminal_states(vp, seed, 16)
-    want_em = em_simulate(vp, field, 1.0, x_T.copy(), 1e-3, 1e-3, rng_seed=seed)
+    plan, s = _em_plan(vp, 1.0, 1e-3, 1e-3)
+    want_em = _execute("em", plan, field, x_T.copy(), s=s, seed=seed)[0]
     want_sddim = run_sampler("sddim", vp, field, grid, x_T.copy(), eta=1.0, seed=seed).states
     before = x_T.copy()
     x_T.setflags(write=False)
-    assert _same_bits(em_simulate(vp, field, 1.0, x_T, 1e-3, 1e-3, rng_seed=seed), want_em)
+    assert _same_bits(_execute("em", plan, field, x_T, s=s, seed=seed)[0], want_em)
     got = run_sampler("sddim", vp, field, grid, x_T, eta=1.0, seed=seed).states
     assert _same_bits(got, want_sddim)
     assert _same_bits(x_T, before)
@@ -545,17 +545,13 @@ def test_em_rejects_bad_args(vp, gauss_oracle):
     ]
     for lam, dt, t0 in cases:
         with pytest.raises(ParameterError):
-            em_simulate(vp, field, lam, 1.0, dt, t0, rng_seed=0)
-        with pytest.raises(ParameterError):
             em_terminal_batch(vp, field, lam, dt, t0, 0, 4)
     # the noise of lam > 0 needs an integer seed
-    with pytest.raises(ParameterError):
-        em_simulate(vp, field, 1.0, 1.0, 1e-3, 1e-3, rng_seed=None)
     with pytest.raises(ParameterError):
         em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, None, 4)
 
 
-def test_em_divergence_is_nan_in_the_batch_and_raises_in_simulate(vp, gauss_oracle):
+def test_em_divergence_is_nan_in_the_batch(vp, gauss_oracle):
     # a field that sends one trajectory to -inf once t falls below 0.5
     _, field = gauss_oracle
     seed, n, pos, dt, t0 = 5, 16, 3, 1e-3, 1e-3
@@ -571,13 +567,6 @@ def test_em_divergence_is_nan_in_the_batch_and_raises_in_simulate(vp, gauss_orac
     assert np.isnan(got[pos]) and np.isfinite(want).all()
     keep = np.arange(n) != pos
     assert _same_bits(got[keep], want[keep])
-    # the first step leaving a node below 0.5 diverges stepping into the node after it
-    times = oracle.fixed_step_times(vp.t_end, t0, dt)[::-1]
-    i = np.flatnonzero(times < 0.5)[-1]
-    with pytest.raises(DivergenceError) as info:
-        em_simulate(vp, blowup, 1.0, draw_terminal_states(vp, seed, n), dt, t0, rng_seed=seed)
-    assert info.value.step_index == i - 1
-    assert info.value.time == times[i - 1]
 
 
 # -- random streams ---------------------------------------------------
@@ -625,8 +614,6 @@ def test_em_batch_is_the_loop_on_its_streams(vp, gauss_oracle):
     # 3.9e-13 on VP and VE batches up to lam = 2; drawing step k's noise
     # from stream 2 + k instead moves a terminal by 13%
     assert np.max(np.abs(terminal - x) / np.abs(x)) <= 1e-11
-    # em_simulate runs the same loop on the same streams
-    assert np.array_equal(terminal, em_simulate(vp, field, lam, x_t, dt, t0, rng_seed=seed))
 
 
 @pytest.mark.parametrize("seed, stream", [(0, 0), (0, 1), (1, 0), (7919, 999),
@@ -671,7 +658,7 @@ def test_em_standard_normal_mean(vp):
     # N(0, 1) data: the reverse-time family should return standard
     # normal terminals; 50k trajectory mean within 3 standard errors.
     gmm = GaussianMixture([1.0], [0.0], [1.0])
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     terminal = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed=0, n_traj=50000)
     assert np.all(np.isfinite(terminal))
     se = terminal.std() / np.sqrt(terminal.size)
@@ -809,7 +796,7 @@ def test_loglik_divergence_names_its_step(memo_size, ve, monkeypatch):
 def test_field_equals_marginal_mixture_score(preset, t0, request):
     spec = request.getfixturevalue(preset)
     gmm = GaussianMixture([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05])
-    field = epsilon_field(gmm, spec)
+    field = EpsilonField(gmm, spec)
     rng = np.random.default_rng(3)
     xs = (0.7, rng.normal(0, 2, 1), rng.normal(0, 2, 64), rng.normal(0, 20, 8192),
           np.zeros(0), rng.normal(0, 2, (40, 30)))
@@ -820,7 +807,6 @@ def test_field_equals_marginal_mixture_score(preset, t0, request):
         for _ in range(2):  # a memo miss, then a hit
             assert _same_bits(field(x, t), want)
             assert _same_bits(field.score(x, t), mixture.score(x))
-        assert _same_bits(score(gmm, spec, x, t), mixture.score(x))
 
     for x in xs:
         for t in (t0, 0.37, spec.t_end):
@@ -846,9 +832,9 @@ def test_field_shared_by_threads_matches_serial(vp, monkeypatch):
     monkeypatch.setattr(oracle, "_MEMO_SIZE", 64)
     times = np.linspace(1e-3, vp.t_end, 500)
     n_threads = 4
-    serial = epsilon_field(gmm, vp)
+    serial = EpsilonField(gmm, vp)
     want = [serial(x, t) for t in times]
-    shared = epsilon_field(gmm, vp)
+    shared = EpsilonField(gmm, vp)
     got = [[None] * times.size for _ in range(n_threads)]
 
     def work(j):
@@ -875,7 +861,7 @@ def test_marginal_score_pair_matches_marginal_mixture(vp, ve):
     gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
     x = np.linspace(-2.0, 2.0, 9)
     for spec in (vp, ve):
-        field = epsilon_field(gmm, spec)
+        field = EpsilonField(gmm, spec)
         for t in (0.0, 1e-3, 0.37, 0.5, 1.0):
             # what each pf_loglik stage evaluates
             s, s_dx = _score_pair(x, *field._marginal(t)[1:])
@@ -886,11 +872,11 @@ def test_marginal_score_pair_matches_marginal_mixture(vp, ve):
 
 def test_em_vector_state_shape_and_independence(vp, gauss_oracle):
     _, field = gauss_oracle
-    out = em_simulate(vp, field, 1.0, np.array([0.5, -0.5]), 1e-3, 1e-3, rng_seed=21)
+    out = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, 21, 2)
     assert out.shape == (2,)
     assert np.all(np.isfinite(out))
-    # lam=0 is deterministic, so each axis matches its scalar run
-    vec = em_simulate(vp, field, 0.0, np.array([0.5, -0.5]), 1e-3, 1e-3, rng_seed=21)
-    for k, x in enumerate((0.5, -0.5)):
-        single = em_simulate(vp, field, 0.0, np.asarray(x), 1e-3, 1e-3, rng_seed=21)
-        assert vec[k] == single
+    # lam=0 is deterministic, so each trajectory matches its scalar run
+    vec = em_terminal_batch(vp, field, 0.0, 1e-3, 1e-3, 21, 2)
+    plan, _ = _em_plan(vp, 0.0, 1e-3, 1e-3)
+    for k, x in enumerate(draw_terminal_states(vp, 21, 2)):
+        assert vec[k] == _execute("em", plan, field, np.asarray(x))[0]

@@ -6,14 +6,13 @@ import pytest
 
 from diffint import (
     DivergenceError,
+    EpsilonField,
     GaussianMixture,
     GridMismatchError,
     IPNDM_BLEND,
     ParameterError,
     ddim_sample,
-    ddim_step,
     ei_score_sample,
-    epsilon_field,
     euler_sample,
     ipndm_sample,
     log_rho,
@@ -25,7 +24,6 @@ from diffint import (
     rho_rk_sample,
     run_sampler,
     sddim_sample,
-    sddim_step,
     tab_sample,
     tab_weights,
     uniform,
@@ -35,13 +33,16 @@ from diffint.diffusion import rho_of_t, t_of_rho, transition
 from diffint.harness import fit_order
 from diffint.samplers import (
     RK_METHODS,
+    _ddim_coeffs,
     _ddim_plan,
     _ei_score_plan,
     _euler_plan,
     _ipndm_plan,
     _rho_ab_plan,
+    _sddim_coeffs,
     _sddim_plan,
 )
+from diffint.timegrid import TimeGrid
 
 
 def _terminal_errors(spec, field, sampler, n_values, x_batch, grid_fn, **kwargs):
@@ -111,15 +112,15 @@ def test_ei_score_halving_improves(vp, gauss_oracle, x_batch):
 # -- ddim --------------------------------------------------------------
 
 
-def test_ddim_step_identity_when_times_equal(vp):
-    assert ddim_step(vp, 1.7, 0.4, 0.5, 0.5) == 1.7
+def test_ddim_coeffs_identity_when_times_equal(vp):
+    # (a, c) of x_prev = a x + c eps
+    assert _ddim_coeffs(vp, 0.5, 0.5) == (1.0, 0.0)
 
 
-def test_ddim_step_zero_eps_is_pure_scaling(vp):
+def test_ddim_zero_eps_is_pure_scaling(vp):
     t, t_prev = 0.8, 0.5
-    assert ddim_step(vp, 2.0, 0.0, t, t_prev) == pytest.approx(
-        2.0 * transition(vp, t_prev, t), rel=1e-15
-    )
+    run = ddim_sample(vp, lambda x, t: np.zeros_like(x), TimeGrid([t_prev, t]), 2.0)
+    assert run.terminal == 2.0 * transition(vp, t_prev, t)
 
 
 def test_ddim_equals_zero_order_tab(vp, gauss_oracle):
@@ -357,16 +358,23 @@ def test_ipndm_beats_ddim_on_oracle(vp, gauss_oracle, x_batch):
 # -- stochastic ddim ------------------------------------------------------
 
 
-def test_sddim_eta_zero_equals_ddim(vp):
-    rng = np.random.Generator(np.random.Philox(key=0))
-    x, eps, t, t_prev = 1.3, -0.4, 0.6, 0.35
-    assert sddim_step(vp, x, eps, t, t_prev, 0.0, rng) == ddim_step(vp, x, eps, t, t_prev)
+def test_sddim_eta_zero_equals_ddim(vp, gauss_oracle):
+    _, field = gauss_oracle
+    grid = quadratic(1e-3, 1.0, 10)
+    x_T = np.array([1.3, -0.4])
+    got = sddim_sample(vp, field, grid, 0.0, x_T, seed=0).states
+    assert np.array_equal(got, ddim_sample(vp, field, grid, x_T).states)
+
+
+def _sddim_one_step_draws(spec, x, eps, t, t_prev, eta, n=10000, seed=7):
+    """n draws of one sddim step from x with the noise prediction held at eps."""
+    field = lambda state, _: np.full(np.shape(state), eps)
+    return sddim_sample(spec, field, TimeGrid([t_prev, t]), eta, np.full(n, x), seed).terminal
 
 
 def test_sddim_moments_match_closed_form(vp):
-    rng = np.random.Generator(np.random.Philox(key=7))
     x, eps, t, t_prev, eta = 0.8, 0.25, 0.6, 0.35, 0.7
-    draws = np.array([sddim_step(vp, x, eps, t, t_prev, eta, rng) for _ in range(10000)])
+    draws = _sddim_one_step_draws(vp, x, eps, t, t_prev, eta)
     a_t = float(vp.mu(t)) ** 2
     a_prev = float(vp.mu(t_prev)) ** 2
     var_eta = eta**2 * (1 - a_prev) / (1 - a_t) * (1 - a_t / a_prev)
@@ -380,9 +388,8 @@ def test_sddim_moments_match_closed_form(vp):
 def test_sddim_moments_match_closed_form_ve(ve):
     # VE posterior step: x_prev = x - sigma eps + sqrt(sigma_prev^2 - var) eps
     # + sqrt(var) xi, var = eta^2 sigma_prev^2 (sigma^2 - sigma_prev^2) / sigma^2
-    rng = np.random.Generator(np.random.Philox(key=7))
     x, eps, t, t_prev, eta = 0.8, 0.25, 0.6, 0.35, 0.7
-    draws = np.array([sddim_step(ve, x, eps, t, t_prev, eta, rng) for _ in range(10000)])
+    draws = _sddim_one_step_draws(ve, x, eps, t, t_prev, eta)
     sig, sig_prev = float(ve.L(t)), float(ve.L(t_prev))
     var_eta = eta**2 * sig_prev**2 * (sig**2 - sig_prev**2) / sig**2
     mean = x - sig * eps + np.sqrt(sig_prev**2 - var_eta) * eps
@@ -392,15 +399,14 @@ def test_sddim_moments_match_closed_form_ve(ve):
 
 
 def test_sddim_degenerate_endpoint_guard(vp):
-    rng = np.random.Generator(np.random.Philox(key=0))
-    out = sddim_step(vp, 0.5, 0.1, 0.3, 0.0, 0.9, rng)
-    assert np.isfinite(out)
+    # L(t_prev) = 0 at t_prev = 0
+    assert np.isfinite(_sddim_coeffs(vp, 0.3, 0.0, 0.9)).all()
 
 
-def test_sddim_eta_validation(vp):
-    rng = np.random.Generator(np.random.Philox(key=0))
+def test_sddim_eta_validation(vp, gauss_oracle):
+    _, field = gauss_oracle
     with pytest.raises(ParameterError):
-        sddim_step(vp, 0.5, 0.1, 0.3, 0.1, 1.5, rng)
+        sddim_sample(vp, field, TimeGrid([0.1, 0.3]), 1.5, 0.5, seed=0)
 
 
 def test_sddim_sample_deterministic_given_seed(vp, gauss_oracle):
@@ -508,7 +514,7 @@ def test_ve_preset_end_to_end():
     # rescaled-time samplers against the reference solver
     spec = vesde(0.01, 10.0)
     gmm = GaussianMixture([1.0], [0.2], [0.3])
-    field = epsilon_field(gmm, spec)
+    field = EpsilonField(gmm, spec)
     x_init = np.array([3.0, -5.0, 0.5])
     reference = reference_solve(spec, field, x_init, t0=1e-5).terminal
     from diffint import log_rho
@@ -553,7 +559,7 @@ def test_vector_states_are_independent_axes(vp):
     # a multi-axis state behaves as a product of independent scalar
     # problems: running the stacked state equals stacking scalar runs
     gmm = GaussianMixture([1.0], [0.3], [0.5])
-    field = epsilon_field(gmm, vp)
+    field = EpsilonField(gmm, vp)
     grid = quadratic(1e-3, 1.0, 8)
     stacked = tab_sample(vp, field, grid, 2, np.array([0.4, -1.1, 2.0])).states
     for k, x in enumerate((0.4, -1.1, 2.0)):

@@ -92,11 +92,6 @@ def test_grids_are_pure_functions(vp):
     a = power_rho(vp, 1e-3, 10, 7.0)
     b = power_rho(vp, 1e-3, 10, 7.0)
     assert np.array_equal(a.times, b.times)
-    assert a.grid_id == b.grid_id
-
-
-def test_grid_id_distinguishes_grids():
-    assert uniform(1e-3, 1.0, 10).grid_id != uniform(1e-3, 1.0, 11).grid_id
 
 
 def test_grid_times_read_only():
