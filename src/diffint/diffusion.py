@@ -91,10 +91,12 @@ class DiffusionSpec:
     """A scalar-coefficient linear diffusion on [0, t_end].
 
     All callables accept floats or numpy arrays and evaluate
-    elementwise.  ``pi_std`` is the standard deviation of the terminal
-    sampling distribution (N(0, pi_std^2)).  ``transition_closed``, when
-    present, evaluates Psi(t, s) in closed form; otherwise
-    :func:`transition` integrates the drift numerically.
+    elementwise; the presets give a float the bits of the same element
+    of an array call (they square by a product, since ``** 2`` on a
+    numpy scalar calls pow).  ``pi_std`` is the standard deviation of
+    the terminal sampling distribution (N(0, pi_std^2)).
+    ``transition_closed``, when present, evaluates Psi(t, s) in closed
+    form; otherwise :func:`transition` integrates the drift numerically.
     ``t_of_rho_closed``, when present, inverts rho(t) = L(t) / mu(t) in
     closed form on [rho(0), rho(t_end)]; otherwise :func:`t_of_rho`
     finds the root numerically.
@@ -164,7 +166,8 @@ def vesde(sigma_min: float, sigma_max: float, *, t_end: float = 1.0) -> Diffusio
         return sigma_min * np.exp(log_ratio * np.asarray(t, dtype=float))
 
     def g2(t):
-        return 2.0 * log_ratio * sigma(t) ** 2
+        s = sigma(t)  # squared as a product, see DiffusionSpec
+        return 2.0 * log_ratio * (s * s)
 
     return DiffusionSpec(
         f=lambda t: np.zeros_like(np.asarray(t, dtype=float)),

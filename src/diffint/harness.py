@@ -36,6 +36,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
+from numbers import Real
 from typing import Any, Optional
 
 import numpy as np
@@ -65,12 +66,28 @@ PACKAGE_VERSION = "0.1.0"
 _DEFAULT_T0 = {"vpsde": 1e-3, "vesde": 1e-5}
 
 
+def _number(value, name: str) -> float:
+    """float(value), for a JSON number: float() would also take a
+    boolean or a numeric string."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _integer(value, name: str) -> int:
-    """int(value), for a value that is a whole number: int() would
-    truncate a float such as 10.5 to 10."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value), for a JSON number that is a whole number: int() would
+    also truncate 10.5 to 10 and take a boolean or a numeric string."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    """A number or a list of numbers (each by :func:`_number`), as an
+    array; numpy's own conversion would also read null as nan."""
+    return np.array([_number(v, f"{name} entry") for v in
+                     (value if isinstance(value, (list, tuple)) else [value])])
 
 
 # the keys each config object may hold (each element, for a study's lists)
@@ -106,8 +123,9 @@ class ExperimentConfig:
 
     The fields are the config format's one declaration: loading rejects
     any other key, requires the fields without a default, and converts
-    each value whose annotation is int (a whole number), float, tuple
-    or dict by calling that type; ``kind``, ``out``, ``format`` and
+    each value whose annotation is int (a whole number, by
+    :func:`_integer`), float (a number, by :func:`_number`), tuple or
+    dict; ``kind``, ``out``, ``format`` and
     ``x_t`` are kept as given and checked by :meth:`validate`, which
     also rejects any key of a sampler, schedule or gmm object outside
     ``_OBJECT_KEYS``.  A
@@ -203,14 +221,16 @@ class ExperimentConfig:
         orders = [_integer(v, "an orders entry") for v in self.orders]
         if min(orders, default=0) < 0 or len(set(orders)) != len(orders):
             raise ConfigError(f"orders must be distinct and >= 0: {list(self.orders)}")
-        [float(v) for v in self.x0_list]
         for lam in self.lambda_list:
-            _check_lam(lam)
-        x_t = np.asarray(self.x_t, dtype=float)
-        if x_t.ndim and self.kind == "trace":
-            raise ConfigError(f"trace experiments need a scalar x_t, got {self.x_t!r}")
-        if x_t.ndim > 1:
-            raise ConfigError(f"x_t must be a number or a list of numbers, got {self.x_t!r}")
+            _check_lam(_number(lam, "a lambda_list entry"))
+        if isinstance(self.x_t, list) and (self.kind == "trace" or not self.x_t):
+            raise ConfigError("x_t must be a finite number or, but for trace, a non-empty "
+                              f"list of them, got {self.x_t!r}")
+        x_t = _numbers([] if self.x_t is None else self.x_t, "an x_t")
+        x0s = _numbers(self.x0_list, "an x0_list")
+        if not (np.isfinite(x_t).all() and np.isfinite(x0s).all()):
+            raise ConfigError(f"x_t and the x0_list entries must be finite, got "
+                              f"{self.x_t!r} and {list(self.x0_list)}")
         if self.batch < 1 or self.n_traj < 1 or self.points_per_interval < 0:
             raise ConfigError("batch and n_traj must be >= 1, points_per_interval >= 0")
         if min((_integer(v, "an n_list entry") for v in self.n_list), default=1) < 1:
@@ -237,7 +257,7 @@ class ExperimentConfig:
             np.empty(size)
         if self.kind == "convergence":
             # the reference starts at the diffusion's t_end, so must every grid
-            if float(sched.get("t_end", spec.t_end)) != spec.t_end:
+            if _number(sched.get("t_end", spec.t_end), "schedule t_end") != spec.t_end:
                 raise ConfigError(
                     f"schedule t_end {sched['t_end']!r} differs from the diffusion's "
                     f"t_end {spec.t_end!r}"
@@ -293,19 +313,23 @@ class ExperimentConfig:
     def build_spec(self) -> DiffusionSpec:
         dcfg = dict(self.diffusion)
         preset = dcfg.pop("preset", None)
+
+        def number(key, default):
+            return _number(dcfg.pop(key, default), f"diffusion {key}")
+
         if preset == "vpsde":
             from .diffusion import VpSchedule
 
             sched = VpSchedule(
-                beta_min=float(dcfg.pop("beta_min", 0.1)),
-                beta_max=float(dcfg.pop("beta_max", 20.0)),
+                beta_min=number("beta_min", 0.1),
+                beta_max=number("beta_max", 20.0),
             )
-            spec = vpsde(sched, t_end=float(dcfg.pop("t_end", 1.0)))
+            spec = vpsde(sched, t_end=number("t_end", 1.0))
         elif preset == "vesde":
             spec = vesde(
-                float(dcfg.pop("sigma_min", 0.01)),
-                float(dcfg.pop("sigma_max", 50.0)),
-                t_end=float(dcfg.pop("t_end", 1.0)),
+                number("sigma_min", 0.01),
+                number("sigma_max", 50.0),
+                t_end=number("t_end", 1.0),
             )
         else:
             raise ConfigError(f"diffusion preset must be vpsde or vesde, got {preset!r}")
@@ -316,9 +340,9 @@ class ExperimentConfig:
     def build_gmm(self) -> GaussianMixture:
         g = self.gmm
         return GaussianMixture(
-            weights=np.asarray(_require(g, "weights", "gmm"), dtype=float),
-            means=np.asarray(_require(g, "means", "gmm"), dtype=float),
-            stds=np.asarray(_require(g, "stds", "gmm"), dtype=float),
+            weights=_numbers(_require(g, "weights", "gmm"), "a gmm weights"),
+            means=_numbers(_require(g, "means", "gmm"), "a gmm means"),
+            stds=_numbers(_require(g, "stds", "gmm"), "a gmm stds"),
         )
 
     def build_grid(self, spec: DiffusionSpec, n: int | None = None) -> timegrid.TimeGrid:
@@ -326,9 +350,9 @@ class ExperimentConfig:
         return timegrid.make_grid(
             sched["name"],
             t0=self.t0_for(spec),
-            t_end=float(sched.get("t_end", spec.t_end)),
+            t_end=_number(sched.get("t_end", spec.t_end), "schedule t_end"),
             n=_integer(n if n is not None else sched["n"], "schedule n"),
-            kappa=float(sched["kappa"]) if "kappa" in sched else None,
+            kappa=_number(sched["kappa"], "schedule kappa") if "kappa" in sched else None,
             spec=spec,
         )
 
@@ -352,12 +376,14 @@ def _convert(f, kind: str, raw: dict):
         return tuple(dict(v) for v in value)
     if f.type is int:
         return _integer(value, f.name)
-    return f.type(value) if f.type in (float, tuple, dict) else value
+    if f.type is float:
+        return _number(value, f.name)
+    return f.type(value) if f.type in (tuple, dict) else value
 
 
 def _full_schedule(schedule: dict, spec: DiffusionSpec) -> dict:
     """The schedule with t0 (default per preset) and t_end filled in."""
-    t0 = float(schedule.get("t0", _DEFAULT_T0[spec.name]))
+    t0 = _number(schedule.get("t0", _DEFAULT_T0[spec.name]), "schedule t0")
     return {"t_end": spec.t_end, **schedule, "t0": t0}
 
 
@@ -434,7 +460,7 @@ def _sampler_kwargs(config: ExperimentConfig) -> dict:
     s = config.sampler
     return {
         "order": _integer(s.get("order", 0), "sampler order"),
-        "eta": float(s.get("eta", 0.0)),
+        "eta": _number(s.get("eta", 0.0), "sampler eta"),
         "seed": config.seed,
     }
 
@@ -686,7 +712,7 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
     if config.x_t is None:
         x_t = draw_terminal_states(spec, config.seed, 1)[0]
     else:
-        x_t = float(np.asarray(config.x_t, dtype=float))
+        x_t = float(config.x_t)
     node_states = reference_states(spec, field, x_t, times, config.ref_dt)
     node_eps = np.array([field(node_states[i], times[i]) for i in range(n + 1)])
     orders = tuple(_integer(r, "an orders entry") for r in config.orders)

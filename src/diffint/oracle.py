@@ -42,8 +42,8 @@ Conventions:
 * Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
   RK4 stepper, ``_rk4``.  :func:`pf_loglik` tabulates the per-time work
   (f, g2 and the marginal's columns) of a window of at most 2047 steps
-  at once, and steps the state and its divergence as one stacked array,
-  with the bits of one evaluation per stage.
+  with one array call each, and steps the state and its divergence as
+  one stacked array.
 
 All operations are pure functions of their inputs (plus an explicit
 seed for the stochastic ones), and a field's memo only ever holds what
@@ -320,7 +320,7 @@ def marginal_at(gmm: GaussianMixture, spec: DiffusionSpec, t: float) -> Gaussian
     return GaussianMixture(
         weights=gmm.weights,
         means=mu_t * gmm.means,
-        stds=np.sqrt((mu_t * gmm.stds) ** 2 + l_t**2),
+        stds=np.sqrt((mu_t * gmm.stds) ** 2 + l_t * l_t),
     )
 
 
@@ -335,10 +335,7 @@ def _marginals(gmm: GaussianMixture, spec: DiffusionSpec, times):
     # gives (K, T) arrays, or (K, 1) ones for one time
     mu = spec.mu(times)
     l_t = np.asarray(spec.L(times), dtype=float).reshape(-1)
-    # l^2 as a Python float power, as the one-time formula of marginal_at
-    # takes it: numpy's array square differs from it at a few times
-    l_sq = np.array([v**2 for v in l_t.tolist()])
-    total_var = (mu * gmm.stds.reshape(-1, 1)) ** 2 + l_sq
+    total_var = (mu * gmm.stds.reshape(-1, 1)) ** 2 + l_t * l_t
     low = total_var < _VARIANCE_FLOOR
     if low.any():
         t = times if np.ndim(times) == 0 else times[low.any(axis=0).argmax()]
@@ -349,15 +346,6 @@ def _marginals(gmm: GaussianMixture, spec: DiffusionSpec, times):
     for arr in (means, var, bias):
         arr.setflags(write=False)
     return l_t, means, var, bias
-
-
-def _marginal(gmm: GaussianMixture, spec: DiffusionSpec, t: float):
-    """:func:`_marginals` at the one time t, as the float L(t) and (K, 1)
-    columns, the form the mixture kernel takes.  Each array is computed
-    at its own size, so that a memo entry owns three small arrays and
-    holds no views of larger ones."""
-    l_t, means, var, bias = _marginals(gmm, spec, t)
-    return float(l_t[0]), means, var, bias
 
 
 # Bound on the per-time memo of one EpsilonField, at about 530 bytes per
@@ -376,7 +364,7 @@ class EpsilonField:
     """Noise-prediction field eps(x, t) = -L(t) * score(x, t) of a mixture.
 
     Everything that depends on t alone (L(t) and the marginal's means,
-    variances and bias, from :func:`_marginal`) is kept in a memo keyed
+    variances and bias, from :func:`_marginals`) is kept in a memo keyed
     by ``float(t)``, so a time evaluated again costs only the x-dependent
     kernel.  The memo holds at most ``_MEMO_SIZE`` (4096) times and is
     cleared when full.  A hit returns the very arrays a miss computed,
@@ -393,11 +381,16 @@ class EpsilonField:
     _memo: dict = dataclass_field(default_factory=dict, init=False, repr=False)
 
     def _marginal(self, t: float):
-        """:func:`_marginal` of this field's mixture at t, from the memo."""
+        """:func:`_marginals` of this field's mixture at the one time t,
+        from the memo, as the float L(t) and (K, 1) columns, the form the
+        mixture kernel takes.  Each array is computed at its own size, so
+        that a memo entry owns three small arrays and holds no views of
+        larger ones."""
         key = float(t)
         entry = self._memo.get(key)
         if entry is None:
-            entry = _marginal(self.gmm, self.spec, t)
+            l_t, *columns = _marginals(self.gmm, self.spec, t)
+            entry = (float(l_t[0]), *columns)
             if len(self._memo) >= _MEMO_SIZE:
                 self._memo.clear()
             self._memo[key] = entry
@@ -480,7 +473,7 @@ def reference_states(
     downward; the returned array is indexed like ``times`` (entry i is
     the state at times[i], entry -1 the initial condition).  Each span
     takes the steps of :func:`_steps` through :func:`_rk4` on
-    dx/dt = f(t) x + g2(t) / (2 L(t)) eps(x, t), with scalar spec calls.
+    dx/dt = f(t) x + g2(t) / (2 L(t)) eps(x, t).
     """
     _check_step(dt)
     times = np.asarray(times, dtype=float)
@@ -577,20 +570,22 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     step of the mixture kernel is elementwise in x or a sum over the
     components in one fixed order.  The state and the divergence step
     as one stacked array through :func:`_rk4`, one :func:`_stage_windows`
-    window at a time, for which :func:`_loglik_table` tabulates what
-    depends on t alone (f, g2 and the marginal's columns), so memory
-    stays bounded at any dt.  A point whose state or divergence turns
-    non-finite fails the whole call with :class:`DivergenceError`; a
-    stage time whose marginal variance underflows raises
-    :class:`DomainError` before its window is integrated.  Returns nats.
+    window at a time, for which what depends on t alone (f, g2 and the
+    marginal's columns, :func:`_marginals`) is tabulated by one array
+    call each, so memory stays bounded at any dt.  A point whose state
+    or divergence turns non-finite fails the whole call with
+    :class:`DivergenceError`; a stage time whose marginal variance
+    underflows raises :class:`DomainError` before its window is
+    integrated.  Returns nats.
     """
     x = np.asarray(x0, dtype=float)
     y = np.zeros((2,) + x.shape)
     y[0] = x
     n, h = _steps(0.0, spec.t_end, dt)
     for first, times in _stage_windows(0.0, n, h):
-        f, g2, means, var, bias = _loglik_table(gmm, spec, np.array(times))
-        means, var, bias = (arr.T[:, :, None] for arr in (means, var, bias))
+        stage = np.array(times)
+        f, g2 = spec.f(stage).tolist(), spec.g2(stage).tolist()
+        means, var, bias = (arr.T[:, :, None] for arr in _marginals(gmm, spec, stage)[1:])
 
         def rhs(state, col):
             # (f x - c s, f - c s_dx) with c = g2 / 2, as f x + (-c) s:
@@ -605,15 +600,3 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
         y = _rk4(rhs, y, h, times, "likelihood ODE", first)
     terminal = marginal_at(gmm, spec, spec.t_end)
     return terminal.logpdf(y[0]) + y[1]
-
-
-def _loglik_table(gmm: GaussianMixture, spec: DiffusionSpec, times):
-    """f(t) and g2(t), as lists of floats, and the marginal's means,
-    variances and bias, (K, T) each (:func:`_marginals`), at the
-    increasing times ``times``.  f and g2 come from one call of the spec
-    per time: a vectorised call need not give the bits of a scalar one
-    (the VE preset's g2 squares sigma with numpy's scalar power at one
-    time, and with an array square at many)."""
-    f = [float(spec.f(t)) for t in times.tolist()]
-    g2 = [float(spec.g2(t)) for t in times.tolist()]
-    return (f, g2) + _marginals(gmm, spec, times)[1:]

@@ -1,10 +1,14 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_compare_counters_ignores_only_the_report_bytes():
@@ -22,3 +26,15 @@ def test_compare_counters_ignores_only_the_report_bytes():
     assert not got["work_equal"]
     assert bench_pairs.compare_counters(base, base) == {
         "counters": {"base": base, "change": base}, "differ": [], "work_equal": True}
+
+
+def test_tracer_binds_every_traced_name():
+    # the benchmark's traced run wraps diffint's bindings by name, so a
+    # renamed or deleted one fails here rather than only under --trace 1
+    script = ("import json, sys; sys.path[:] = json.loads(sys.argv[1]); import tracing; "
+              "tracing.instrument(tracing.Tracer())")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps([str(_PERFBENCH)] + sys.path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -220,6 +220,19 @@ def test_t_of_rho_array_equals_scalar_calls(preset, request):
     assert out.ravel()[0] == 0.0 and out.ravel()[1] == spec.t_end
 
 
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_spec_callables_give_a_scalar_the_bits_of_an_array_element(preset, request):
+    # the oracle tabulates f, g2, L and mu for many times at once; a
+    # numpy scalar's ** 2 calls pow, which differs from an array's
+    # square at 9 of these times for VE's g2
+    spec = request.getfixturevalue(preset)
+    times = np.linspace(0.0, spec.t_end, 6001)[1:]
+    for fn in (spec.f, spec.g2, spec.L, spec.mu):
+        whole = fn(times)
+        for scalars in (times.tolist(), list(times)):  # Python floats, numpy scalars
+            assert np.array([fn(t) for t in scalars]).tobytes() == whole.tobytes()
+
+
 def test_t_of_rho_array_with_one_out_of_range_element_raises(vp):
     rho = rho_of_t(vp, np.linspace(0.1, 0.9, 5))
     rho[3] = 1.5 * float(rho_of_t(vp, 1.0))

@@ -445,6 +445,48 @@ def test_cli_malformed_value_exit_code(tmp_path, overrides):
     assert main([raw["kind"], "--config", str(_write_config(tmp_path, raw))]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        # int() and float() take a boolean or a numeric string, and numpy
+        # reads null as nan; a config number must be a JSON number
+        ({"seed": True}, "seed"),
+        ({"seed": "3"}, "seed"),
+        ({"batch": True}, "batch"),
+        ({"kind": "loglik", "x0_list": [0.0], "dt": "1e-3"}, "dt"),
+        ({"kind": "convergence", "n_list": [2, True]}, "n_list"),
+        ({"kind": "trace", "x_t": 1.0, "orders": [0, True]}, "orders"),
+        ({"kind": "marginal", "n_traj": 16, "lambda_list": ["1"]}, "lambda_list"),
+        ({"kind": "loglik", "x0_list": [True]}, "x0_list"),
+        ({"kind": "loglik", "x0_list": [None]}, "x0_list"),
+        ({"sampler": {"name": "tab", "order": True}}, "sampler order"),
+        ({"sampler": {"name": "sddim", "eta": "0.5"}}, "sampler eta"),
+        ({"schedule": {"name": "quadratic", "t0": 1e-3, "n": True}}, "schedule n"),
+        ({"schedule": {"name": "quadratic", "t0": "1e-3", "n": 10}}, "schedule t0"),
+        ({"schedule": {"name": "quadratic", "n": 10, "t_end": True}}, "schedule t_end"),
+        ({"schedule": {"name": "power_t", "n": 10, "kappa": "3"}}, "schedule kappa"),
+        ({"diffusion": {"preset": "vpsde", "beta_max": "20"}}, "diffusion beta_max"),
+        ({"diffusion": {"preset": "vesde", "sigma_min": True}}, "diffusion sigma_min"),
+        ({"gmm": {"weights": [1.0], "means": ["0.5"], "stds": [0.25]}}, "gmm means"),
+        ({"gmm": {"weights": [0.5, 0.5], "means": [0.0, None], "stds": [1.0, 1.0]}},
+         "gmm means"),
+        ({"gmm": {"weights": True, "means": [0.5], "stds": [0.25]}}, "gmm weights"),
+        # x_t is a finite number or a non-empty list of finite numbers
+        ({"x_t": []}, "x_t"),
+        ({"x_t": [True, None]}, "x_t"),
+        ({"x_t": "1"}, "x_t"),
+        ({"x_t": float("inf")}, "x_t"),
+        ({"x_t": [0.5, float("nan")]}, "x_t"),
+        ({"kind": "trace", "x_t": True}, "x_t"),
+        ({"kind": "loglik", "x0_list": [float("inf")]}, "x0_list"),
+    ],
+)
+def test_cli_config_numbers_must_be_numbers(tmp_path, capsys, overrides, key):
+    raw = base_config(**overrides)
+    assert main([raw["kind"], "--config", str(_write_config(tmp_path, raw))]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_cli_seed_override_is_validated(tmp_path):
     cfg = _write_config(tmp_path, base_config())
     for seed in (-1, 2**64, 2**100):
@@ -504,17 +546,37 @@ _FUZZ_BOUNDED = {
     ("batch",): _FUZZ_SIZES, ("n_traj",): _FUZZ_SIZES,
     ("points_per_interval",): _FUZZ_SIZES, ("schedule", "n"): _FUZZ_SIZES,
 }
-_FUZZ_EDITS = st.one_of(
-    st.tuples(st.sampled_from(_FUZZ_KEYS), _FUZZ_VALUES),
-    st.sampled_from(sorted(_FUZZ_BOUNDED)).flatmap(
-        lambda key: st.tuples(st.just(key), _FUZZ_BOUNDED[key])
-    ),
-)
+# the top-level keys that only some kinds read; each kind draws half its
+# edits from its own keys, so that a value only one kind reads, such as
+# x_t: [[]] for sample, reaches that kind
+_FUZZ_KIND_KEYS = {
+    "sample": [("x_t",)],
+    "convergence": [("n_list",), ("batch",), ("ref_dt",)],
+    "study": [("n_list",), ("batch",), ("ref_dt",)],
+    "marginal": [("lambda_list",), ("n_traj",), ("dt",)],
+    "trace": [("x_t",), ("orders",), ("points_per_interval",), ("ref_dt",)],
+    "loglik": [("x0_list",), ("dt",)],
+}
 
 
-@settings(max_examples=150, deadline=5000)
-@given(st.sampled_from(KINDS), st.lists(_FUZZ_EDITS, min_size=1, max_size=3))
-def test_cli_fuzzed_config_exits_0_2_or_3(kind, edits):
+def _fuzz_edits(keys):
+    return st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(st.just(key), _FUZZ_BOUNDED.get(key, _FUZZ_VALUES))
+    )
+
+
+_FUZZ_ANY_EDIT = _fuzz_edits(_FUZZ_KEYS + sorted(_FUZZ_BOUNDED))
+_FUZZ_CASES = st.sampled_from(KINDS).flatmap(lambda kind: st.tuples(
+    st.just(kind),
+    st.lists(st.one_of(_fuzz_edits(_FUZZ_KIND_KEYS[kind]), _FUZZ_ANY_EDIT),
+             min_size=1, max_size=3),
+))
+
+
+def _fuzz_config(kind, edits):
+    """A short run of ``kind`` with each (key, value) of edits set: key is
+    a top-level name, or (object, name) for a key of a config object (of
+    a study's first sampler or schedule)."""
     raw = base_config(
         kind=kind,
         diffusion={"preset": "vpsde", "beta_min": 0.1, "beta_max": 20.0, "t_end": 0.1},
@@ -533,14 +595,55 @@ def test_cli_fuzzed_config_exits_0_2_or_3(kind, edits):
                 parent = raw[key[0]] = {}
             target = parent
         target[key[-1]] = value
+    return raw
+
+
+def _fuzz_run(kind, raw):
+    """The exit code of the CLI on config raw."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         path = os.path.join(tmp, "config.json")
         with open(path, "w") as fh:
             json.dump(raw, fh)
         # --out keeps a fuzzed "out" value from naming where the report goes
-        code = main([kind, "--config", path, "--out", os.path.join(tmp, "report")])
-    assert code in (0, 2, 3)
+        return main([kind, "--config", path, "--out", os.path.join(tmp, "report")])
+
+
+@settings(max_examples=150, deadline=5000)
+@given(_FUZZ_CASES)
+def test_cli_fuzzed_config_exits_0_2_or_3(case):
+    kind, edits = case
+    assert _fuzz_run(kind, _fuzz_config(kind, edits)) in (0, 2, 3)
+
+
+# every key that holds a number, and every key that holds a list of
+# numbers with the valid first entry given here
+_NUMBER_KEYS = [
+    ("seed",), ("batch",), ("n_traj",), ("dt",), ("ref_dt",), ("points_per_interval",),
+    ("x_t",), ("diffusion", "beta_min"), ("diffusion", "beta_max"), ("diffusion", "t_end"),
+    ("sampler", "order"), ("sampler", "eta"), ("schedule", "n"), ("schedule", "t0"),
+    ("schedule", "t_end"), ("schedule", "kappa"),
+]
+_NUMBER_LISTS = {
+    ("n_list",): 2, ("orders",): 0, ("lambda_list",): 0.0, ("x0_list",): 0.0,
+    ("x_t",): 0.5, ("gmm", "weights"): 1.0, ("gmm", "means"): 0.5, ("gmm", "stds"): 0.25,
+}
+_NON_NUMBERS = st.sampled_from([True, False, None, "1", "0.5", "x", ""])
+_NON_NUMBER_EDITS = st.one_of(
+    # an x_t of null means "draw one"
+    st.tuples(st.sampled_from(_NUMBER_KEYS), _NON_NUMBERS).filter(
+        lambda edit: edit != (("x_t",), None)),
+    st.tuples(st.sampled_from(sorted(_NUMBER_LISTS)), _NON_NUMBERS).map(
+        lambda edit: (edit[0], [_NUMBER_LISTS[edit[0]], edit[1]])),
+)
+
+
+@settings(max_examples=100, deadline=5000)
+@given(st.sampled_from(KINDS), _NON_NUMBER_EDITS)
+def test_cli_fuzzed_non_number_exits_2(kind, edit):
+    # a boolean, a string or null where a number belongs is a config
+    # error on every kind, whether or not the kind reads the key
+    assert _fuzz_run(kind, _fuzz_config(kind, [edit])) == 2
 
 
 def test_cli_kind_mismatch(tmp_path):

@@ -256,7 +256,7 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
     field = EpsilonField(gmm, spec)
     x = ACCURACY_X
     for t in (0.0, 1e-3, 0.37, spec.t_end):
-        l_t, means, var, _ = oracle._marginal(gmm, spec, t)
+        l_t, means, var, _ = field._marginal(t)
         refs = [_decimal_mixture(gmm.weights, means.ravel(), var.ravel(), v) for v in x]
         logpdf, s, s_dx = ([r[i] for r in refs] for i in range(3))
         pushed = marginal_at(gmm, spec, t)
@@ -727,33 +727,48 @@ class _TableTaken(Exception):
 
 @pytest.mark.parametrize("preset", ["vp", "ve"])
 def test_loglik_table_has_the_bits_of_one_call_per_time(preset, request, monkeypatch):
-    # Naive vectorisation fails this: on VE, spec.g2 on an array squares
-    # sigma with numpy's array square, not the scalar power, and differs
-    # at 4 of the 2001 stage times; squaring L(t) as an array moves the
-    # variance column at 1 or 2 of them on either preset.
+    # pf_loglik takes f, g2 and the marginal's columns of a window from
+    # one array call each; every column must have the bits of a call at
+    # its time alone (a numpy scalar's ** 2 calls pow, and an array's
+    # square would differ from it at a few of these times)
     spec = request.getfixturevalue(preset)
-    taken, table = [], oracle._loglik_table
+    taken = {}
 
-    def first_table(*args):
-        taken.append((args[2], table(*args)))
-        raise _TableTaken
+    def taking(name, fn):
+        def call(*args):
+            out = fn(*args)
+            taken[name] = (args[-1], out)
+            if len(taken) == 3:
+                raise _TableTaken
+            return out
+        return call
 
-    monkeypatch.setattr(oracle, "_loglik_table", first_table)
+    monkeypatch.setattr(oracle, "_marginals", taking("marginals", oracle._marginals))
+    recording = dataclasses.replace(spec, f=taking("f", spec.f), g2=taking("g2", spec.g2))
+    # every stage time of the default dt: t_k by t += h, and t_k + h/2
+    h = spec.t_end / 1000
+    t, want_times = 0.0, [0.0]
+    for _ in range(1000):
+        want_times += [t + 0.5 * h, t + h]
+        t += h
+    tables = []
     for mixture in LOGLIK_MIXTURES:
         gmm = GaussianMixture(*mixture)
+        taken.clear()
         with pytest.raises(_TableTaken):
-            pf_loglik(gmm, spec, 0.3)
-        times, (f, g2, means, var, bias) = taken.pop()
-        # every stage time of the default dt: t_k by t += h, and t_k + h/2
-        h = spec.t_end / 1000
-        t, want_times = 0.0, [0.0]
-        for _ in range(1000):
-            want_times += [t + 0.5 * h, t + h]
-            t += h
+            pf_loglik(gmm, recording, 0.3)
+        tables.append((gmm, dict(taken)))
+    monkeypatch.undo()
+    for gmm, table in tables:
+        for name in ("f", "g2"):
+            times, got = table[name]
+            assert times.tolist() == want_times
+            want = np.array([getattr(spec, name)(t) for t in want_times])
+            assert got.tobytes() == want.tobytes()
+        times, (_, means, var, bias) = table["marginals"]
         assert times.tolist() == want_times
         for i, t in enumerate(want_times):
-            assert f[i] == float(spec.f(t)) and g2[i] == float(spec.g2(t))
-            for columns in (oracle._marginal(gmm, spec, t)[1:],
+            for columns in (EpsilonField(gmm, spec)._marginal(t)[1:],
                             marginal_at(gmm, spec, t)._kernel_args()):
                 for got, want in zip((means, var, bias), columns):
                     assert _same_bits(got[:, i : i + 1], want)
@@ -767,10 +782,11 @@ def test_loglik_windows_keep_the_bits(preset, request, monkeypatch):
     whole = [pf_loglik(gmm, spec, x0) for x0 in x0s]
     assert type(whole[0]) is np.float64
     sizes = []
-    table = oracle._loglik_table
-    monkeypatch.setattr(oracle, "_loglik_table",
-                        lambda *args: sizes.append(args[2].size) or table(*args))
-    # the table holds at most _MEMO_SIZE times; at 15 each window has
+    marginals = oracle._marginals
+    monkeypatch.setattr(oracle, "_marginals",
+                        lambda gmm, spec, times: sizes.append(times.size)
+                        or marginals(gmm, spec, times))
+    # a window holds at most _MEMO_SIZE times; at 15 each window has
     # 7 steps (15 times), but the last, which has the 6 steps left of 1000
     for memo_size in (_MEMO_SIZE, 15):
         monkeypatch.setattr(oracle, "_MEMO_SIZE", memo_size)

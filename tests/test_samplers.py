@@ -622,9 +622,11 @@ def _per_step_plans(spec, grid, r, eta):
         psi = transition(spec, t[i - 1], t[i])
         c = spec.L(t[i - 1]) - psi * spec.L(t[i])
         ipndm = (psi, [c * float(b) for b in IPNDM_BLEND[min(r, n - i)]])
+        # squares as products, the bits of an array's square
         l_t, l_prev = float(spec.L(t[i])), float(spec.L(t[i - 1]))
-        var = eta**2 * max(0.0, l_prev**2 / l_t**2 * (l_t**2 - (l_prev / psi) ** 2))
-        sddim = (psi, [np.sqrt(max(0.0, l_prev**2 - var)) - psi * l_t], np.sqrt(var))
+        l_t2, l_prev2, ratio = l_t * l_t, l_prev * l_prev, l_prev / psi
+        var = eta**2 * max(0.0, l_prev2 / l_t2 * (l_t2 - ratio * ratio))
+        sddim = (psi, [np.sqrt(max(0.0, l_prev2 - var)) - psi * l_t], np.sqrt(var))
         for name, step in (("euler", euler), ("ddim", (psi, [c])), ("ipndm", ipndm),
                            ("sddim", sddim)):
             for column, value in zip(plans[name], step):
@@ -648,13 +650,11 @@ def test_array_plans_equal_per_step_formulas(preset, schedule, request):
                 a, rows, _ = expected[name]
                 assert plan.psi.tobytes() == a.tobytes()
                 assert [row.tobytes() for row in plan.c] == [row.tobytes() for row in rows]
-            # an array squares by multiplication, a Python float through pow
             plan, s = _sddim_plan(spec, grid, 0.6)
             a, rows, s_ref = expected["sddim"]
             assert plan.psi.tobytes() == a.tobytes()
-            np.testing.assert_allclose(np.concatenate(plan.c), np.concatenate(rows),
-                                       rtol=1e-14, atol=0)
-            np.testing.assert_allclose(s, s_ref, rtol=1e-14, atol=0)
+            assert [row.tobytes() for row in plan.c] == [row.tobytes() for row in rows]
+            assert s.tobytes() == s_ref.tobytes()
 
 
 def test_plan_row_sizes(vp):
