@@ -34,16 +34,8 @@ from .samplers import (
     IPNDM_BLEND,
     SAMPLER_NAMES,
     SolverRun,
-    ddim_sample,
-    ei_score_sample,
     em_terminal_batch,
-    euler_sample,
-    ipndm_sample,
-    rho_ab_sample,
-    rho_rk_sample,
     run_sampler,
-    sddim_sample,
-    tab_sample,
 )
 from .timegrid import TimeGrid, log_rho, make_grid, power_rho, power_t, quadratic, uniform
 from .weights import WeightTable, lagrange_basis, rho_ab_weights, tab_weights

@@ -55,7 +55,7 @@ from .oracle import (
     reference_solve,
     reference_states,
 )
-from .samplers import (SAMPLER_NAMES, SolverRun, _check_lam, check_sampler_args,
+from .samplers import (_SAMPLERS, SAMPLER_NAMES, SolverRun, _check_lam, check_sampler_args,
                        em_terminal_batch, run_sampler)
 from .weights import lagrange_basis, tab_weights
 
@@ -124,13 +124,13 @@ class ExperimentConfig:
     The fields are the config format's one declaration: loading rejects
     any other key, requires the fields without a default, and converts
     each value whose annotation is int (a whole number, by
-    :func:`_integer`), float (a number, by :func:`_number`), tuple or
-    dict; ``kind``, ``out``, ``format`` and
-    ``x_t`` are kept as given and checked by :meth:`validate`, which
-    also rejects any key of a sampler, schedule or gmm object outside
-    ``_OBJECT_KEYS``.  A
-    study's ``sampler`` and ``schedule`` are instead non-empty lists of
-    the objects a convergence config takes, held as tuples of dicts.
+    :func:`_integer`), float (a number, by :func:`_number`), tuple (from
+    a JSON array) or dict (from a JSON object); ``kind``, ``out``,
+    ``format`` and ``x_t`` are kept as given and checked by
+    :meth:`validate`, which also rejects any key of a sampler, schedule
+    or gmm object outside ``_OBJECT_KEYS``.  A study's ``sampler`` and
+    ``schedule`` are instead non-empty arrays of the objects a
+    convergence config takes, held as tuples of dicts.
     """
 
     kind: str
@@ -373,12 +373,19 @@ def _convert(f, kind: str, raw: dict):
     if kind == "study" and f.name in ("sampler", "schedule"):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"study experiments need a nonempty {f.name} list")
+        if not all(isinstance(v, dict) for v in value):
+            raise ConfigError(f"each study {f.name} must be an object, got {value!r}")
         return tuple(dict(v) for v in value)
     if f.type is int:
         return _integer(value, f.name)
     if f.type is float:
         return _number(value, f.name)
-    return f.type(value) if f.type in (tuple, dict) else value
+    if f.type in (tuple, dict):
+        if not isinstance(value, (list, tuple) if f.type is tuple else dict):
+            kind_of = "an array" if f.type is tuple else "an object"
+            raise ConfigError(f"{f.name} must be {kind_of}, got {value!r}")
+        return f.type(value)
+    return value
 
 
 def _full_schedule(schedule: dict, spec: DiffusionSpec) -> dict:
@@ -586,9 +593,11 @@ def run_convergence(config: ExperimentConfig) -> MetricReport:
 
 def _case_labels(case: ExperimentConfig) -> dict:
     """A study case's sampler and schedule named by their converted
-    parameters, without commas: e.g. ``tab(order=2)``, ``power_t(kappa=3.0)``."""
+    parameters, without commas: e.g. ``tab(order=2)``, ``power_t(kappa=3.0)``;
+    a sampler shows only the given arguments it reads."""
     kwargs = _sampler_kwargs(case)
-    sampler = [f"{k}={kwargs[k]}" for k in ("order", "eta") if k in case.sampler]
+    reads = _SAMPLERS[case.sampler["name"]][2]
+    sampler = [f"{k}={kwargs[k]}" for k in reads if k in case.sampler]
     schedule = [f"kappa={float(case.schedule['kappa'])}"] if "kappa" in case.schedule else []
     return {
         "sampler": case.sampler["name"] + (f"({' '.join(sampler)})" if sampler else ""),

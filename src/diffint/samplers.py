@@ -34,8 +34,11 @@ states (none for EM, which keeps the terminal only).  Plans:
                 family dx = [f x - (1 + lam^2)/2 g2 score] dt + lam g dw
                 (:func:`em_terminal_batch`).
 
-``rho_rk_sample`` (midpoint, heun2, kutta3, rk4 in rho) evaluates the
-field between nodes and keeps its own loop.
+The Runge-Kutta family in rho (``rho_mid``, ``rho_heun2``,
+``rho_kutta3``, ``rho_rk4``) evaluates the field between nodes and keeps
+its own loop.  :func:`run_sampler` runs every sampler by name, through
+one table that also holds the order each run reports and the arguments
+each sampler reads (:func:`check_sampler_args`).
 
 Deterministic samplers are bitwise reproducible; stochastic ones are
 bitwise reproducible given their seed.  The multistep buffer holds
@@ -61,14 +64,6 @@ from .weights import WeightTable, _check_order, rho_ab_weights, tab_weights
 
 __all__ = [
     "SolverRun",
-    "euler_sample",
-    "ei_score_sample",
-    "ddim_sample",
-    "tab_sample",
-    "rho_ab_sample",
-    "rho_rk_sample",
-    "ipndm_sample",
-    "sddim_sample",
     "em_terminal_batch",
     "run_sampler",
     "check_sampler_args",
@@ -170,15 +165,6 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
     return x[()], counting.count
 
 
-def _run(sampler: str, order, plan: WeightTable, field, grid: TimeGrid, x_T,
-         *, s=None, seed=None, notes=()) -> SolverRun:
-    """:func:`_execute` on ``grid`` recording the state at every node."""
-    states = _start_states(grid, x_T)
-    _, nfe = _execute(sampler, plan, field, states[grid.n_steps], s=s, seed=seed,
-                      states=states)
-    return SolverRun(sampler, order, grid, states, nfe, seed=seed, notes=notes)
-
-
 def _ddim_coeffs(spec: DiffusionSpec, t, t_prev):
     """a = Psi(t_prev, t) and c = L(t_prev) - a L(t), elementwise, of the
     exponential transfer step that holds the noise prediction fixed,
@@ -235,6 +221,13 @@ def _euler_plan(spec: DiffusionSpec, grid: TimeGrid, scale: float = 1.0) -> Weig
 
 
 def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
+    """The exponential step that holds the raw score = -eps / L fixed per
+    interval, exact when the score is constant on it:
+
+        x_{i-1} = Psi(t_{i-1}, t_i) x_i
+                  + [int_{t_i}^{t_{i-1}} -1/2 Psi(t_{i-1}, tau) g2(tau) dtau]
+                    * score(x_i, t_i).
+    """
     t = grid.times
     weight = quadrature.integrate(
         lambda tau: -0.5 * transition(spec, t[:-1, None], tau) * spec.g2(tau), t[1:], t[:-1]
@@ -247,6 +240,10 @@ def _ddim_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
 
 
 def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
+    """Adams-Bashforth in rho on d y / d rho = eps(mu(t) y, t), y = x / mu,
+    written in x: x_{i-1} = (mu_{i-1} / mu_i) x_i + mu_{i-1} sum_j w_j
+    eps_{i+j}.  Order 0 is ddim's step; higher orders extrapolate the
+    noise prediction with a polynomial in rho."""
     mu = spec.mu(grid.times)
     rows = rho_ab_weights(grid.rho_values(spec), r)
     return WeightTable(order=r, times=grid.times, psi=mu[:-1] / mu[1:],
@@ -254,6 +251,9 @@ def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
 
 
 def _ipndm_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
+    """ddim's step with eps replaced by the fixed-step blend of the last
+    j + 1 node evaluations, j = min(history, r), so the first step is
+    exactly ddim's.  The blend assumes a uniform grid."""
     _check_ipndm_order(r)
     psi, c = _ddim_coeffs(spec, grid.times[1:], grid.times[:-1])
     n = grid.n_steps
@@ -290,67 +290,6 @@ def _em_plan(spec: DiffusionSpec, lam: float, dt: float, t0: float):
     return _euler_plan(spec, grid, scale), s
 
 
-def euler_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
-    """First-order step on dx/dt = f x + g2 / (2 L) eps."""
-    return _run("euler", None, _euler_plan(spec, grid), field, grid, x_T)
-
-
-def ei_score_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
-    """Exponential step that holds the raw score fixed per interval:
-
-        x_{i-1} = Psi(t_{i-1}, t_i) x_i
-                  + [int_{t_i}^{t_{i-1}} -1/2 Psi(t_{i-1}, tau) g2(tau) dtau]
-                    * score(x_i, t_i),
-
-    with score = -eps / L.  Exact when the score itself is constant on
-    the interval.
-    """
-    return _run("ei_score", None, _ei_score_plan(spec, grid), field, grid, x_T)
-
-
-def ddim_sample(spec: DiffusionSpec, field, grid: TimeGrid, x_T) -> SolverRun:
-    return _run("ddim", 0, _ddim_plan(spec, grid), field, grid, x_T)
-
-
-def tab_sample(
-    spec: DiffusionSpec,
-    field,
-    grid: TimeGrid,
-    r: int,
-    x_T,
-    weights: WeightTable | None = None,
-) -> SolverRun:
-    """Exponential multistep with degree-r extrapolation in t.
-
-    Keeps a buffer of the r+1 most recent node evaluations; while the
-    buffer is short (the first r steps) the order is lowered to the
-    available history.  A supplied ``weights`` table must match the
-    grid and order.
-    """
-    if weights is None:
-        weights = tab_weights(spec, grid, r)
-    else:
-        weights.check_grid(grid)
-        if weights.order != r:
-            raise GridMismatchError(
-                f"weight table has order {weights.order}, requested {r}"
-            )
-    return _run("tab", r, weights, field, grid, x_T)
-
-
-def rho_ab_sample(
-    spec: DiffusionSpec, field, grid: TimeGrid, r: int, x_T
-) -> SolverRun:
-    """Adams-Bashforth in rho on d y / d rho = eps(mu(t) y, t), y = x / mu.
-
-    Written in x, the step is x_{i-1} = (mu_{i-1} / mu_i) x_i
-    + mu_{i-1} sum_j w_j eps_{i+j}.  The zero-order method reproduces
-    :func:`ddim_sample`'s step; higher orders extrapolate the noise
-    prediction with a polynomial in rho.
-    """
-    return _run("rho_ab", r, _rho_ab_plan(spec, grid, r), field, grid, x_T)
-
-
 # classical explicit tableaus: stage offsets c, stage rows a, output weights b
 RK_METHODS = {
     "midpoint": (
@@ -376,10 +315,9 @@ RK_METHODS = {
 }
 
 
-def rho_rk_sample(
-    spec: DiffusionSpec, field, grid: TimeGrid, method: str, x_T
-) -> SolverRun:
-    """Classical explicit Runge-Kutta in rho.
+def _rho_rk(spec: DiffusionSpec, field, grid: TimeGrid, method: str, x_T) -> SolverRun:
+    """Classical explicit Runge-Kutta in rho with the ``RK_METHODS``
+    tableau ``method``, on d y / d rho = eps(mu(t) y, t), y = x / mu.
 
     Stage times are mapped back through t(rho) for field evaluation,
     all interior stages of the run in one call before the first step;
@@ -389,8 +327,6 @@ def rho_rk_sample(
     mu is then taken at all the interior stage times in one call.
     nfe = stages * N.
     """
-    if method not in RK_METHODS:
-        raise ParameterError(f"unknown RK method {method!r}; choose from {sorted(RK_METHODS)}")
     c, a, b = RK_METHODS[method]
     counting = _CountingField(field)
     times = grid.times
@@ -449,39 +385,6 @@ IPNDM_BLEND = {
 }
 
 
-def ipndm_sample(
-    spec: DiffusionSpec, field, grid: TimeGrid, r: int, x_T
-) -> SolverRun:
-    """Multistep blend of past noise predictions + exponential transfer.
-
-    Step i blends the last j+1 node evaluations with the fixed-step
-    multistep coefficients, j = min(history, r) ramping up from zero
-    (the first step is therefore exactly a ddim step), and advances
-    with :func:`ddim_sample`'s coefficients.  The blend coefficients
-    assume a uniform grid; a non-uniform grid is accepted but flagged
-    in the run notes.
-    """
-    plan = _ipndm_plan(spec, grid, r)
-    spacing = np.diff(grid.times)
-    notes = ()
-    if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
-        notes = ("blend coefficients assume a uniform grid; grid is non-uniform",)
-    return _run("ipndm", r, plan, field, grid, x_T, notes=notes)
-
-
-def sddim_sample(
-    spec: DiffusionSpec, field, grid: TimeGrid, eta: float, x_T, seed: int
-) -> SolverRun:
-    """Stochastic ddim: the step of :func:`_sddim_coeffs` over the grid;
-    the noise of each step comes from its own stream of ``seed`` (see
-    :func:`_execute`).  eta = 0 has the bits of :func:`ddim_sample` and
-    draws nothing."""
-    if seed is None:
-        raise ParameterError("sddim needs a seed")
-    plan, s = _sddim_plan(spec, grid, eta)
-    return _run("sddim", None, plan, field, grid, x_T, s=s, seed=seed)
-
-
 def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: float,
                       seed: int, n_traj: int) -> np.ndarray:
     """Terminal states of ``n_traj`` independent Euler-Maruyama
@@ -491,7 +394,7 @@ def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: flo
 
     from t_end down to t0 in steps of at most ``dt``, with
     score = -eps / L taken from ``field``.  lam = 0 recovers the
-    deterministic sampling ODE, with the bits of :func:`euler_sample` on
+    deterministic sampling ODE, with the bits of the ``euler`` sampler on
     the same grid; lam = 1 is the reverse SDE.  Trajectory i starts from
     draw i of :func:`~diffint.oracle.draw_terminal_states` and takes the
     noise of step k from position i of :func:`~diffint.oracle.normals`
@@ -503,54 +406,73 @@ def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: flo
     return _execute("em", plan, field, x, s=s, seed=seed, nan_diverged=True)[0]
 
 
-# public name -> runner(spec, field, grid, x_T, **keyword arguments of run_sampler)
-_RUNNERS = {
-    "euler": lambda sp, fd, g, x, **_: euler_sample(sp, fd, g, x),
-    "ei_score": lambda sp, fd, g, x, **_: ei_score_sample(sp, fd, g, x),
-    "ddim": lambda sp, fd, g, x, **_: ddim_sample(sp, fd, g, x),
-    "tab": lambda sp, fd, g, x, order, weights, **_: tab_sample(sp, fd, g, order, x, weights),
-    "rho_ab": lambda sp, fd, g, x, order, **_: rho_ab_sample(sp, fd, g, order, x),
-    "rho_mid": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "midpoint", x),
-    "rho_heun2": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "heun2", x),
-    "rho_kutta3": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "kutta3", x),
-    "rho_rk4": lambda sp, fd, g, x, **_: rho_rk_sample(sp, fd, g, "rk4", x),
-    "ipndm": lambda sp, fd, g, x, order, **_: ipndm_sample(sp, fd, g, order, x),
-    "sddim": lambda sp, fd, g, x, eta, seed, **_: sddim_sample(sp, fd, g, eta, x, seed),
+# public name -> (plan builder (spec, grid, order, eta) -> (plan, noise
+# scales or None), or the RK_METHODS tableau the name runs in rho; whether
+# the run reports the plan's order; the arguments the sampler reads -> their
+# range checks).  The builders resolve tab_weights, rho_ab_weights,
+# transition and t_of_rho when called, so the names can be rebound.
+_SAMPLERS = {
+    "euler": (lambda spec, grid, order, eta: (_euler_plan(spec, grid), None), False, {}),
+    "ei_score": (lambda spec, grid, order, eta: (_ei_score_plan(spec, grid), None), False, {}),
+    "ddim": (lambda spec, grid, order, eta: (_ddim_plan(spec, grid), None), True, {}),
+    "tab": (lambda spec, grid, order, eta: (tab_weights(spec, grid, order), None), True,
+            {"order": _check_order}),
+    "rho_ab": (lambda spec, grid, order, eta: (_rho_ab_plan(spec, grid, order), None), True,
+               {"order": _check_order}),
+    "rho_mid": ("midpoint", False, {}),
+    "rho_heun2": ("heun2", False, {}),
+    "rho_kutta3": ("kutta3", False, {}),
+    "rho_rk4": ("rk4", False, {}),
+    "ipndm": (lambda spec, grid, order, eta: (_ipndm_plan(spec, grid, order), None), True,
+              {"order": _check_ipndm_order}),
+    "sddim": (lambda spec, grid, order, eta: _sddim_plan(spec, grid, eta), False,
+              {"eta": _check_eta}),
 }
 
-SAMPLER_NAMES = tuple(_RUNNERS)
+SAMPLER_NAMES = tuple(_SAMPLERS)
 
-# the order or eta check each sampler's plan builder applies
-_ARG_CHECKS = {
-    "tab": lambda order, eta: _check_order(order),
-    "rho_ab": lambda order, eta: _check_order(order),
-    "ipndm": lambda order, eta: _check_ipndm_order(order),
-    "sddim": lambda order, eta: _check_eta(eta),
-}
+
+def _sampler(name: str) -> tuple:
+    if name not in _SAMPLERS:
+        raise ParameterError(f"unknown sampler {name!r}; choose from {SAMPLER_NAMES}")
+    return _SAMPLERS[name]
 
 
 def check_sampler_args(name: str, order: int = 0, eta: float = 0.0):
     """Raise :class:`ParameterError` where :func:`run_sampler` would
-    reject ``order`` or ``eta`` for sampler ``name``, without running it."""
-    check = _ARG_CHECKS.get(name)
-    if check is not None:
-        check(order, eta)
+    reject ``name``, or the ``order`` or ``eta`` it reads, without
+    running it."""
+    args = {"order": order, "eta": eta}
+    for key, check in _sampler(name)[2].items():
+        check(args[key])
 
 
-def run_sampler(
-    name: str,
-    spec: DiffusionSpec,
-    field,
-    grid: TimeGrid,
-    x_T,
-    *,
-    order: int = 0,
-    eta: float = 0.0,
-    seed: int | None = None,
-    weights: WeightTable | None = None,
-) -> SolverRun:
-    """Dispatch a sampler by its public name (the harness entry point)."""
-    if name not in SAMPLER_NAMES:
-        raise ParameterError(f"unknown sampler {name!r}; choose from {SAMPLER_NAMES}")
-    runner = _RUNNERS[name]
-    return runner(spec, field, grid, x_T, order=order, eta=eta, seed=seed, weights=weights)
+def run_sampler(name: str, spec: DiffusionSpec, field, grid: TimeGrid, x_T, *,
+                order: int = 0, eta: float = 0.0, seed: int | None = None,
+                weights: WeightTable | None = None) -> SolverRun:
+    """Run sampler ``name`` (one of ``SAMPLER_NAMES``) from ``x_T`` at the
+    last node of ``grid``, recording the state at every node.  A sampler
+    ignores an ``order`` or ``eta`` it does not read; ``sddim`` needs a
+    ``seed``, and ``tab`` runs a supplied ``weights`` table, which must
+    match the grid and order, instead of building one."""
+    build, ranked, _ = _sampler(name)
+    if isinstance(build, str):
+        return _rho_rk(spec, field, grid, build, x_T)
+    if name == "sddim" and seed is None:
+        raise ParameterError("sddim needs a seed")
+    if name == "tab" and weights is not None:
+        weights.check_grid(grid)
+        if weights.order != order:
+            raise GridMismatchError(f"weight table has order {weights.order}, requested {order}")
+        plan, s = weights, None
+    else:
+        plan, s = build(spec, grid, order, eta)
+    notes = ()
+    if name == "ipndm":
+        spacing = np.diff(grid.times)
+        if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
+            notes = ("blend coefficients assume a uniform grid; grid is non-uniform",)
+    states = _start_states(grid, x_T)
+    _, nfe = _execute(name, plan, field, states[grid.n_steps], s=s, seed=seed, states=states)
+    return SolverRun(name, plan.order if ranked else None, grid, states, nfe,
+                     seed=seed if name == "sddim" else None, notes=notes)

@@ -18,23 +18,16 @@ from diffint import (
     IPNDM_BLEND,
     OracleTrustError,
     VpSchedule,
-    ddim_sample,
-    ei_score_sample,
-    euler_sample,
-    ipndm_sample,
     lagrange_basis,
     pf_loglik,
     power_t,
     quadratic,
     reference_self_check,
     reference_solve,
-    rho_ab_sample,
     rho_ab_weights,
     rho_of_t,
-    rho_rk_sample,
-    sddim_sample,
+    run_sampler,
     t_of_rho,
-    tab_sample,
     tab_weights,
     transition,
     uniform,
@@ -77,7 +70,7 @@ def test_criterion_01_ddim_equivalence():
     field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     grid = quadratic(T0, 1.0, 10)
     x_init = np.random.default_rng(0).standard_normal(100)
-    run = tab_sample(spec, field, grid, 0, x_init)
+    run = run_sampler("tab", spec, field, grid, x_init, order=0)
     alphas = sched.alpha(grid.times)
     x = x_init.copy()
     closed = np.empty_like(run.states)
@@ -123,12 +116,12 @@ def test_criterion_03_convergence_orders():
             errors.append(float(np.mean(np.abs(run.terminal - reference))))
         return fit_order(n_values, errors)[0]
 
-    order_euler = orders_for(lambda g: euler_sample(spec, field, g, batch))
-    order_heun = orders_for(lambda g: rho_rk_sample(spec, field, g, "heun2", batch))
-    order_kutta = orders_for(lambda g: rho_rk_sample(spec, field, g, "kutta3", batch))
-    order_rk4 = orders_for(lambda g: rho_rk_sample(spec, field, g, "rk4", batch))
-    slope_tab0 = orders_for(lambda g: tab_sample(spec, field, g, 0, batch))
-    slope_tab2 = orders_for(lambda g: tab_sample(spec, field, g, 2, batch))
+    order_euler = orders_for(lambda g: run_sampler("euler", spec, field, g, batch))
+    order_heun = orders_for(lambda g: run_sampler("rho_heun2", spec, field, g, batch))
+    order_kutta = orders_for(lambda g: run_sampler("rho_kutta3", spec, field, g, batch))
+    order_rk4 = orders_for(lambda g: run_sampler("rho_rk4", spec, field, g, batch))
+    slope_tab0 = orders_for(lambda g: run_sampler("tab", spec, field, g, batch, order=0))
+    slope_tab2 = orders_for(lambda g: run_sampler("tab", spec, field, g, batch, order=2))
     assert abs(order_euler - 1.0) <= 0.3, order_euler
     assert abs(order_heun - 2.0) <= 0.5, order_heun
     assert abs(order_kutta - 3.0) <= 0.5, order_kutta
@@ -178,8 +171,8 @@ def test_criterion_05_rho_transform_equivalence():
     states = np.array([-1.0, -0.75, -0.5, -0.25, 0.25, 0.5, 0.75, 1.0])
     grid = quadratic(T0, 1.0, 160)
     reference = reference_solve(spec, field, states, 1e-3, T0).terminal
-    tab_terminal = tab_sample(spec, field, grid, 2, states).terminal
-    rho_terminal = rho_ab_sample(spec, field, grid, 2, states).terminal
+    tab_terminal = run_sampler("tab", spec, field, grid, states, order=2).terminal
+    rho_terminal = run_sampler("rho_ab", spec, field, grid, states, order=2).terminal
     gap_tab = np.max(np.abs(tab_terminal - reference))
     gap_rho = np.max(np.abs(rho_terminal - reference))
     gap_pair = np.max(np.abs(tab_terminal - rho_terminal))
@@ -251,8 +244,8 @@ def test_criterion_07_ipndm_coefficients():
     spec = vpsde()
     field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
     grid = uniform(T0, 1.0, 10)
-    first_ipndm = ipndm_sample(spec, field, grid, 3, 1.0).states[9]
-    first_ddim = ddim_sample(spec, field, grid, 1.0).states[9]
+    first_ipndm = run_sampler("ipndm", spec, field, grid, 1.0, order=3).states[9]
+    first_ddim = run_sampler("ddim", spec, field, grid, 1.0).states[9]
     assert first_ipndm == first_ddim  # bitwise
     _passes(7, "blend fractions match exactly; first step is a bitwise ddim step",
             started, 1.0)
@@ -269,10 +262,10 @@ def test_criterion_08_ablation_ordering():
     def err(run):
         return float(np.mean(np.abs(run.terminal - reference)))
 
-    e_ei = err(ei_score_sample(spec, field, grid, batch))
-    e_euler = err(euler_sample(spec, field, grid, batch))
-    e_tab0 = err(tab_sample(spec, field, grid, 0, batch))
-    e_tab2 = err(tab_sample(spec, field, grid, 2, batch))
+    e_ei = err(run_sampler("ei_score", spec, field, grid, batch))
+    e_euler = err(run_sampler("euler", spec, field, grid, batch))
+    e_tab0 = err(run_sampler("tab", spec, field, grid, batch, order=0))
+    e_tab2 = err(run_sampler("tab", spec, field, grid, batch, order=2))
     assert e_ei > e_euler > e_tab0 > e_tab2, (e_ei, e_euler, e_tab0, e_tab2)
     _passes(
         8,
@@ -290,7 +283,7 @@ def test_criterion_09_stochastic_step_moments():
     # 10000 draws of one step from x with the noise prediction held at eps
     field = lambda state, _: np.full(np.shape(state), eps)
     grid, x_T = TimeGrid([t_prev, t]), np.full(10000, x)
-    draws = sddim_sample(spec, field, grid, eta, x_T, seed=5).terminal
+    draws = run_sampler("sddim", spec, field, grid, x_T, eta=eta, seed=5).terminal
     a_t = float(spec.mu(t)) ** 2
     a_prev = float(spec.mu(t_prev)) ** 2
     var_eta = eta**2 * (1 - a_prev) / (1 - a_t) * (1 - a_t / a_prev)
@@ -299,8 +292,8 @@ def test_criterion_09_stochastic_step_moments():
     se = np.sqrt(var_eta / draws.size)
     assert abs(draws.mean() - mean_closed) <= 3 * se
     assert abs(draws.var() - var_eta) <= 0.05 * var_eta
-    assert np.array_equal(sddim_sample(spec, field, grid, 0.0, x_T, seed=5).terminal,
-                          ddim_sample(spec, field, grid, x_T).terminal)
+    sddim = run_sampler("sddim", spec, field, grid, x_T, eta=0.0, seed=5)
+    assert np.array_equal(sddim.terminal, run_sampler("ddim", spec, field, grid, x_T).terminal)
     _passes(
         9,
         f"step mean within 3se, variance within 5% (var {draws.var():.4e} "

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -28,13 +29,33 @@ def test_compare_counters_ignores_only_the_report_bytes():
         "counters": {"base": base, "change": base}, "differ": [], "work_equal": True}
 
 
+_TRACED_RUNS = textwrap.dedent("""
+    import json, sys
+    sys.path[:] = json.loads(sys.argv[1])
+    import tracing
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    from diffint import EpsilonField, GaussianMixture, quadratic, samplers, vpsde
+
+    spec = vpsde()
+    field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
+    grid = quadratic(1e-3, spec.t_end, 4)
+    for name, order in (("tab", 2), ("rho_ab", 1), ("ei_score", 0), ("rho_rk4", 0)):
+        samplers.run_sampler(name, spec, field, grid, [0.3, -1.2], order=order)
+    print(json.dumps({name: stat.calls for name, stat in tracer.stats.items()}))
+""")
+
+
 def test_tracer_binds_every_traced_name():
     # the benchmark's traced run wraps diffint's bindings by name, so a
-    # renamed or deleted one fails here rather than only under --trace 1
-    script = ("import json, sys; sys.path[:] = json.loads(sys.argv[1]); import tracing; "
-              "tracing.instrument(tracing.Tracer())")
+    # renamed or deleted one fails here rather than only under --trace 1;
+    # a sampler that holds a traced function by value runs outside its span
     proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps([str(_PERFBENCH)] + sys.path)],
+        [sys.executable, "-c", _TRACED_RUNS, json.dumps([str(_PERFBENCH)] + sys.path)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)
+    for name in ("samplers", "weights.tab", "weights.rho_ab", "diffusion.transition",
+                 "diffusion.t_of_rho", "oracle.field"):
+        assert calls.get(name, 0) > 0, (name, calls)

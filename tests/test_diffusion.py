@@ -270,15 +270,15 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
     config, out = sys.argv[2], sys.argv[3]
 
     import diffint, diffint.cli
-    from diffint import EpsilonField, GaussianMixture, make_grid, rho_rk_sample, vesde, vpsde
+    from diffint import EpsilonField, GaussianMixture, make_grid, run_sampler, vesde, vpsde
     from diffint.timegrid import SCHEDULE_NAMES
 
     for spec in (vpsde(), vesde(0.01, 50.0)):
         for name in SCHEDULE_NAMES:
             make_grid(name, t0=1e-3, t_end=spec.t_end, n=12, kappa=2.0, spec=spec)
         field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
-        rho_rk_sample(spec, field, make_grid("log_rho", t0=1e-3, t_end=spec.t_end,
-                                             n=8, spec=spec), "rk4", [0.3, -1.2])
+        run_sampler("rho_rk4", spec, field, make_grid("log_rho", t0=1e-3, t_end=spec.t_end,
+                                                      n=8, spec=spec), [0.3, -1.2])
     code = diffint.cli.main(["sample", "--config", config, "--out", out])
     print(json.dumps({"exit": code,
                       "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))

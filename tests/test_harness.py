@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffint import ConfigError, WeightTable, euler_sample, harness
+from diffint import ConfigError, WeightTable, harness, run_sampler
 from diffint.cli import main
 from diffint.harness import (
     KINDS,
@@ -179,7 +179,7 @@ def test_marginal_lambda_zero_matches_euler_batch(vp, gauss_oracle):
     n = int(round((vp.t_end - t0) / dt))
     grid = TimeGrid(np.linspace(vp.t_end, t0, n + 1)[::-1].copy())
     x_batch = draw_terminal_states(vp, seed, n_traj)
-    euler = euler_sample(vp, field, grid, x_batch).terminal
+    euler = run_sampler("euler", vp, field, grid, x_batch).terminal
     assert np.array_equal(terminal, euler)
 
 
@@ -438,6 +438,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
         {"sampler": {"name": "tab", "order": 1.5}},
         {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "tab", "order": 0.5}],
          "schedule": [{"name": "uniform", "n": 10}]},
+        # an argument a sampler ignores gives the same rows, so no second case
+        {"kind": "study", "n_list": [2, 4],
+         "sampler": [{"name": "euler"}, {"name": "euler", "order": 3},
+                     {"name": "ddim", "eta": 0.7}],
+         "schedule": [{"name": "uniform", "n": 10}]},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -485,6 +490,45 @@ def test_cli_config_numbers_must_be_numbers(tmp_path, capsys, overrides, key):
     raw = base_config(**overrides)
     assert main([raw["kind"], "--config", str(_write_config(tmp_path, raw))]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # tuple() and dict() take any iterable: a string or an object read
+        # as a list, a list of pairs read as an object
+        ({"lambda_list": ""}, "lambda_list must be an array"),
+        ({"orders": {}}, "orders must be an array"),
+        ({"n_list": 5}, "n_list must be an array"),
+        ({"kind": "loglik", "x0_list": "12"}, "x0_list must be an array"),
+        ({"sampler": "ab"}, "sampler must be an object"),
+        ({"sampler": [["name", "ddim"]]}, "sampler must be an object"),
+        ({"schedule": [["name", "quadratic"], ["n", 10]]}, "schedule must be an object"),
+        ({"diffusion": [["preset", "vpsde"]]}, "diffusion must be an object"),
+        ({"gmm": [["weights", [1.0]], ["means", [0.5]], ["stds", [0.25]]]},
+         "gmm must be an object"),
+        ({"kind": "study", "n_list": [2, 4], "sampler": [["name", "ddim"]],
+          "schedule": [{"name": "uniform", "n": 10}]}, "each study sampler must be an object"),
+        ({"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
+          "schedule": ["uniform"]}, "each study schedule must be an object"),
+    ],
+)
+def test_cli_config_arrays_and_objects_keep_their_json_type(tmp_path, capsys, overrides,
+                                                            message):
+    raw = base_config(**overrides)
+    assert main([raw["kind"], "--config", str(_write_config(tmp_path, raw))]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_study_labels_show_only_the_arguments_a_sampler_reads():
+    samplers = [{"name": "tab"}, {"name": "tab", "order": 2}, {"name": "ddim", "eta": 0.7},
+                {"name": "euler", "order": 3}, {"name": "sddim", "eta": 0.5, "order": 1},
+                {"name": "ipndm", "order": 3, "eta": 0.2}]
+    cfg = ExperimentConfig.from_dict(base_config(
+        kind="study", n_list=[2, 4], sampler=samplers,
+        schedule=[{"name": "uniform", "n": 10}]))
+    assert [harness._case_labels(case)["sampler"] for case in cfg._cases()] == [
+        "tab", "tab(order=2)", "ddim", "euler", "sddim(eta=0.5)", "ipndm(order=3)"]
 
 
 def test_cli_seed_override_is_validated(tmp_path):

@@ -34,7 +34,7 @@ from diffint.oracle import (
     normals,
     reference_states,
 )
-from diffint.samplers import _em_plan, _execute, em_terminal_batch, euler_sample, run_sampler
+from diffint.samplers import _em_plan, _execute, em_terminal_batch, run_sampler
 from diffint.timegrid import TimeGrid
 
 from helpers import central_difference, gaussian_pf_terminal
@@ -499,7 +499,7 @@ def test_em_lambda_zero_matches_euler(vp, gauss_oracle):
     n = int(round((vp.t_end - t0) / dt))
     em = em_terminal_batch(vp, field, 0.0, dt, t0, seed, 8)
     grid = TimeGrid(np.linspace(vp.t_end, t0, n + 1)[::-1].copy())
-    eu = euler_sample(vp, field, grid, draw_terminal_states(vp, seed, 8)).terminal
+    eu = run_sampler("euler", vp, field, grid, draw_terminal_states(vp, seed, 8)).terminal
     assert _same_bits(em, eu)
 
 

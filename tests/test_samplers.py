@@ -11,20 +11,12 @@ from diffint import (
     GridMismatchError,
     IPNDM_BLEND,
     ParameterError,
-    ddim_sample,
-    ei_score_sample,
-    euler_sample,
-    ipndm_sample,
     log_rho,
     make_grid,
     power_t,
     quadratic,
     reference_solve,
-    rho_ab_sample,
-    rho_rk_sample,
     run_sampler,
-    sddim_sample,
-    tab_sample,
     tab_weights,
     uniform,
     vesde,
@@ -45,11 +37,11 @@ from diffint.samplers import (
 from diffint.timegrid import TimeGrid
 
 
-def _terminal_errors(spec, field, sampler, n_values, x_batch, grid_fn, **kwargs):
+def _terminal_errors(spec, field, name, n_values, x_batch, grid_fn, **kwargs):
     reference = reference_solve(spec, field, x_batch).terminal
     errors = []
     for n in n_values:
-        run = sampler(spec, field, grid_fn(n), x_batch, **kwargs)
+        run = run_sampler(name, spec, field, grid_fn(n), x_batch, **kwargs)
         errors.append(float(np.mean(np.abs(run.terminal - reference))))
     return np.array(errors)
 
@@ -59,7 +51,7 @@ def _terminal_errors(spec, field, sampler, n_values, x_batch, grid_fn, **kwargs)
 
 def test_euler_zero_field_constant(ve):
     grid = uniform(1e-5, 1.0, 12)
-    run = euler_sample(ve, lambda x, t: np.zeros_like(x), grid, np.array([2.0, -1.0]))
+    run = run_sampler("euler", ve, lambda x, t: np.zeros_like(x), grid, np.array([2.0, -1.0]))
     assert np.all(run.states == run.states[-1])
 
 
@@ -67,7 +59,7 @@ def test_euler_first_order_convergence(vp, gauss_oracle, x_batch):
     _, field = gauss_oracle
     n_values = (10, 20, 40, 80)
     errors = _terminal_errors(
-        vp, field, euler_sample, n_values, x_batch, lambda n: uniform(1e-3, 1.0, n)
+        vp, field, "euler", n_values, x_batch, lambda n: uniform(1e-3, 1.0, n)
     )
     order, _ = fit_order(n_values, errors)
     assert 0.7 <= order <= 1.3
@@ -81,7 +73,7 @@ def test_ei_score_exact_for_constant_score(ve):
     c = 0.8
     field = lambda x, t: c * ve.L(t) * np.ones_like(np.asarray(x, dtype=float))
     grid = uniform(1e-5, 1.0, 4)
-    run = ei_score_sample(ve, field, grid, 1.0)
+    run = run_sampler("ei_score", ve, field, grid, 1.0)
     # exact solution of dx/dt = +g2 c / 2: x(t) = x_T + c/2 (sigma_t^2 - sigma_T^2)
     for i in range(5):
         sig2_hi = float(ve.L(1.0)) ** 2
@@ -93,15 +85,17 @@ def test_ei_score_worse_than_euler_on_concentrated_data(vp, concentrated_oracle,
     _, field = concentrated_oracle
     grid = power_t(1e-3, 1.0, 10, 7.0)
     reference = reference_solve(vp, field, x_batch).terminal
-    err_ei = np.mean(np.abs(ei_score_sample(vp, field, grid, x_batch).terminal - reference))
-    err_euler = np.mean(np.abs(euler_sample(vp, field, grid, x_batch).terminal - reference))
+    err_ei, err_euler = (
+        np.mean(np.abs(run_sampler(name, vp, field, grid, x_batch).terminal - reference))
+        for name in ("ei_score", "euler")
+    )
     assert err_ei > err_euler
 
 
 def test_ei_score_halving_improves(vp, gauss_oracle, x_batch):
     _, field = gauss_oracle
     errors = _terminal_errors(
-        vp, field, ei_score_sample, (20, 40, 80), x_batch,
+        vp, field, "ei_score", (20, 40, 80), x_batch,
         lambda n: uniform(1e-3, 1.0, n),
     )
     assert errors[1] < errors[0] and errors[2] < errors[1]
@@ -119,15 +113,15 @@ def test_ddim_coeffs_identity_when_times_equal(vp):
 
 def test_ddim_zero_eps_is_pure_scaling(vp):
     t, t_prev = 0.8, 0.5
-    run = ddim_sample(vp, lambda x, t: np.zeros_like(x), TimeGrid([t_prev, t]), 2.0)
+    run = run_sampler("ddim", vp, lambda x, t: np.zeros_like(x), TimeGrid([t_prev, t]), 2.0)
     assert run.terminal == 2.0 * transition(vp, t_prev, t)
 
 
 def test_ddim_equals_zero_order_tab(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
-    a = ddim_sample(vp, field, grid, 1.0)
-    b = tab_sample(vp, field, grid, 0, 1.0)
+    a = run_sampler("ddim", vp, field, grid, 1.0)
+    b = run_sampler("tab", vp, field, grid, 1.0, order=0)
     assert np.max(np.abs(a.states - b.states)) < 1e-8
 
 
@@ -140,7 +134,7 @@ def test_tab_error_decreases_with_n_and_order(vp, gauss_oracle, x_batch):
     errs = {}
     for r in (0, 2):
         for n in (10, 20, 40):
-            run = tab_sample(vp, field, quadratic(1e-3, 1.0, n), r, x_batch)
+            run = run_sampler("tab", vp, field, quadratic(1e-3, 1.0, n), x_batch, order=r)
             errs[r, n] = float(np.mean(np.abs(run.terminal - reference)))
     for r in (0, 2):
         assert errs[r, 10] > errs[r, 20] > errs[r, 40]
@@ -152,7 +146,7 @@ def test_tab_exact_for_constant_field(vp):
     field = lambda x, t: const * np.ones_like(np.asarray(x, dtype=float))
     grid = quadratic(1e-3, 1.0, 8)
     for r in (0, 1, 2, 3):
-        run = tab_sample(vp, field, grid, r, 1.0)
+        run = run_sampler("tab", vp, field, grid, 1.0, order=r)
         for i in range(grid.n_steps + 1):
             psi = transition(vp, grid.times[i], 1.0)
             coeff = float(vp.L(grid.times[i])) - psi * float(vp.L(1.0))
@@ -163,8 +157,8 @@ def test_tab_accepts_matching_precomputed_table(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
     table = tab_weights(vp, grid, 2)
-    a = tab_sample(vp, field, grid, 2, 1.0, weights=table)
-    b = tab_sample(vp, field, grid, 2, 1.0)
+    a = run_sampler("tab", vp, field, grid, 1.0, order=2, weights=table)
+    b = run_sampler("tab", vp, field, grid, 1.0, order=2)
     assert np.array_equal(a.states, b.states)
 
 
@@ -172,10 +166,10 @@ def test_tab_rejects_mismatched_table(vp, gauss_oracle):
     _, field = gauss_oracle
     table = tab_weights(vp, quadratic(1e-3, 1.0, 9), 2)
     with pytest.raises(GridMismatchError):
-        tab_sample(vp, field, quadratic(1e-3, 1.0, 10), 2, 1.0, weights=table)
+        run_sampler("tab", vp, field, quadratic(1e-3, 1.0, 10), 1.0, order=2, weights=table)
     with pytest.raises(GridMismatchError):
-        tab_sample(
-            vp, field, quadratic(1e-3, 1.0, 9), 1, 1.0,
+        run_sampler(
+            "tab", vp, field, quadratic(1e-3, 1.0, 9), 1.0, order=1,
             weights=tab_weights(vp, quadratic(1e-3, 1.0, 9), 2),
         )
 
@@ -186,8 +180,8 @@ def test_tab_rejects_mismatched_table(vp, gauss_oracle):
 def test_rho_ab_zero_order_is_ddim_exactly(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
-    a = ddim_sample(vp, field, grid, 1.0)
-    b = rho_ab_sample(vp, field, grid, 0, 1.0)
+    a = run_sampler("ddim", vp, field, grid, 1.0)
+    b = run_sampler("rho_ab", vp, field, grid, 1.0, order=0)
     assert np.max(np.abs(a.states - b.states)) < 1e-12
 
 
@@ -195,7 +189,7 @@ def test_rho_ab_constant_field_advances_linearly(vp):
     const = -0.6
     field = lambda x, t: const * np.ones_like(np.asarray(x, dtype=float))
     grid = quadratic(1e-3, 1.0, 6)
-    run = rho_ab_sample(vp, field, grid, 2, 1.0)
+    run = run_sampler("rho_ab", vp, field, grid, 1.0, order=2)
     rho = grid.rho_values(vp)
     mu = vp.mu(grid.times)
     y_init = 1.0 / mu[-1]
@@ -214,8 +208,8 @@ def test_rho_ab_and_tab_gap_vanishes(vp, gauss_oracle, x_batch):
         grid = quadratic(1e-3, 1.0, n)
         gap = np.max(
             np.abs(
-                tab_sample(vp, field, grid, 2, x_batch).terminal
-                - rho_ab_sample(vp, field, grid, 2, x_batch).terminal
+                run_sampler("tab", vp, field, grid, x_batch, order=2).terminal
+                - run_sampler("rho_ab", vp, field, grid, x_batch, order=2).terminal
             )
         )
         gaps.append(float(gap))
@@ -227,9 +221,7 @@ def test_rho_ab_convergence_order(vp, gauss_oracle, x_batch, r, min_order):
     _, field = gauss_oracle
     n_values = (10, 20, 40, 80)
     errors = _terminal_errors(
-        vp, field,
-        lambda spec, fld, grid, x: rho_ab_sample(spec, fld, grid, r, x),
-        n_values, x_batch, lambda n: uniform(1e-3, 1.0, n),
+        vp, field, "rho_ab", n_values, x_batch, lambda n: uniform(1e-3, 1.0, n), order=r
     )
     order, _ = fit_order(n_values, errors)
     assert order >= min_order
@@ -247,7 +239,7 @@ def test_rho_midpoint_stage_time(vp, gauss_oracle):
         calls.append(float(t))
         return field(x, t)
 
-    rho_rk_sample(vp, recording, grid, "midpoint", 1.0)
+    run_sampler("rho_mid", vp, recording, grid, 1.0)
     rho = grid.rho_values(vp)
     for step, i in enumerate(range(5, 0, -1)):
         t_first, t_mid = calls[2 * step], calls[2 * step + 1]
@@ -262,8 +254,8 @@ def test_rho_rk_constant_field_exact(vp):
     grid = quadratic(1e-3, 1.0, 5)
     rho = grid.rho_values(vp)
     mu = vp.mu(grid.times)
-    for method in ("midpoint", "heun2", "kutta3", "rk4"):
-        run = rho_rk_sample(vp, field, grid, method, 1.0)
+    for name in ("rho_mid", "rho_heun2", "rho_kutta3", "rho_rk4"):
+        run = run_sampler(name, vp, field, grid, 1.0)
         expected = mu[0] * (1.0 / mu[-1] + const * (rho[0] - rho[-1]))
         assert abs(float(run.terminal) - expected) < 1e-10
 
@@ -287,9 +279,10 @@ def test_rho_rk_stage_mu_is_mu_of_the_stage_time(preset, t0, request):
         calls.append((x, t))
         return np.zeros_like(x)
 
-    for method in ("midpoint", "heun2", "kutta3", "rk4"):
+    for name, method in (("rho_mid", "midpoint"), ("rho_heun2", "heun2"),
+                         ("rho_kutta3", "kutta3"), ("rho_rk4", "rk4")):
         calls.clear()
-        run = rho_rk_sample(shifted, zero, grid, method, x)
+        run = run_sampler(name, shifted, zero, grid, x)
         assert all((float(spec.mu(t)) * y).tobytes() == x_t.tobytes() for x_t, t in calls)
         # one note per clamped stage; a stage at c = 1 of the last step
         # is t0 itself, and heun2 has no interior stages to clamp
@@ -301,7 +294,7 @@ def test_rho_rk_stage_mu_is_mu_of_the_stage_time(preset, t0, request):
 def test_rho_rk_unknown_method(vp, gauss_oracle):
     _, field = gauss_oracle
     with pytest.raises(ParameterError):
-        rho_rk_sample(vp, field, uniform(1e-3, 1.0, 5), "rk5", 1.0)
+        run_sampler("rho_rk5", vp, field, uniform(1e-3, 1.0, 5), 1.0)
 
 
 # -- ipndm ---------------------------------------------------------------
@@ -323,8 +316,8 @@ def test_ipndm_blend_fractions_exact():
 def test_ipndm_first_step_is_ddim_bitwise(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = uniform(1e-3, 1.0, 10)
-    a = ipndm_sample(vp, field, grid, 3, 1.0)
-    b = ddim_sample(vp, field, grid, 1.0)
+    a = run_sampler("ipndm", vp, field, grid, 1.0, order=3)
+    b = run_sampler("ddim", vp, field, grid, 1.0)
     assert a.states[grid.n_steps - 1] == b.states[grid.n_steps - 1]
 
 
@@ -332,17 +325,17 @@ def test_ipndm_constant_field_matches_ddim(vp):
     const = 0.45
     field = lambda x, t: const * np.ones_like(np.asarray(x, dtype=float))
     grid = uniform(1e-3, 1.0, 12)
-    base = ddim_sample(vp, field, grid, 1.0)
+    base = run_sampler("ddim", vp, field, grid, 1.0)
     for r in (0, 1, 2, 3):
-        run = ipndm_sample(vp, field, grid, r, 1.0)
+        run = run_sampler("ipndm", vp, field, grid, 1.0, order=r)
         assert np.allclose(run.states, base.states, rtol=1e-12, atol=1e-14)
 
 
 def test_ipndm_warns_on_nonuniform_grid(vp, gauss_oracle):
     _, field = gauss_oracle
-    run = ipndm_sample(vp, field, quadratic(1e-3, 1.0, 10), 2, 1.0)
+    run = run_sampler("ipndm", vp, field, quadratic(1e-3, 1.0, 10), 1.0, order=2)
     assert any("non-uniform" in note for note in run.notes)
-    run = ipndm_sample(vp, field, uniform(1e-3, 1.0, 10), 2, 1.0)
+    run = run_sampler("ipndm", vp, field, uniform(1e-3, 1.0, 10), 1.0, order=2)
     assert run.notes == ()
 
 
@@ -350,8 +343,9 @@ def test_ipndm_beats_ddim_on_oracle(vp, gauss_oracle, x_batch):
     _, field = gauss_oracle
     grid = uniform(1e-3, 1.0, 10)
     reference = reference_solve(vp, field, x_batch).terminal
-    err_ipndm = np.mean(np.abs(ipndm_sample(vp, field, grid, 3, x_batch).terminal - reference))
-    err_ddim = np.mean(np.abs(ddim_sample(vp, field, grid, x_batch).terminal - reference))
+    ipndm = run_sampler("ipndm", vp, field, grid, x_batch, order=3)
+    err_ipndm = np.mean(np.abs(ipndm.terminal - reference))
+    err_ddim = np.mean(np.abs(run_sampler("ddim", vp, field, grid, x_batch).terminal - reference))
     assert err_ipndm < err_ddim
 
 
@@ -362,14 +356,15 @@ def test_sddim_eta_zero_equals_ddim(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
     x_T = np.array([1.3, -0.4])
-    got = sddim_sample(vp, field, grid, 0.0, x_T, seed=0).states
-    assert np.array_equal(got, ddim_sample(vp, field, grid, x_T).states)
+    got = run_sampler("sddim", vp, field, grid, x_T, eta=0.0, seed=0).states
+    assert np.array_equal(got, run_sampler("ddim", vp, field, grid, x_T).states)
 
 
 def _sddim_one_step_draws(spec, x, eps, t, t_prev, eta, n=10000, seed=7):
     """n draws of one sddim step from x with the noise prediction held at eps."""
     field = lambda state, _: np.full(np.shape(state), eps)
-    return sddim_sample(spec, field, TimeGrid([t_prev, t]), eta, np.full(n, x), seed).terminal
+    return run_sampler("sddim", spec, field, TimeGrid([t_prev, t]), np.full(n, x),
+                       eta=eta, seed=seed).terminal
 
 
 def test_sddim_moments_match_closed_form(vp):
@@ -406,16 +401,16 @@ def test_sddim_degenerate_endpoint_guard(vp):
 def test_sddim_eta_validation(vp, gauss_oracle):
     _, field = gauss_oracle
     with pytest.raises(ParameterError):
-        sddim_sample(vp, field, TimeGrid([0.1, 0.3]), 1.5, 0.5, seed=0)
+        run_sampler("sddim", vp, field, TimeGrid([0.1, 0.3]), 0.5, eta=1.5, seed=0)
 
 
 def test_sddim_sample_deterministic_given_seed(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = uniform(1e-3, 1.0, 10)
-    a = sddim_sample(vp, field, grid, 0.5, 1.0, seed=3)
-    b = sddim_sample(vp, field, grid, 0.5, 1.0, seed=3)
+    a = run_sampler("sddim", vp, field, grid, 1.0, eta=0.5, seed=3)
+    b = run_sampler("sddim", vp, field, grid, 1.0, eta=0.5, seed=3)
     assert np.array_equal(a.states, b.states)
-    c = sddim_sample(vp, field, grid, 0.5, 1.0, seed=4)
+    c = run_sampler("sddim", vp, field, grid, 1.0, eta=0.5, seed=4)
     assert not np.array_equal(a.states, c.states)
 
 
@@ -425,22 +420,22 @@ def test_sddim_sample_deterministic_given_seed(vp, gauss_oracle):
 def test_nfe_accounting(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
-    assert euler_sample(vp, field, grid, 1.0).nfe == 10
-    assert ei_score_sample(vp, field, grid, 1.0).nfe == 10
-    assert ddim_sample(vp, field, grid, 1.0).nfe == 10
-    assert tab_sample(vp, field, grid, 2, 1.0).nfe == 10
-    assert rho_ab_sample(vp, field, grid, 2, 1.0).nfe == 10
-    assert ipndm_sample(vp, field, grid, 3, 1.0).nfe == 10
-    assert sddim_sample(vp, field, grid, 0.3, 1.0, seed=0).nfe == 10
-    stages = {"midpoint": 2, "heun2": 2, "kutta3": 3, "rk4": 4}
-    for method, s in stages.items():
-        assert rho_rk_sample(vp, field, grid, method, 1.0).nfe == 10 * s
+    assert run_sampler("euler", vp, field, grid, 1.0).nfe == 10
+    assert run_sampler("ei_score", vp, field, grid, 1.0).nfe == 10
+    assert run_sampler("ddim", vp, field, grid, 1.0).nfe == 10
+    assert run_sampler("tab", vp, field, grid, 1.0, order=2).nfe == 10
+    assert run_sampler("rho_ab", vp, field, grid, 1.0, order=2).nfe == 10
+    assert run_sampler("ipndm", vp, field, grid, 1.0, order=3).nfe == 10
+    assert run_sampler("sddim", vp, field, grid, 1.0, eta=0.3, seed=0).nfe == 10
+    stages = {"rho_mid": 2, "rho_heun2": 2, "rho_kutta3": 3, "rho_rk4": 4}
+    for name, s in stages.items():
+        assert run_sampler(name, vp, field, grid, 1.0).nfe == 10 * s
 
 
 def test_initial_state_recorded(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = uniform(1e-3, 1.0, 5)
-    run = tab_sample(vp, field, grid, 1, 2.5)
+    run = run_sampler("tab", vp, field, grid, 2.5, order=1)
     assert run.states[grid.n_steps] == 2.5
 
 
@@ -448,14 +443,14 @@ def test_grid_refinement_monotone(vp, gauss_oracle, x_batch):
     _, field = gauss_oracle
     reference = reference_solve(vp, field, x_batch).terminal
     samplers = {
-        "euler": lambda g: euler_sample(vp, field, g, x_batch),
-        "ddim": lambda g: ddim_sample(vp, field, g, x_batch),
-        "tab2": lambda g: tab_sample(vp, field, g, 2, x_batch),
-        "rho_ab2": lambda g: rho_ab_sample(vp, field, g, 2, x_batch),
-        "rho_heun2": lambda g: rho_rk_sample(vp, field, g, "heun2", x_batch),
-        "rho_kutta3": lambda g: rho_rk_sample(vp, field, g, "kutta3", x_batch),
-        "rho_rk4": lambda g: rho_rk_sample(vp, field, g, "rk4", x_batch),
-        "ipndm3": lambda g: ipndm_sample(vp, field, g, 3, x_batch),
+        "euler": lambda g: run_sampler("euler", vp, field, g, x_batch),
+        "ddim": lambda g: run_sampler("ddim", vp, field, g, x_batch),
+        "tab2": lambda g: run_sampler("tab", vp, field, g, x_batch, order=2),
+        "rho_ab2": lambda g: run_sampler("rho_ab", vp, field, g, x_batch, order=2),
+        "rho_heun2": lambda g: run_sampler("rho_heun2", vp, field, g, x_batch),
+        "rho_kutta3": lambda g: run_sampler("rho_kutta3", vp, field, g, x_batch),
+        "rho_rk4": lambda g: run_sampler("rho_rk4", vp, field, g, x_batch),
+        "ipndm3": lambda g: run_sampler("ipndm", vp, field, g, x_batch, order=3),
     }
     for name, runner in samplers.items():
         errors = []
@@ -473,11 +468,11 @@ def test_cross_family_agreement_at_n160(vp, gauss_oracle):
     grid = quadratic(1e-3, 1.0, 160)
     reference = reference_solve(vp, field, states).terminal
     terminals = {
-        "tab2": tab_sample(vp, field, grid, 2, states).terminal,
-        "rho_ab2": rho_ab_sample(vp, field, grid, 2, states).terminal,
-        "rho_mid": rho_rk_sample(vp, field, grid, "midpoint", states).terminal,
-        "rho_kutta3": rho_rk_sample(vp, field, grid, "kutta3", states).terminal,
-        "rho_rk4": rho_rk_sample(vp, field, grid, "rk4", states).terminal,
+        "tab2": run_sampler("tab", vp, field, grid, states, order=2).terminal,
+        "rho_ab2": run_sampler("rho_ab", vp, field, grid, states, order=2).terminal,
+        "rho_mid": run_sampler("rho_mid", vp, field, grid, states).terminal,
+        "rho_kutta3": run_sampler("rho_kutta3", vp, field, grid, states).terminal,
+        "rho_rk4": run_sampler("rho_rk4", vp, field, grid, states).terminal,
     }
     for name, terminal in terminals.items():
         assert np.max(np.abs(terminal - reference)) < 1e-5, name
@@ -487,7 +482,7 @@ def test_cross_family_agreement_at_n160(vp, gauss_oracle):
             assert np.max(np.abs(terminals[a] - terminals[b])) < 1e-5, (a, b)
     # heun2 converges to the same point but with a visibly larger
     # constant at this resolution; see the decisions ledger
-    heun = rho_rk_sample(vp, field, grid, "heun2", states).terminal
+    heun = run_sampler("rho_heun2", vp, field, grid, states).terminal
     assert np.max(np.abs(heun - reference)) < 1e-3
 
 
@@ -499,11 +494,11 @@ def test_constant_field_exactness_class(vp):
     mu = vp.mu(grid.times)
     exact = mu[0] * (1.0 / mu[-1] + const * (rho[0] - rho[-1]))
     runs = [
-        ddim_sample(vp, field, grid, 1.0),
-        tab_sample(vp, field, grid, 3, 1.0),
-        rho_ab_sample(vp, field, grid, 3, 1.0),
-        rho_rk_sample(vp, field, grid, "rk4", 1.0),
-        ipndm_sample(vp, field, grid, 3, 1.0),
+        run_sampler("ddim", vp, field, grid, 1.0),
+        run_sampler("tab", vp, field, grid, 1.0, order=3),
+        run_sampler("rho_ab", vp, field, grid, 1.0, order=3),
+        run_sampler("rho_rk4", vp, field, grid, 1.0),
+        run_sampler("ipndm", vp, field, grid, 1.0, order=3),
     ]
     for run in runs:
         assert abs(float(run.terminal) - exact) < 1e-10, run.sampler
@@ -522,16 +517,16 @@ def test_ve_preset_end_to_end():
     grid40 = log_rho(spec, 1e-5, 40)
     grid80 = log_rho(spec, 1e-5, 80)
     for runner in (
-        lambda g: tab_sample(spec, field, g, 1, x_init),
-        lambda g: ddim_sample(spec, field, g, x_init),
-        lambda g: rho_ab_sample(spec, field, g, 1, x_init),
-        lambda g: rho_rk_sample(spec, field, g, "heun2", x_init),
-        lambda g: euler_sample(spec, field, g, x_init),
-        lambda g: ei_score_sample(spec, field, g, x_init),
-        lambda g: ipndm_sample(spec, field, g, 3, x_init),
-        lambda g: rho_rk_sample(spec, field, g, "midpoint", x_init),
-        lambda g: rho_rk_sample(spec, field, g, "kutta3", x_init),
-        lambda g: rho_rk_sample(spec, field, g, "rk4", x_init),
+        lambda g: run_sampler("tab", spec, field, g, x_init, order=1),
+        lambda g: run_sampler("ddim", spec, field, g, x_init),
+        lambda g: run_sampler("rho_ab", spec, field, g, x_init, order=1),
+        lambda g: run_sampler("rho_heun2", spec, field, g, x_init),
+        lambda g: run_sampler("euler", spec, field, g, x_init),
+        lambda g: run_sampler("ei_score", spec, field, g, x_init),
+        lambda g: run_sampler("ipndm", spec, field, g, x_init, order=3),
+        lambda g: run_sampler("rho_mid", spec, field, g, x_init),
+        lambda g: run_sampler("rho_kutta3", spec, field, g, x_init),
+        lambda g: run_sampler("rho_rk4", spec, field, g, x_init),
     ):
         coarse = np.max(np.abs(runner(grid40).terminal - reference))
         fine = np.max(np.abs(runner(grid80).terminal - reference))
@@ -543,13 +538,13 @@ def test_deterministic_samplers_bitwise_reproducible(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
     runners = [
-        lambda: euler_sample(vp, field, grid, 1.0),
-        lambda: ei_score_sample(vp, field, grid, 1.0),
-        lambda: ddim_sample(vp, field, grid, 1.0),
-        lambda: tab_sample(vp, field, grid, 2, 1.0),
-        lambda: rho_ab_sample(vp, field, grid, 2, 1.0),
-        lambda: rho_rk_sample(vp, field, grid, "rk4", 1.0),
-        lambda: ipndm_sample(vp, field, grid, 3, 1.0),
+        lambda: run_sampler("euler", vp, field, grid, 1.0),
+        lambda: run_sampler("ei_score", vp, field, grid, 1.0),
+        lambda: run_sampler("ddim", vp, field, grid, 1.0),
+        lambda: run_sampler("tab", vp, field, grid, 1.0, order=2),
+        lambda: run_sampler("rho_ab", vp, field, grid, 1.0, order=2),
+        lambda: run_sampler("rho_rk4", vp, field, grid, 1.0),
+        lambda: run_sampler("ipndm", vp, field, grid, 1.0, order=3),
     ]
     for runner in runners:
         assert np.array_equal(runner().states, runner().states)
@@ -561,9 +556,9 @@ def test_vector_states_are_independent_axes(vp):
     gmm = GaussianMixture([1.0], [0.3], [0.5])
     field = EpsilonField(gmm, vp)
     grid = quadratic(1e-3, 1.0, 8)
-    stacked = tab_sample(vp, field, grid, 2, np.array([0.4, -1.1, 2.0])).states
+    stacked = run_sampler("tab", vp, field, grid, np.array([0.4, -1.1, 2.0]), order=2).states
     for k, x in enumerate((0.4, -1.1, 2.0)):
-        single = tab_sample(vp, field, grid, 2, np.asarray(x)).states
+        single = run_sampler("tab", vp, field, grid, np.asarray(x), order=2).states
         assert np.array_equal(stacked[:, k], single)
 
 
@@ -572,7 +567,7 @@ def test_divergence_error_carries_step_index(vp):
     grid = uniform(1e-3, 1.0, 10)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as err:
-            euler_sample(vp, exploding, grid, 1.0)
+            run_sampler("euler", vp, exploding, grid, 1.0)
     assert err.value.step_index == 9
 
 
@@ -682,12 +677,12 @@ def test_rho_rk_inverts_all_stage_times_in_one_call(vp, gauss_oracle, monkeypatc
         return inner(spec, rho)
 
     monkeypatch.setattr(samplers, "t_of_rho", counting)
-    for method, stages in (("midpoint", 1), ("heun2", 0), ("kutta3", 1), ("rk4", 1)):
+    for name, stages in (("rho_mid", 1), ("rho_heun2", 0), ("rho_kutta3", 1), ("rho_rk4", 1)):
         calls.clear()
         times = []
-        rho_rk_sample(vp, lambda x, t: times.append(t) or field(x, t), grid, method, 1.0)
+        run_sampler(name, vp, lambda x, t: times.append(t) or field(x, t), grid, 1.0)
         assert calls == [(8, 1)] * stages
-        if method == "midpoint":
+        if name == "rho_mid":
             # the same bits as one scalar inversion per stage
             assert times[1::2] == [
                 t_of_rho(vp, rho[i] + 0.5 * (rho[i - 1] - rho[i])) for i in range(8, 0, -1)
