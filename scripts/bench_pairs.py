@@ -17,7 +17,9 @@ runs the base first when i is even and the change first when it is odd,
 so that a drift of machine speed during the series falls on both sides.
 For every end-to-end metric of ``BENCHMARK.json`` the file holds the
 values of each run, the median and quartiles of each side, the pairs the
-change wins (better by the metric's direction), and the median change;
+change wins (better by the metric's direction), the median change, and
+the median change in the worse direction read against the metric's
+``bound`` (``worse_frac``, ``within_bound``);
 ``setup_samples_s`` keeps each run's set-up probes, whose median is its
 ``setup_s``.
 ``--trace`` adds one traced run per tree and workload (seed 0).  It keeps
@@ -93,8 +95,11 @@ def quartiles(values):
 
 def summarise(base_runs, change_runs, metrics):
     """Per metric: each side's values and quartiles, the pairs the change
-    wins, and whether its median beats the base's by more than the base's
-    interquartile range."""
+    wins, whether its median beats the base's by more than the base's
+    interquartile range, ``worse_frac``, the median change as a fraction
+    of the base's median in the metric's worse direction (negative when
+    the change is better), and ``within_bound``, whether that stays at or
+    under the metric's ``bound`` (None for a metric without one)."""
     out = {}
     for spec in metrics:
         name, higher = spec["name"], spec["better"] == "higher"
@@ -102,6 +107,8 @@ def summarise(base_runs, change_runs, metrics):
         change = [r["metrics"][name]["value"] for r in change_runs]
         b, c = quartiles(base), quartiles(change)
         gain = c["median"] - b["median"] if higher else b["median"] - c["median"]
+        worse = -gain / b["median"]
+        bound = spec.get("bound")
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -111,6 +118,9 @@ def summarise(base_runs, change_runs, metrics):
             "pairs": len(base),
             "median_change_frac": (c["median"] - b["median"]) / b["median"],
             "beats_base_iqr": gain > b["iqr"],
+            "worse_frac": worse,
+            "bound": bound,
+            "within_bound": None if bound is None else worse <= bound,
         }
     return out
 

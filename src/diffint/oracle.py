@@ -21,29 +21,35 @@ Conventions:
   stage form the marginal's means, variances and per-component bias
   log w_k - 0.5 log(2 pi var_k) directly (``_marginals``, at one time
   or many, with the bits of the one-time formula at each) instead of
-  building a :class:`GaussianMixture`.  Every mixture evaluation, the
-  mixture's own methods included, runs one plain-numpy kernel
-  (``_kernel``), a shifted softmax: with a_k the log terms and a_max
-  their max, the weights are exp(a_k - a_max) / sum_j exp(a_j - a_max)
-  and the log density is a_max + log(sum_j exp(a_j - a_max)).  So the
-  field has the bits of ``marginal_at(gmm, spec, t).score(x)``, and
-  against a 50-digit reference the score, the field and the log
-  density are within 1e-13 and the score's x-derivative within 1e-12,
-  relative to max(1, |value|) (measured up to 3.4e-15 and 4.9e-14).  A
-  one-component mixture has weight exactly 1, so its score has the
-  bits of -(x - m) / var.  The kernel works on ``x.reshape(-1)`` in
-  blocks of at most 8192 states (``_BLOCK``), in place in a per-thread
-  scratch buffer that outlives the call, so a call allocates only its
-  output; each state gets the bits of a call on it alone.
+  building a :class:`GaussianMixture`.  Every mixture evaluation runs
+  the same plain-numpy log terms (``_log_terms``), a shifted softmax:
+  with a_k the log terms and a_max their max, the weights are
+  exp(a_k - a_max) / sum_j exp(a_j - a_max) and the log density is
+  a_max + log(sum_j exp(a_j - a_max)).  So the field has the bits of
+  ``marginal_at(gmm, spec, t).score(x)``, and against a 50-digit
+  reference the score, the field and the log density are within 1e-13
+  and the score's x-derivative within 1e-12, relative to max(1, |value|)
+  (measured up to 3.4e-15 and 4.9e-14).  A one-component mixture has
+  weight exactly 1, so its score has the bits of -(x - m) / var.  The
+  field and the mixture's methods run them through one kernel
+  (``_kernel``), which works on ``x.reshape(-1)`` in blocks of at most
+  8192 states (``_BLOCK``), in place in a per-thread scratch buffer that
+  outlives the call, so a call allocates only its output.  Each
+  ``pf_loglik`` stage runs the same log terms and the pair code of
+  :meth:`GaussianMixture.score_dx` (``_pair_block``) directly, in place
+  in buffers of its own.  Either way each state gets the bits of a call
+  on it alone.
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
   full).  A hit has the bits of a miss; a time whose marginal variance
   underflows raises on every call and is never stored.
 * Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
-  RK4 stepper, ``_rk4``.  :func:`pf_loglik` tabulates the per-time work
-  (f, g2 and the marginal's columns) of a window of at most 2047 steps
-  with one array call each, and steps the state and its divergence as
-  one stacked array.
+  RK4 stepper, ``_rk4``, which steps in place in five buffers of the
+  state's shape with numpy's over and invalid flags quiet, since its
+  finite check reports divergence.  :func:`pf_loglik` tabulates the
+  per-time work (f, g2 and the marginal's columns) of a window of at
+  most 2047 steps with one array call each, and steps the state and its
+  divergence as one stacked array.
 
 All operations are pure functions of their inputs (plus an explicit
 seed for the stochastic ones), and a field's memo only ever holds what
@@ -86,7 +92,7 @@ _VARIANCE_FLOOR = 1e-300
 
 
 # Widest run of states the mixture kernel works on at once.  Its
-# (2K + 1, block) temporaries live in a per-thread scratch buffer
+# (3K + 1, block) temporaries live in a per-thread scratch buffer
 # (``_scratch``) that is reused in place from block to block and from
 # call to call, so a call allocates only its output.  Measured with
 # K = 2 on a shared 2-vCPU machine: a field call on 8192 states fell
@@ -105,41 +111,61 @@ _BLOCK = 8192
 _scratch = threading.local()
 
 
+def _scalars(values):
+    """The floats ``values`` as a list of 0-d arrays.  As an operand of a
+    ufunc, a 0-d array takes about two thirds of the time of a Python
+    float, which numpy converts on every call, and gives the same bits."""
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return [arr[i, ...] for i in range(arr.size)]
+
+
+_HALF, _TWO, _SIX = _scalars([0.5, 2.0, 6.0])
+
+
 def _bias(weights, var):
     """log w_k - 0.5 log(2 pi var_k), the x-free part of each component's
     log term."""
     return np.log(weights) - 0.5 * np.log(2 * np.pi * var)
 
 
+def _rows_of(buf, k: int, m: int):
+    """The working rows of the mixture kernel for m states of a k-component
+    mixture, as views of the front of ``buf`` ((3k + 1) m floats or more):
+    (dev, e, a_max, eu), with a_max (m,) and the others (k, m)."""
+    work = buf[: (3 * k + 1) * m].reshape(3 * k + 1, m)
+    return work[:k], work[k : 2 * k], work[-1], work[2 * k : -1]
+
+
 def _rows(k: int, m: int):
-    """This thread's scratch as the rows of one block of m states: dev
-    and e, (k, m) each, and a_max, (m,).  The buffer grows to the largest
-    block asked for, and the views of the last (k, m) are kept, which
-    saves slicing them again on a run of calls of one width."""
+    """This thread's scratch as the :func:`_rows_of` of one block of m states.
+    The buffer grows to the largest block asked for, and the views of the
+    last (k, m) are kept, which saves slicing them again on a run of calls
+    of one width."""
     rows = getattr(_scratch, "rows", None)
     if rows is None or rows[0] != (k, m):
         buf = getattr(_scratch, "buf", None)
-        if buf is None or buf.size < (2 * k + 1) * m:
-            buf = _scratch.buf = np.empty((2 * k + 1) * m)
-        work = buf[: (2 * k + 1) * m].reshape(2 * k + 1, m)
-        rows = _scratch.rows = ((k, m), work[:k], work[k:-1], work[-1])
-    return rows[1:]
+        if buf is None or buf.size < (3 * k + 1) * m:
+            buf = _scratch.buf = np.empty((3 * k + 1) * m)
+        rows = _scratch.rows = ((k, m), _rows_of(buf, k, m))
+    return rows[1]
 
 
+# numpy 2 keeps the decorator's state per call, so it is thread-safe, and
+# entering it costs about half of a ``with np.errstate`` block
+@np.errstate(over="ignore", invalid="ignore")
 def _kernel(block_fn, n_out, x, means, var, bias, *args):
     """Run the mixture kernel on x, in blocks of at most ``_BLOCK`` states.
 
     ``means``, ``var`` and ``bias`` (from :func:`_bias`) are (K, 1)
-    columns.  For each block of ``x.reshape(-1)``, the log terms
-    a_k = bias_k - 0.5 dev_k^2 / var_k, with dev_k = x - m_k, go through
-    :func:`_shift` in two (K, block) buffers, e and dev, and
-    ``block_fn(a_max, e, dev, var, out, *args)`` writes the block's
-    columns of the (n_out, x.size) output and may overwrite the buffers.
-    Returns the output as an (n_out,) + x.shape array.  Where x is
-    infinite, or |x - m_k| so large that its square overflows, a_k is
-    -inf; where x is nan, a_k is nan.  Every step is elementwise in x or
-    a sum over the components in a fixed order, so each state gets the
-    bits of a call on it alone.
+    columns.  For each block of ``x.reshape(-1)``, :func:`_log_terms`
+    fills the block's :func:`_rows`, and ``block_fn(rows, var, out,
+    *args)`` writes the block's columns of the (n_out, x.size) output and
+    may overwrite the rows.  Returns the output as an (n_out,) + x.shape
+    array.  Where x is infinite, or |x - m_k| so large that its square
+    overflows, a_k is -inf; where x is nan, a_k is nan; neither warns.
+    Every step is elementwise in x or a sum over the components in a
+    fixed order, so each state gets the bits of a call on it alone.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -147,22 +173,22 @@ def _kernel(block_fn, n_out, x, means, var, bias, *args):
     out = np.empty((n_out, n))
     for lo in range(0, n, _BLOCK):
         xb, ob = flat[lo : lo + _BLOCK], out[:, lo : lo + _BLOCK]
-        dev, a, a_max = _rows(k, xb.size)
-        _log_terms(xb, means, var, bias, dev, a, a_max)
-        block_fn(a_max, a, dev, var, ob, *args)
+        rows = _rows(k, xb.size)
+        _log_terms(xb, means, var, bias, rows)
+        block_fn(rows, var, ob, *args)
     return out.reshape((n_out,) + x.shape)
 
 
-# numpy 2 keeps the decorator's state per call, so it is thread-safe, and
-# entering it costs about a third of a ``with np.errstate`` block
-@np.errstate(over="ignore", invalid="ignore")
-def _log_terms(xb, means, var, bias, dev, a, a_max):
-    """The log terms of the block xb, shifted by :func:`_shift`: dev_k
-    into ``dev``, e_k into ``a`` and a_max into ``a_max``."""
+def _log_terms(xb, means, var, bias, rows):
+    """The log terms a_k = bias_k - 0.5 dev_k^2 / var_k of the states xb,
+    with dev_k = xb - m_k, shifted by :func:`_shift`: dev_k into the rows'
+    dev, e_k into e and a_max into a_max.  Callers hold numpy's over and
+    invalid flags quiet."""
+    dev, a, a_max, _ = rows
     # the third argument of a ufunc is its output
     np.subtract(xb, means, dev)
     np.square(dev, a)
-    a *= 0.5
+    a *= _HALF
     a /= var
     np.subtract(bias, a, a)
     _shift(a, a_max)
@@ -203,10 +229,11 @@ def _log_sum(a_max, e, out):
     return out
 
 
-def _score_block(a_max, e, dev, var, out, factor):
+def _score_block(rows, var, out, factor):
     """factor times the score -sum_k e_k dev_k / var_k / sum_k e_k, into
     out[0].  It is formed as (sum / sum) * -factor: negation is exact, so
     every non-nan value has the bits of factor * (-sum / sum)."""
+    dev, e, a_max, _ = rows
     s = out[0]
     dev /= var
     np.multiply(e, dev, dev)
@@ -215,26 +242,30 @@ def _score_block(a_max, e, dev, var, out, factor):
     s *= -factor
 
 
-def _pair_block(a_max, e, dev, var, out):
+def _pair_block(rows, var, out, inv_var):
     """The score s and its x-derivative s_dx into out[0] and out[1], from
-    one set of weights.  The derivative is taken as the posterior mean of
-    (u_k - s)^2 - 1 / var_k, with u_k = -dev_k / var_k the component
-    scores, rather than as E[u^2 - 1 / var] - s^2, which cancels."""
+    one set of weights, with ``inv_var`` = 1.0 / var.  The derivative is
+    taken as the posterior mean of (u_k - s)^2 - 1 / var_k, with
+    u_k = -dev_k / var_k the component scores, rather than as
+    E[u^2 - 1 / var] - s^2, which cancels.  This is the pair code of
+    :meth:`GaussianMixture.score_dx` and of every :func:`pf_loglik` stage."""
+    dev, e, a_max, eu = rows
     s, s_dx = out[0], out[1]
     dev /= var
     total = _sum_k(e, a_max)
-    np.negative(_sum_k(e * dev, s), s)
+    np.multiply(e, dev, eu)
+    np.negative(_sum_k(eu, s), s)
     s /= total
     dev += s
     np.square(dev, dev)
-    dev -= 1.0 / var
+    dev -= inv_var
     np.multiply(e, dev, dev)
     _sum_k(dev, s_dx)
     s_dx /= total
 
 
-def _logpdf_block(a_max, e, dev, var, out):
-    _log_sum(a_max, e, out[0])
+def _logpdf_block(rows, var, out):
+    _log_sum(rows[2], rows[1], out[0])
 
 
 def _score(x, means, var, bias, factor=1.0):
@@ -245,7 +276,7 @@ def _score(x, means, var, bias, factor=1.0):
 
 def _score_pair(x, means, var, bias):
     """Score s of the mixture and its x-derivative (see :func:`_pair_block`)."""
-    pair = _kernel(_pair_block, 2, x, means, var, bias)
+    pair = _kernel(_pair_block, 2, x, means, var, bias, 1.0 / var)
     return pair[0], pair[1]
 
 
@@ -430,19 +461,43 @@ def _stage_windows(t, n: int, h):
 
 def _rk4(rhs, y, h, times, what: str, first: int):
     """The oracle's one RK4 loop: classical steps of size h (negative to
-    step down) over one :func:`_stage_windows` window, with ``rhs(y, j)``
-    the right side at times[j].  A non-finite state raises
-    :class:`DivergenceError` naming ``what``, the step counted from the
-    solve's start (this window's is ``first``) and the time it starts from."""
-    for j in range(0, len(times) - 1, 2):
-        k1 = rhs(y, j)
-        k2 = rhs(y + 0.5 * h * k1, j + 1)
-        k3 = rhs(y + 0.5 * h * k2, j + 1)
-        k4 = rhs(y + h * k3, j + 2)
-        y = y + h * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-        if not np.isfinite(y).all():
-            k = first + j // 2
-            raise DivergenceError(f"{what} diverged at step {k}", step_index=k, time=times[j])
+    step down) over one :func:`_stage_windows` window, from a copy of y,
+    with ``rhs(y, j, out)`` writing the right side at times[j] into
+    ``out``.  The stage state and the four slopes live in five buffers of
+    y's shape, allocated once per call, and each update keeps the order
+    of y + (0.5 h) k1 and y + h (((k1 + 2 k2) + 2 k3) + k4) / 6.  The
+    loop runs with numpy's over and invalid flags quiet: a non-finite
+    state raises :class:`DivergenceError` naming ``what``, the step
+    counted from the solve's start (this window's is ``first``) and the
+    time it starts from."""
+    y = np.array(y, dtype=float)
+    stage, k1, k2, k3, k4 = (np.empty_like(y) for _ in range(5))
+    finite = np.empty(y.shape, dtype=bool)
+    half, h = _scalars([0.5 * h, h])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(0, len(times) - 1, 2):
+            rhs(y, j, k1)
+            np.multiply(k1, half, stage)
+            stage += y
+            rhs(stage, j + 1, k2)
+            np.multiply(k2, half, stage)
+            stage += y
+            rhs(stage, j + 1, k3)
+            np.multiply(k3, h, stage)
+            stage += y
+            rhs(stage, j + 2, k4)
+            np.multiply(k2, _TWO, stage)
+            stage += k1
+            k3 *= _TWO
+            stage += k3
+            stage += k4
+            stage *= h
+            stage /= _SIX
+            y += stage
+            if not np.isfinite(y, finite).all():
+                k = first + j // 2
+                raise DivergenceError(f"{what} diverged at step {k}", step_index=k,
+                                      time=times[j])
     return y
 
 
@@ -484,9 +539,10 @@ def reference_states(
     for i in range(times.size - 1, 0, -1):
         n, h = _steps(times[i], times[i - 1], dt)
         for first, stage in _stage_windows(times[i], n, h):
-            def rhs(y, j):
+            def rhs(y, j, out):
                 t = stage[j]
-                return spec.f(t) * y + 0.5 * spec.g2(t) / spec.L(t) * field(y, t)
+                np.multiply(spec.f(t), y, out)
+                out += 0.5 * spec.g2(t) / spec.L(t) * field(y, t)
 
             x = _rk4(rhs, x, h, stage, "reference solve", done + first)
         done += n
@@ -569,34 +625,53 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     together and give the same bits as one call per point, since every
     step of the mixture kernel is elementwise in x or a sum over the
     components in one fixed order.  The state and the divergence step
-    as one stacked array through :func:`_rk4`, one :func:`_stage_windows`
-    window at a time, for which what depends on t alone (f, g2 and the
-    marginal's columns, :func:`_marginals`) is tabulated by one array
-    call each, so memory stays bounded at any dt.  A point whose state
-    or divergence turns non-finite fails the whole call with
-    :class:`DivergenceError`; a stage time whose marginal variance
-    underflows raises :class:`DomainError` before its window is
+    as one stacked (2, x0.size) array through :func:`_rk4`, one
+    :func:`_stage_windows` window at a time, with :func:`_loglik_rhs` as
+    the right side: what depends on t alone (f, g2 and the marginal's
+    columns, :func:`_marginals`) is tabulated by one array call each per
+    window, and each stage works in place in buffers allocated once per
+    window, whose size scales with the number of points and not with dt.
+    A point whose state or divergence turns non-finite fails the whole
+    call with :class:`DivergenceError`; a stage time whose marginal
+    variance underflows raises :class:`DomainError` before its window is
     integrated.  Returns nats.
     """
     x = np.asarray(x0, dtype=float)
-    y = np.zeros((2,) + x.shape)
-    y[0] = x
+    y = np.zeros((2, x.size))
+    y[0] = x.reshape(-1)
     n, h = _steps(0.0, spec.t_end, dt)
     for first, times in _stage_windows(0.0, n, h):
-        stage = np.array(times)
-        f, g2 = spec.f(stage).tolist(), spec.g2(stage).tolist()
-        means, var, bias = (arr.T[:, :, None] for arr in _marginals(gmm, spec, stage)[1:])
-
-        def rhs(state, col):
-            # (f x - c s, f - c s_dx) with c = g2 / 2, as f x + (-c) s:
-            # a - b = a + (-b) and (-c) s = -(c s), bit for bit
-            state_x = state[0]
-            pair = _kernel(_pair_block, 2, state_x, means[col], var[col], bias[col])
-            pair *= -(0.5 * g2[col])
-            pair[0] += f[col] * state_x
-            pair[1] += f[col]
-            return pair
-
+        rhs = _loglik_rhs(gmm, spec, times, x.size)
         y = _rk4(rhs, y, h, times, "likelihood ODE", first)
     terminal = marginal_at(gmm, spec, spec.t_end)
-    return terminal.logpdf(y[0]) + y[1]
+    return terminal.logpdf(y[0].reshape(x.shape)) + y[1].reshape(x.shape)
+
+
+def _loglik_rhs(gmm: GaussianMixture, spec: DiffusionSpec, times, m: int):
+    """The right side of :func:`pf_loglik`'s ODE for m points at the stage
+    times of one :func:`_stage_windows` window, as the ``rhs(state, j,
+    out)`` of :func:`_rk4`: for state = (x, divergence), (2, m), it writes
+    (f x - c s, f - c s_dx) at times[j] into out, with c = g2 / 2 and the
+    score s and its x-derivative s_dx from :func:`_log_terms` and
+    :func:`_pair_block`, in rows allocated here.  f, g2, the marginal's
+    columns and 1.0 / var come from one array call each, kept as lists of
+    per-time 0-d arrays and (K, 1) columns."""
+    stage = np.array(times)
+    f, neg_c = _scalars(spec.f(stage)), _scalars(-(0.5 * spec.g2(stage)))
+    _, means, var, bias = _marginals(gmm, spec, stage)
+    means, var, bias, inv_var = (list(arr.T[:, :, None])
+                                 for arr in (means, var, bias, 1.0 / var))
+    k = len(gmm.weights)
+    rows, fx = _rows_of(np.empty((3 * k + 1) * m), k, m), np.empty(m)
+
+    def rhs(state, j, out):
+        # f x + (-c) s: a - b = a + (-b) and (-c) s = -(c s), bit for bit
+        x = state[0]
+        _log_terms(x, means[j], var[j], bias[j], rows)
+        _pair_block(rows, var[j], out, inv_var[j])
+        out *= neg_c[j]
+        np.multiply(x, f[j], fx)
+        out[0] += fx
+        out[1] += f[j]
+
+    return rhs

@@ -59,3 +59,40 @@ def test_tracer_binds_every_traced_name():
     for name in ("samplers", "weights.tab", "weights.rho_ab", "diffusion.transition",
                  "diffusion.t_of_rho", "oracle.field"):
         assert calls.get(name, 0) > 0, (name, calls)
+
+
+def _runs(**values):
+    """Synthetic runs, one per index of the value lists: {"metrics": {name:
+    {"value": v}}}."""
+    n = len(next(iter(values.values())))
+    return [{"metrics": {name: {"value": vals[i]} for name, vals in values.items()}}
+            for i in range(n)]
+
+
+def test_summarise_reads_each_median_change_against_its_bound():
+    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+               {"name": "unbounded", "unit": "s", "better": "lower"}]
+    # a faster change whose set-up median is 27.8% slower, past its 25% bound
+    base = _runs(items_per_s=[24.0, 24.37, 25.0], setup_s=[0.08, 0.0879, 0.09],
+                 peak_rss_mb=[63.0, 63.6, 64.0], unbounded=[1.0, 1.0, 1.0])
+    change = _runs(items_per_s=[39.0, 39.98, 41.0], setup_s=[0.11, 0.1124, 0.12],
+                   peak_rss_mb=[68.0, 68.4, 69.0], unbounded=[3.0, 3.0, 3.0])
+    got = bench_pairs.summarise(base, change, metrics)
+    assert got["items_per_s"]["worse_frac"] == -(39.98 - 24.37) / 24.37
+    assert got["items_per_s"]["within_bound"] is True
+    assert got["setup_s"]["worse_frac"] == (0.1124 - 0.0879) / 0.0879
+    assert got["setup_s"]["within_bound"] is False
+    assert got["peak_rss_mb"]["worse_frac"] == (68.4 - 63.6) / 63.6
+    assert got["peak_rss_mb"]["within_bound"] is True
+    assert got["unbounded"]["worse_frac"] == 2.0
+    assert got["unbounded"]["bound"] is None and got["unbounded"]["within_bound"] is None
+    # a slower higher-is-better metric counts as worse by its drop
+    slower = bench_pairs.summarise(change, base, metrics)["items_per_s"]
+    assert slower["worse_frac"] == (39.98 - 24.37) / 39.98
+    assert slower["within_bound"] is False
+    # exactly at the bound is within it
+    at = bench_pairs.summarise(_runs(setup_s=[1.0, 1.0]), _runs(setup_s=[1.25, 1.25]),
+                               metrics[1:2])["setup_s"]
+    assert at["worse_frac"] == 0.25 and at["within_bound"] is True

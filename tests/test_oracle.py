@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 import threading
 import warnings
@@ -256,7 +257,7 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
     field = EpsilonField(gmm, spec)
     x = ACCURACY_X
     for t in (0.0, 1e-3, 0.37, spec.t_end):
-        l_t, means, var, _ = field._marginal(t)
+        l_t, means, var, bias = field._marginal(t)
         refs = [_decimal_mixture(gmm.weights, means.ravel(), var.ravel(), v) for v in x]
         logpdf, s, s_dx = ([r[i] for r in refs] for i in range(3))
         pushed = marginal_at(gmm, spec, t)
@@ -265,8 +266,14 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
             assert _rel_error(got, s) < 1e-13
         assert _rel_error(pushed.logpdf(x), logpdf) < 1e-13
         assert _rel_error(pushed.score_dx(x), s_dx) < 1e-12
-        # what each pf_loglik stage evaluates
-        pair = _score_pair(x, *field._marginal(t)[1:])
+        # the pair code of score_dx and of each pf_loglik stage, run as a
+        # stage runs it: in rows of its own, under the solve's errstate
+        k = len(means)
+        rows = oracle._rows_of(np.empty((3 * k + 1) * x.size), k, x.size)
+        pair = np.empty((2, x.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            oracle._log_terms(x, means, var, bias, rows)
+            oracle._pair_block(rows, var, pair, 1.0 / var)
         assert _rel_error(pair[0], s) < 1e-13
         assert _rel_error(pair[1], s_dx) < 1e-12
 
@@ -808,6 +815,74 @@ def test_loglik_divergence_names_its_step(memo_size, ve, monkeypatch):
     assert err.value.time == 0.8190000000000006
 
 
+# sha256 of the tobytes() of pf_loglik over LOGLIK_MIXTURES + [NINE] x
+# (VP, VE) x LOGLIK_X0S, in that order, as computed before the likelihood
+# stage was stepped in place
+LOGLIK_X0S = (0.3, np.array([-1.3, 0.0, 1.7]), np.linspace(-2.5, 2.5, 20).reshape(4, 5))
+LOGLIK_SHA256 = "70f9889090581303bad7978d0ca688a5ecd618397fc0be0cdd4416e568b87d08"
+
+
+def test_loglik_bits_are_pinned(vp, ve):
+    digest = hashlib.sha256()
+    for mixture in LOGLIK_MIXTURES + [NINE]:
+        gmm = GaussianMixture(*mixture)
+        for spec in (vp, ve):
+            for x0 in LOGLIK_X0S:
+                digest.update(np.asarray(pf_loglik(gmm, spec, x0)).tobytes())
+    assert digest.hexdigest() == LOGLIK_SHA256
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_loglik_stage_is_the_drift_and_its_x_derivative(preset, request):
+    # each stage writes (f x - c s, f - c s_dx), c = g2 / 2, with the bits
+    # of the time-t marginal mixture's score and score_dx; the divergence
+    # row of the state does not enter
+    spec = request.getfixturevalue(preset)
+    x = np.linspace(-2.0, 2.0, 9)
+    state = np.stack([x, np.full(x.size, 7.0)])
+    times = [0.0, 1e-3, 0.37, 0.5, spec.t_end]
+    for mixture in LOGLIK_MIXTURES + [NINE]:
+        gmm = GaussianMixture(*mixture)
+        rhs = oracle._loglik_rhs(gmm, spec, times, x.size)
+        for j, t in enumerate(times):
+            out = np.empty((2, x.size))
+            rhs(state, j, out)
+            pushed = marginal_at(gmm, spec, t)
+            f, c = spec.f(t), 0.5 * spec.g2(t)
+            assert _same_bits(out[0], f * x - c * pushed.score(x))
+            assert _same_bits(out[1], f - c * pushed.score_dx(x))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300])
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+@pytest.mark.parametrize("solve", ["pf_loglik", "reference_solve"])
+def test_non_finite_start_diverges_at_step_0(solve, preset, bad, request):
+    # VE has f = 0, and 0 * inf must not stop the solve with a warning
+    # before its finite check names the step
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
+    x = np.array([0.3, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match="at step 0$") as err:
+            if solve == "pf_loglik":
+                pf_loglik(gmm, spec, x)
+            else:
+                reference_solve(spec, EpsilonField(gmm, spec), x)
+    assert err.value.step_index == 0
+    assert err.value.time == (0.0 if solve == "pf_loglik" else spec.t_end)
+
+
+def test_solves_leave_the_callers_state_alone(vp):
+    gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
+    x = np.array([-1.3, 0.0, 1.7])
+    kept = x.copy()
+    pf_loglik(gmm, vp, x)
+    reference_solve(vp, EpsilonField(gmm, vp), x)
+    reference_states(vp, EpsilonField(gmm, vp), x, [0.5, vp.t_end])
+    assert x.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
 def test_field_equals_marginal_mixture_score(preset, t0, request):
     spec = request.getfixturevalue(preset)
@@ -879,7 +954,7 @@ def test_marginal_score_pair_matches_marginal_mixture(vp, ve):
     for spec in (vp, ve):
         field = EpsilonField(gmm, spec)
         for t in (0.0, 1e-3, 0.37, 0.5, 1.0):
-            # what each pf_loglik stage evaluates
+            # the pair code of score_dx and of each pf_loglik stage
             s, s_dx = _score_pair(x, *field._marginal(t)[1:])
             mixture = marginal_at(gmm, spec, t)
             assert np.array_equal(s, mixture.score(x))
