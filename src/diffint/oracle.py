@@ -44,9 +44,9 @@ Conventions:
   full).  A hit has the bits of a miss; a time whose marginal variance
   underflows raises on every call and is never stored.
 * Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
-  RK4 stepper, ``_rk4``, which steps in place in five buffers of the
-  state's shape with numpy's over and invalid flags quiet, since its
-  finite check reports divergence.  :func:`pf_loglik` tabulates the
+  RK4 stepper, ``_rk4``, which steps in place in one buffer of six rows
+  of the state's shape with numpy's over and invalid flags quiet, since
+  its finite check reports divergence.  :func:`pf_loglik` tabulates the
   per-time work (f, g2 and the marginal's columns) of a window of at
   most 2047 steps with one array call each, and steps the state and its
   divergence as one stacked array.
@@ -116,11 +116,8 @@ def _scalars(values):
     ufunc, a 0-d array takes about two thirds of the time of a Python
     float, which numpy converts on every call, and gives the same bits."""
     arr = np.array(values, dtype=float)
-    arr.setflags(write=False)
     return [arr[i, ...] for i in range(arr.size)]
 
-
-_HALF, _TWO, _SIX = _scalars([0.5, 2.0, 6.0])
 
 
 def _bias(weights, var):
@@ -188,7 +185,7 @@ def _log_terms(xb, means, var, bias, rows):
     # the third argument of a ufunc is its output
     np.subtract(xb, means, dev)
     np.square(dev, a)
-    a *= _HALF
+    a *= 0.5
     a /= var
     np.subtract(bias, a, a)
     _shift(a, a_max)
@@ -459,45 +456,46 @@ def _stage_windows(t, n: int, h):
         yield first, times
 
 
+# the decorator enters np.errstate once per call, in about half the time
+# of a ``with`` block, which counts where a reference span is one step
+@np.errstate(over="ignore", invalid="ignore")
 def _rk4(rhs, y, h, times, what: str, first: int):
     """The oracle's one RK4 loop: classical steps of size h (negative to
     step down) over one :func:`_stage_windows` window, from a copy of y,
     with ``rhs(y, j, out)`` writing the right side at times[j] into
-    ``out``.  The stage state and the four slopes live in five buffers of
-    y's shape, allocated once per call, and each update keeps the order
-    of y + (0.5 h) k1 and y + h (((k1 + 2 k2) + 2 k3) + k4) / 6.  The
-    loop runs with numpy's over and invalid flags quiet: a non-finite
-    state raises :class:`DivergenceError` naming ``what``, the step
-    counted from the solve's start (this window's is ``first``) and the
-    time it starts from."""
-    y = np.array(y, dtype=float)
-    stage, k1, k2, k3, k4 = (np.empty_like(y) for _ in range(5))
-    finite = np.empty(y.shape, dtype=bool)
-    half, h = _scalars([0.5 * h, h])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(0, len(times) - 1, 2):
-            rhs(y, j, k1)
-            np.multiply(k1, half, stage)
-            stage += y
-            rhs(stage, j + 1, k2)
-            np.multiply(k2, half, stage)
-            stage += y
-            rhs(stage, j + 1, k3)
-            np.multiply(k3, h, stage)
-            stage += y
-            rhs(stage, j + 2, k4)
-            np.multiply(k2, _TWO, stage)
-            stage += k1
-            k3 *= _TWO
-            stage += k3
-            stage += k4
-            stage *= h
-            stage /= _SIX
-            y += stage
-            if not np.isfinite(y, finite).all():
-                k = first + j // 2
-                raise DivergenceError(f"{what} diverged at step {k}", step_index=k,
-                                      time=times[j])
+    ``out``.  The state, the stage state and the four slopes are the rows
+    of one buffer allocated per call, and each update keeps the order of
+    y + (0.5 h) k1 and y + h (((k1 + 2 k2) + 2 k3) + k4) / 6.  The loop
+    runs with numpy's over and invalid flags quiet: a non-finite state
+    raises :class:`DivergenceError` naming ``what``, the step counted
+    from the solve's start (this window's is ``first``) and the time it
+    starts from."""
+    work = np.empty((6,) + np.shape(y))
+    work[0] = y
+    y, stage, k1, k2, k3, k4 = (work[i, ...] for i in range(6))
+    half, h, two, six = (np.array(v) for v in (0.5 * h, h, 2.0, 6.0))
+    for j in range(0, len(times) - 1, 2):
+        rhs(y, j, k1)
+        np.multiply(k1, half, stage)
+        stage += y
+        rhs(stage, j + 1, k2)
+        np.multiply(k2, half, stage)
+        stage += y
+        rhs(stage, j + 1, k3)
+        np.multiply(k3, h, stage)
+        stage += y
+        rhs(stage, j + 2, k4)
+        np.multiply(k2, two, stage)
+        stage += k1
+        k3 *= two
+        stage += k3
+        stage += k4
+        stage *= h
+        stage /= six
+        y += stage
+        if not np.isfinite(y).all():
+            k = first + j // 2
+            raise DivergenceError(f"{what} diverged at step {k}", step_index=k, time=times[j])
     return y
 
 
