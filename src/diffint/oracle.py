@@ -119,7 +119,6 @@ def _scalars(values):
     return [arr[i, ...] for i in range(arr.size)]
 
 
-
 def _bias(weights, var):
     """log w_k - 0.5 log(2 pi var_k), the x-free part of each component's
     log term."""
