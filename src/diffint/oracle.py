@@ -134,8 +134,8 @@ def _rows_of(buf, k: int, m: int):
 
 
 def _rows(k: int, m: int):
-    """This thread's scratch as the :func:`_rows_of` of one block of m states.
-    The buffer grows to the largest block asked for, and the views of the
+    """This thread's scratch, cut by :func:`_rows_of` for one block of m
+    states.  The buffer grows to the largest block asked for, and the views of the
     last (k, m) are kept, which saves slicing them again on a run of calls
     of one width."""
     rows = getattr(_scratch, "rows", None)
