@@ -16,7 +16,6 @@ from .errors import (
     DiffintError,
     DivergenceError,
     DomainError,
-    GridMismatchError,
     OracleTrustError,
     ParameterError,
     QuadratureError,

@@ -2,10 +2,10 @@
 
 Subcommands are the experiment kinds of :data:`diffint.harness.KINDS`
 (the keys of its runner registry: ``sample``, ``convergence``,
-``study``, ``marginal``, ``trace``, ``loglik``) plus ``weights cache``
-for precomputing a weight table.  Every subcommand takes ``--config
-<path>`` (a JSON document, see :mod:`diffint.harness`); ``--seed``,
-``--out`` and ``--format`` override the corresponding config fields.
+``study``, ``marginal``, ``trace``, ``loglik``).  Every subcommand
+takes ``--config <path>`` (a JSON document, see :mod:`diffint.harness`);
+``--seed``, ``--out`` and ``--format`` override the corresponding config
+fields.
 
 Exit codes: 0 on success, 2 on configuration errors, 3 on numerical
 failures (quadrature, divergence, oracle trust).
@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, DiffintError
-from .harness import KINDS, ExperimentConfig, cache_weights, run_experiment
+from .harness import KINDS, ExperimentConfig, run_experiment
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -36,9 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in KINDS:
         _add_common(sub.add_parser(name, help=f"run a {name} experiment"))
-    weights = sub.add_parser("weights", help="weight-table utilities")
-    wsub = weights.add_subparsers(dest="weights_command", required=True)
-    _add_common(wsub.add_parser("cache", help="precompute and store a weight table"))
     return parser
 
 
@@ -57,13 +54,6 @@ def _load_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "weights":
-            config = _load_config(args)
-            if config.out is None:
-                raise ConfigError("weights cache needs an output path (--out)")
-            path = cache_weights(config, config.out)
-            print(path)
-            return 0
         config = _load_config(args)
         if config.kind != args.command:
             raise ConfigError(
@@ -78,10 +68,7 @@ def main(argv=None) -> int:
                 fh.write(rendered)
             print(config.out)
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DiffintError as exc:

@@ -19,8 +19,8 @@ Two presets cover the standard choices:
 * ``vesde``: variance exploding, sigma(t) = sigma_min (sigma_max /
   sigma_min)^t; f = 0, g2 = d(sigma^2)/dt, mu = 1, L = sigma.
 
-The solution operator of the drift, Psi(t, s) = exp(int_s^t f), is
-available in closed form for the presets and by quadrature otherwise.
+Every spec carries the solution operator of the drift,
+Psi(t, s) = exp(int_s^t f), in closed form.
 
 The module also hosts the monotone time reparameterization
 
@@ -29,23 +29,20 @@ The module also hosts the monotone time reparameterization
 under which the noise-prediction form of the sampling ODE becomes
 d y / d rho = eps(mu y, t(rho)) with y = x / mu(t).  For the VP preset
 this is rho = sqrt((1 - alpha) / alpha); for the VE preset it is
-sigma(t).  Both presets invert it in closed form, elementwise on
-arrays: on VP, int_0^t beta = log(1 + rho^2) is a quadratic in t; on
-VE, t = log(rho / sigma_min) / log(sigma_max / sigma_min).  Custom
-specs invert by bracketed root finding, one element at a time, with
-scipy's ``brentq``; scipy is imported on that first root search, so
-importing this module loads numpy only.
+sigma(t).  Every spec also carries its inverse in closed form,
+elementwise on arrays: on VP, int_0^t beta = log(1 + rho^2) is a
+quadratic in t; on VE, t = log(rho / sigma_min) / log(sigma_max /
+sigma_min).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from . import quadrature
 from .errors import DomainError, ParameterError
 
 __all__ = [
@@ -56,7 +53,6 @@ __all__ = [
     "transition",
     "rho_of_t",
     "t_of_rho",
-    "validate",
 ]
 
 
@@ -95,11 +91,9 @@ class DiffusionSpec:
     of an array call (they square by a product, since ``** 2`` on a
     numpy scalar calls pow).  ``pi_std`` is the standard deviation of
     the terminal sampling distribution (N(0, pi_std^2)).
-    ``transition_closed``, when present, evaluates Psi(t, s) in closed
-    form; otherwise :func:`transition` integrates the drift numerically.
-    ``t_of_rho_closed``, when present, inverts rho(t) = L(t) / mu(t) in
-    closed form on [rho(0), rho(t_end)]; otherwise :func:`t_of_rho`
-    finds the root numerically.
+    ``transition_closed(t, s)`` evaluates Psi(t, s) and
+    ``t_of_rho_closed(rho)`` inverts rho(t) = L(t) / mu(t) on
+    [rho(0), rho(t_end)], both in closed form.
 
     Instances are immutable and safe to share across threads.
     """
@@ -108,11 +102,11 @@ class DiffusionSpec:
     g2: Callable
     mu: Callable
     L: Callable
+    transition_closed: Callable = field(repr=False)
+    t_of_rho_closed: Callable = field(repr=False)
     t_end: float
     name: str = "custom"
     pi_std: float = 1.0
-    transition_closed: Optional[Callable] = field(default=None, repr=False)
-    t_of_rho_closed: Optional[Callable] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.t_end <= 0:
@@ -185,33 +179,8 @@ def vesde(sigma_min: float, sigma_max: float, *, t_end: float = 1.0) -> Diffusio
 
 
 def transition(spec: DiffusionSpec, t, s):
-    """Drift solution operator Psi(t, s) = exp(int_s^t f(tau) dtau).
-
-    The spec's ``transition_closed`` when present; otherwise quadrature
-    of the drift, one integral per element of the scalar or array
-    endpoints.
-    """
-    if spec.transition_closed is not None:
-        return spec.transition_closed(t, s)
-
-    def one(ti, si):
-        return math.exp(quadrature.integrate(spec.f, si, ti))
-
-    if np.ndim(t) == 0 and np.ndim(s) == 0:
-        return one(float(t), float(s))
-    tt, ss = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-    out = np.empty(tt.shape)
-    for idx in np.ndindex(tt.shape):
-        out[idx] = one(float(tt[idx]), float(ss[idx]))
-    return out
-
-
-def brentq(f, a, b, **kwargs):
-    """``scipy.optimize.brentq``, imported on first use rather than with
-    this module (scipy's import costs more than all of diffint's)."""
-    from scipy.optimize import brentq as root
-
-    return root(f, a, b, **kwargs)
+    """Drift solution operator Psi(t, s) = exp(int_s^t f(tau) dtau)."""
+    return spec.transition_closed(t, s)
 
 
 def rho_of_t(spec: DiffusionSpec, t):
@@ -222,11 +191,9 @@ def rho_of_t(spec: DiffusionSpec, t):
 def t_of_rho(spec: DiffusionSpec, rho):
     """Invert :func:`rho_of_t` elementwise on [0, t_end].
 
-    Uses the spec's ``t_of_rho_closed`` when present and bracketed root
-    finding (one :func:`brentq` per element) otherwise; scipy is
-    imported by the first such root search, never for a closed form.
-    ``rho(0)`` maps to 0.0 and ``rho(t_end)`` to ``t_end`` exactly.
-    Returns a float for a scalar ``rho`` and an array otherwise.  Raises
+    Applies the spec's ``t_of_rho_closed``, then maps ``rho(0)`` to 0.0
+    and ``rho(t_end)`` to ``t_end`` exactly.  Returns a float for a
+    scalar ``rho`` and an array otherwise.  Raises
     :class:`DomainError` when any element lies outside
     [rho(0), rho(t_end)] beyond roundoff slack.
     """
@@ -237,37 +204,7 @@ def t_of_rho(spec: DiffusionSpec, rho):
     if np.any((rho < lo - slack) | (rho > hi + slack)):
         raise DomainError(f"rho={rho} outside [{lo}, {hi}]")
     rho_clipped = np.clip(rho, lo, hi)
-    if spec.t_of_rho_closed is not None:
-        t = spec.t_of_rho_closed(rho_clipped)
-    else:
-        t = np.array([
-            brentq(lambda s: float(rho_of_t(spec, s)) - r, 0.0, spec.t_end,
-                   xtol=1e-15, rtol=8.9e-16) if lo < r < hi else 0.0
-            for r in rho_clipped.ravel()
-        ]).reshape(rho.shape)
+    t = spec.t_of_rho_closed(rho_clipped)
     t = np.where(rho_clipped == lo, 0.0, np.where(rho_clipped == hi, spec.t_end, t))
     return float(t) if t.ndim == 0 else t
 
-
-def validate(spec: DiffusionSpec, *, n_times: int = 50, rtol: float = 1e-6):
-    """Finite-difference consistency check of (f, g2, mu, L).
-
-    Verifies dmu/dt = f mu and d(L^2)/dt = 2 f L^2 + g2 at ``n_times``
-    evenly spaced interior times (relative tolerance ``rtol``) and
-    g2 >= 0.  Raises :class:`ParameterError` on the first violation.
-    """
-    h = 1e-6 * spec.t_end
-    times = np.linspace(2 * h, spec.t_end - 2 * h, n_times)
-    mu_dot = (spec.mu(times + h) - spec.mu(times - h)) / (2 * h)
-    target = spec.f(times) * spec.mu(times)
-    scale = np.maximum(np.abs(target), 1e-12)
-    if np.any(np.abs(mu_dot - target) > rtol * np.maximum(scale, np.abs(mu_dot))):
-        raise ParameterError("mu is inconsistent with f (dmu/dt != f mu)")
-    l2_dot = (spec.L(times + h) ** 2 - spec.L(times - h) ** 2) / (2 * h)
-    target = 2 * spec.f(times) * spec.L(times) ** 2 + spec.g2(times)
-    scale = np.maximum(np.maximum(np.abs(target), np.abs(l2_dot)), 1e-9)
-    if np.any(np.abs(l2_dot - target) > rtol * scale):
-        raise ParameterError("L is inconsistent with (f, g2)")
-    dense = np.linspace(0.0, spec.t_end, 1001)
-    if np.any(spec.g2(dense) < 0):
-        raise ParameterError("g2 must be nonnegative on [0, t_end]")

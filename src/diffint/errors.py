@@ -21,10 +21,6 @@ class DomainError(DiffintError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class GridMismatchError(DiffintError, ValueError):
-    """A precomputed weight table does not belong to the supplied grid."""
-
-
 class QuadratureError(DiffintError, RuntimeError):
     """Panel refinement hit its cap without meeting the tolerance."""
 

@@ -57,7 +57,7 @@ from .oracle import (
 )
 from .samplers import (_SAMPLERS, SAMPLER_NAMES, SolverRun, _check_lam, check_sampler_args,
                        em_terminal_batch, run_sampler)
-from .weights import lagrange_basis, tab_weights
+from .weights import lagrange_basis
 
 SCHEMA = "diffint-report-v2"
 PACKAGE_VERSION = "0.1.0"
@@ -822,25 +822,6 @@ def run_loglik(config: ExperimentConfig) -> MetricReport:
         summary=summary,
         provenance=_provenance(config),
     )
-
-
-# -- weight cache ----------------------------------------------------
-
-
-def cache_weights(config: ExperimentConfig, path) -> str:
-    """Build the weight table for (diffusion, schedule, order) and write
-    it as JSON; the document round-trips bit-exactly.  The table is
-    tab's whatever the sampler, so the order must be a tab order."""
-    if config.kind == "study":
-        raise ConfigError("weights cache takes one sampler and one schedule, not a study")
-    order = _sampler_kwargs(config)["order"]
-    with _config_errors():
-        check_sampler_args("tab", order)
-    spec = config.build_spec()
-    grid = config.build_grid(spec)
-    table = tab_weights(spec, grid, order)
-    table.save(path)
-    return str(path)
 
 
 _RUNNERS = {

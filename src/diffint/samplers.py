@@ -57,7 +57,7 @@ import numpy as np
 
 from . import quadrature
 from .diffusion import DiffusionSpec, t_of_rho, transition
-from .errors import DivergenceError, GridMismatchError, ParameterError
+from .errors import DivergenceError, ParameterError
 from .oracle import draw_terminal_states, fixed_step_times, normals
 from .timegrid import TimeGrid
 from .weights import WeightTable, _check_order, rho_ab_weights, tab_weights
@@ -448,25 +448,17 @@ def check_sampler_args(name: str, order: int = 0, eta: float = 0.0):
 
 
 def run_sampler(name: str, spec: DiffusionSpec, field, grid: TimeGrid, x_T, *,
-                order: int = 0, eta: float = 0.0, seed: int | None = None,
-                weights: WeightTable | None = None) -> SolverRun:
+                order: int = 0, eta: float = 0.0, seed: int | None = None) -> SolverRun:
     """Run sampler ``name`` (one of ``SAMPLER_NAMES``) from ``x_T`` at the
     last node of ``grid``, recording the state at every node.  A sampler
     ignores an ``order`` or ``eta`` it does not read; ``sddim`` needs a
-    ``seed``, and ``tab`` runs a supplied ``weights`` table, which must
-    match the grid and order, instead of building one."""
+    ``seed``."""
     build, ranked, _ = _sampler(name)
     if isinstance(build, str):
         return _rho_rk(spec, field, grid, build, x_T)
     if name == "sddim" and seed is None:
         raise ParameterError("sddim needs a seed")
-    if name == "tab" and weights is not None:
-        weights.check_grid(grid)
-        if weights.order != order:
-            raise GridMismatchError(f"weight table has order {weights.order}, requested {order}")
-        plan, s = weights, None
-    else:
-        plan, s = build(spec, grid, order, eta)
+    plan, s = build(spec, grid, order, eta)
     notes = ()
     if name == "ipndm":
         spacing = np.diff(grid.times)

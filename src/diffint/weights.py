@@ -13,8 +13,8 @@ with basis_j the Lagrange basis over the history nodes
 t_i, ..., t_{i+r}.  The weights depend only on the diffusion and the
 grid, so a :class:`WeightTable` (also the step plan, with its own a_i
 in place of Psi, of every other multistep sampler in
-:mod:`diffint.samplers`) is built once, may be serialized to JSON
-(bit-exact round trip), and is shared read-only across runs.
+:mod:`diffint.samplers`) is built once and is shared read-only across
+runs.
 
 Near the start of sampling the history is shorter than r+1, so the
 polynomial order is lowered to what is available; row i then holds
@@ -32,7 +32,6 @@ mu(t_{i-1}).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import quadrature
 from .diffusion import DiffusionSpec, transition
-from .errors import DegenerateNodesError, GridMismatchError, ParameterError
+from .errors import DegenerateNodesError, ParameterError
 from .timegrid import TimeGrid
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
-_SCHEMA = "diffint-weight-table-v1"
 
 
 def _check_nodes(nodes: np.ndarray):
@@ -86,8 +84,7 @@ class WeightTable:
 
     ``psi[i-1]`` is the state factor a_i (Psi(t_{i-1}, t_i) for ``tab``)
     and ``c[i-1]`` the coefficient row for the step from t_i to t_{i-1}
-    (j = 0 first).  ``times`` is the grid the table was built from, and
-    :meth:`check_grid` accepts only a grid with exactly these times.
+    (j = 0 first).  ``times`` is the grid the table was built from.
     """
 
     order: int
@@ -129,54 +126,6 @@ class WeightTable:
     def coeffs_for(self, i: int) -> np.ndarray:
         """Coefficient row (C_i0, ..., C_ir_i) for the step leaving node i."""
         return self.c[i - 1]
-
-    def to_json(self) -> str:
-        doc = {
-            "schema": _SCHEMA,
-            "order": self.order,
-            "times": self.times.tolist(),
-            "psi": self.psi.tolist(),
-            "c": [row.tolist() for row in self.c],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightTable":
-        """The table of a :meth:`to_json` document; raises
-        :class:`ParameterError` for any text that is not one."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParameterError(f"a weight-table document must be JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ParameterError("a weight-table document must be a JSON object")
-        if doc.get("schema") != _SCHEMA:
-            raise ParameterError(f"unexpected weight-table schema {doc.get('schema')!r}")
-        missing = {"order", "times", "psi", "c"} - set(doc)
-        if missing:
-            raise ParameterError(f"weight-table document lacks {sorted(missing)}")
-        if type(doc["order"]) is not int:
-            raise ParameterError(f"weight-table order must be an integer, got {doc['order']!r}")
-        try:
-            times = np.asarray(doc["times"], dtype=float)
-            psi = np.asarray(doc["psi"], dtype=float)
-            c = tuple(np.asarray(row, dtype=float) for row in doc["c"])
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"weight-table times, psi and c must be numeric: {exc}") from exc
-        return cls(order=doc["order"], times=times, psi=psi, c=c)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "WeightTable":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
-
-    def check_grid(self, grid: TimeGrid):
-        if not np.array_equal(self.times, grid.times):
-            raise GridMismatchError("weight table was built for a different grid")
 
 
 def _check_order(r: int):

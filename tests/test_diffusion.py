@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -9,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from diffint import (
     DomainError,
@@ -20,7 +20,7 @@ from diffint import (
     vesde,
     vpsde,
 )
-from diffint.diffusion import validate
+from diffint.quadrature import integrate
 
 from helpers import central_difference
 
@@ -45,8 +45,21 @@ def test_vp_variance_identity_at_half(vp):
 
 
 def test_vp_consistency_validate(vp, ve):
-    validate(vp)
-    validate(ve)
+    # central differences at 50 interior times: dmu/dt = f mu and
+    # d(L^2)/dt = 2 f L^2 + g2, to rtol 1e-6, and g2 >= 0 on [0, t_end]
+    rtol = 1e-6
+    for spec in (vp, ve):
+        h = 1e-6 * spec.t_end
+        times = np.linspace(2 * h, spec.t_end - 2 * h, 50)
+        mu_dot = (spec.mu(times + h) - spec.mu(times - h)) / (2 * h)
+        target = spec.f(times) * spec.mu(times)
+        scale = np.maximum(np.maximum(np.abs(target), 1e-12), np.abs(mu_dot))
+        assert np.all(np.abs(mu_dot - target) <= rtol * scale)
+        l2_dot = (spec.L(times + h) ** 2 - spec.L(times - h) ** 2) / (2 * h)
+        target = 2 * spec.f(times) * spec.L(times) ** 2 + spec.g2(times)
+        scale = np.maximum(np.maximum(np.abs(target), np.abs(l2_dot)), 1e-9)
+        assert np.all(np.abs(l2_dot - target) <= rtol * scale)
+        assert np.all(spec.g2(np.linspace(0.0, spec.t_end, 1001)) >= 0)
 
 
 def test_vp_alpha_strictly_decreasing(vp):
@@ -103,8 +116,7 @@ def test_transition_vp_hand_value(vp):
     # int_0^1 beta = 10.05, int_0^0.5 beta = 0.05 + 9.95/4 = 2.5375
     expected = np.exp(-(10.05 - 2.5375) / 2)
     assert np.isclose(transition(vp, 1.0, 0.5), expected, rtol=1e-12)
-    by_quadrature = dataclasses.replace(vp, transition_closed=None)
-    assert np.isclose(transition(by_quadrature, 1.0, 0.5), expected, rtol=1e-10)
+    assert np.isclose(np.exp(integrate(vp.f, 0.5, 1.0)), expected, rtol=1e-10)
 
 
 def test_transition_semigroup_and_inverse(vp, ve):
@@ -120,12 +132,11 @@ def test_transition_semigroup_and_inverse(vp, ve):
 
 
 def test_transition_quadrature_matches_closed_form(vp):
-    # a spec without a closed form integrates the drift
-    by_quadrature = dataclasses.replace(vp, transition_closed=None)
+    # Psi(t, s) = exp(int_s^t f), the drift integrated by quadrature
     rng = np.random.default_rng(5)
     for _ in range(100):
         t, s = rng.uniform(0, 1, 2)
-        assert np.isclose(transition(by_quadrature, t, s), transition(vp, t, s), rtol=1e-10)
+        assert np.isclose(np.exp(integrate(vp.f, s, t)), transition(vp, t, s), rtol=1e-10)
 
 
 # -- rho transform ----------------------------------------------------
@@ -199,11 +210,19 @@ def test_rho_round_trip_hypothesis(t):
 @pytest.mark.parametrize("preset", ["vp", "ve"])
 def test_closed_form_t_of_rho_matches_brentq(preset, request):
     spec = request.getfixturevalue(preset)
-    assert spec.t_of_rho_closed is not None
-    rooted = dataclasses.replace(spec, t_of_rho_closed=None)
+    lo, hi = float(rho_of_t(spec, 0.0)), float(rho_of_t(spec, spec.t_end))
+
+    def root(r):
+        # the endpoints snap exactly, as in t_of_rho
+        if r == lo or r == hi:
+            return 0.0 if r == lo else spec.t_end
+        return brentq(lambda s: float(rho_of_t(spec, s)) - r, 0.0, spec.t_end,
+                      xtol=1e-15, rtol=8.9e-16)
+
     rho = rho_of_t(spec, np.geomspace(1e-7, 1.0, 3000))
     closed = t_of_rho(spec, rho)
-    assert np.max(np.abs(closed - t_of_rho(rooted, rho))) <= 4e-15
+    rooted = np.array([root(r) for r in rho.tolist()])
+    assert np.max(np.abs(closed - rooted)) <= 4e-15
     assert np.max(np.abs(rho_of_t(spec, closed) - rho) / rho) <= 1e-14
 
 
@@ -240,36 +259,21 @@ def test_t_of_rho_array_with_one_out_of_range_element_raises(vp):
         t_of_rho(vp, rho)
 
 
-def test_custom_spec_inverts_through_brentq(monkeypatch):
-    from diffint import DiffusionSpec, diffusion
-
-    spec = DiffusionSpec(
-        f=lambda t: -0.5 * np.ones_like(np.asarray(t, dtype=float)),
-        g2=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        mu=lambda t: np.exp(-0.5 * np.asarray(t, dtype=float)),
-        L=lambda t: np.sqrt(-np.expm1(-np.asarray(t, dtype=float))),
-        t_end=1.0,
-    )
-    roots = []
-    brentq = diffusion.brentq
-
-    def counting(*args, **kwargs):
-        roots.append(1)
-        return brentq(*args, **kwargs)
-
-    monkeypatch.setattr(diffusion, "brentq", counting)
-    t = np.array([0.0, 0.2, 0.5, 0.8, 1.0])
-    out = t_of_rho(spec, rho_of_t(spec, t))
-    assert len(roots) == 3  # the two endpoints snap without a root search
-    assert np.max(np.abs(out - t)) < 1e-12
-
-
 _NO_SCIPY_SCRIPT = textwrap.dedent("""
     import json, sys
     sys.path[:] = json.loads(sys.argv[1])
-    config, out = sys.argv[2], sys.argv[3]
+    workdir = sys.argv[2]
 
-    import diffint, diffint.cli
+
+    class NoScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "scipy":
+                raise ImportError(f"scipy is blocked: {name}")
+
+
+    sys.meta_path.insert(0, NoScipy())
+
+    import diffint, diffint.cli, diffint.harness
     from diffint import EpsilonField, GaussianMixture, make_grid, run_sampler, vesde, vpsde
     from diffint.timegrid import SCHEDULE_NAMES
 
@@ -279,20 +283,49 @@ _NO_SCIPY_SCRIPT = textwrap.dedent("""
         field = EpsilonField(GaussianMixture([1.0], [0.5], [0.25]), spec)
         run_sampler("rho_rk4", spec, field, make_grid("log_rho", t0=1e-3, t_end=spec.t_end,
                                                       n=8, spec=spec), [0.3, -1.2])
-    code = diffint.cli.main(["sample", "--config", config, "--out", out])
-    print(json.dumps({"exit": code,
+    codes = {kind: diffint.cli.main([kind, "--config", f"{workdir}/{kind}.json",
+                                     "--out", f"{workdir}/{kind}.csv"])
+             for kind in diffint.harness.KINDS}
+    print(json.dumps({"exit": codes,
                       "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """)
 
+_BASE = {
+    "diffusion": {"preset": "vpsde", "t_end": 0.25},
+    "gmm": {"weights": [0.5, 0.5], "means": [1.0, -1.0], "stds": [0.2, 0.2]},
+    "sampler": {"name": "tab", "order": 2},
+    "schedule": {"name": "quadratic", "n": 6},
+    "seed": 0,
+}
+
+# one small config per experiment kind, both presets between them; the
+# short t_end keeps the reference solves at 1e-3 steps short
+_VE = {"preset": "vesde", "t_end": 0.25}
+_SMALL_CONFIGS = {
+    "sample": {},
+    "convergence": {"diffusion": _VE, "n_list": [4, 8], "batch": 4},
+    "study": {"sampler": [{"name": "rho_ab", "order": 1}, {"name": "ipndm", "order": 2}],
+              "schedule": [{"name": "log_rho", "n": 4}], "n_list": [4], "batch": 4},
+    "marginal": {"lambda_list": [0.0, 1.0], "n_traj": 8},
+    "trace": {"diffusion": _VE, "x_t": 1.2, "points_per_interval": 2,
+              "orders": [0, 1]},
+    "loglik": {"x0_list": [0.4]},
+}
+
 
 def test_preset_work_does_not_import_scipy(tmp_path):
-    """scipy is only imported by a root search; the presets never need one."""
-    config = Path(__file__).resolve().parent.parent / "configs" / "sample.json"
+    """With scipy's import blocked, the presets, import diffint and one
+    run of every experiment kind through the CLI all succeed."""
+    from diffint.harness import KINDS
+
+    assert sorted(_SMALL_CONFIGS) == sorted(KINDS)
+    for kind, overrides in _SMALL_CONFIGS.items():
+        (tmp_path / f"{kind}.json").write_text(json.dumps({**_BASE, "kind": kind, **overrides}))
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(sys.path), str(config),
-         str(tmp_path / "report.csv")],
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(sys.path), str(tmp_path)],
         capture_output=True, text=True, check=True, cwd=tmp_path,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"exit": 0, "scipy": []}
-    assert (tmp_path / "report.csv").stat().st_size > 0
+    assert result == {"exit": {kind: 0 for kind in KINDS}, "scipy": []}
+    for kind in KINDS:
+        assert (tmp_path / f"{kind}.csv").stat().st_size > 0

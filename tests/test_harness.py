@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffint import ConfigError, WeightTable, harness, run_sampler
+from diffint import ConfigError, harness, run_sampler
 from diffint.cli import main
 from diffint.harness import (
     KINDS,
@@ -712,33 +712,11 @@ def test_cli_seed_override(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
-def test_cli_weights_cache_round_trip(tmp_path):
-    out = tmp_path / "table.json"
+def test_cli_has_no_weights_subcommand(tmp_path):
     cfg = _write_config(tmp_path, base_config(sampler={"name": "tab", "order": 2}))
-    assert main(["weights", "cache", "--config", str(cfg), "--out", str(out)]) == 0
-    table = WeightTable.load(out)
-    assert table.order == 2
-    assert table.n_steps == 10
-    assert table.to_json() == out.read_text()
-
-
-def test_cli_weights_cache_checks_order_as_tab(tmp_path):
-    # the cached table is tab's, so a non-tab sampler's order must be a tab order
-    raw = base_config(sampler={"name": "ddim", "order": 7})
-    cfg = _write_config(tmp_path, raw)
-    assert main(["weights", "cache", "--config", str(cfg), "--out", str(tmp_path / "t.json")]) == 2
-
-
-def test_cli_weights_cache_rejects_a_study(tmp_path):
-    raw = base_config(kind="study", n_list=[2, 4], sampler=[{"name": "tab", "order": 2}],
-                      schedule=[{"name": "uniform", "n": 10}])
-    cfg = _write_config(tmp_path, raw)
-    assert main(["weights", "cache", "--config", str(cfg), "--out", str(tmp_path / "t.json")]) == 2
-
-
-def test_cli_weights_cache_requires_out(tmp_path):
-    cfg = _write_config(tmp_path, base_config())
-    assert main(["weights", "cache", "--config", str(cfg)]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["weights", "cache", "--config", str(cfg), "--out", str(tmp_path / "t.json")])
+    assert exc.value.code == 2
 
 
 # -- shipped configs --------------------------------------------------------------

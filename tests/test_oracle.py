@@ -161,6 +161,10 @@ def test_score_variance_underflow_guard():
         g2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         mu=lambda t: np.exp(-400.0 * np.asarray(t, dtype=float)),
         L=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        transition_closed=lambda t, s: np.exp(
+            -400.0 * (np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
+        ),
+        t_of_rho_closed=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
         t_end=1.0,
     )
     gmm = GaussianMixture([1.0], [0.0], [1.0])

@@ -8,7 +8,6 @@ from diffint import (
     DivergenceError,
     EpsilonField,
     GaussianMixture,
-    GridMismatchError,
     IPNDM_BLEND,
     ParameterError,
     log_rho,
@@ -151,27 +150,6 @@ def test_tab_exact_for_constant_field(vp):
             psi = transition(vp, grid.times[i], 1.0)
             coeff = float(vp.L(grid.times[i])) - psi * float(vp.L(1.0))
             assert abs(float(run.states[i]) - (psi * 1.0 + coeff * const)) < 1e-10
-
-
-def test_tab_accepts_matching_precomputed_table(vp, gauss_oracle):
-    _, field = gauss_oracle
-    grid = quadratic(1e-3, 1.0, 10)
-    table = tab_weights(vp, grid, 2)
-    a = run_sampler("tab", vp, field, grid, 1.0, order=2, weights=table)
-    b = run_sampler("tab", vp, field, grid, 1.0, order=2)
-    assert np.array_equal(a.states, b.states)
-
-
-def test_tab_rejects_mismatched_table(vp, gauss_oracle):
-    _, field = gauss_oracle
-    table = tab_weights(vp, quadratic(1e-3, 1.0, 9), 2)
-    with pytest.raises(GridMismatchError):
-        run_sampler("tab", vp, field, quadratic(1e-3, 1.0, 10), 1.0, order=2, weights=table)
-    with pytest.raises(GridMismatchError):
-        run_sampler(
-            "tab", vp, field, quadratic(1e-3, 1.0, 9), 1.0, order=1,
-            weights=tab_weights(vp, quadratic(1e-3, 1.0, 9), 2),
-        )
 
 
 # -- rho_ab ------------------------------------------------------------

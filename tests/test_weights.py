@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,10 +7,8 @@ from hypothesis import strategies as st
 
 from diffint import (
     DegenerateNodesError,
-    GridMismatchError,
     ParameterError,
     VpSchedule,
-    WeightTable,
     lagrange_basis,
     make_grid,
     quadratic,
@@ -148,40 +145,6 @@ def test_tables_are_deterministic(vp):
     assert np.array_equal(a.psi, b.psi)
     for ra, rb in zip(a.c, b.c):
         assert np.array_equal(ra, rb)
-
-
-def test_table_json_round_trip_bit_exact(vp):
-    grid = quadratic(1e-3, 1.0, 9)
-    table = tab_weights(vp, grid, 2)
-    clone = WeightTable.from_json(table.to_json())
-    assert np.array_equal(clone.times, table.times)
-    assert np.array_equal(clone.psi, table.psi)
-    assert all(np.array_equal(a, b) for a, b in zip(clone.c, table.c))
-    assert clone.to_json() == table.to_json()
-
-
-def test_table_from_json_rejects_malformed_documents(vp):
-    doc_text = tab_weights(vp, quadratic(1e-3, 1.0, 4), 1).to_json()
-    doc = json.loads(doc_text)
-    for key in ("order", "times", "psi", "c"):
-        with pytest.raises(ParameterError):
-            WeightTable.from_json(json.dumps({k: v for k, v in doc.items() if k != key}))
-    wrong_values = ({"c": 5}, {"order": "x"}, {"order": 1.5}, {"order": True},
-                    {"c": [["a"]] * len(doc["c"])}, {"times": ["x"] * len(doc["times"])},
-                    {"psi": "abc"}, {"times": {"a": 1}}, {"c": [[1.0, [2.0]]]})
-    for change in wrong_values:
-        with pytest.raises(ParameterError):
-            WeightTable.from_json(json.dumps({**doc, **change}))
-    for text in ("[]", "3", '"diffint-weight-table-v1"', "null", "", "{", "not json",
-                 doc_text[:-1]):
-        with pytest.raises(ParameterError):
-            WeightTable.from_json(text)
-
-
-def test_table_grid_mismatch(vp):
-    table = tab_weights(vp, quadratic(1e-3, 1.0, 9), 1)
-    with pytest.raises(GridMismatchError):
-        table.check_grid(quadratic(1e-3, 1.0, 10))
 
 
 def test_table_psi_matches_transition(vp):
