@@ -193,9 +193,9 @@ def t_of_rho(spec: DiffusionSpec, rho):
 
     Applies the spec's ``t_of_rho_closed``, then maps ``rho(0)`` to 0.0
     and ``rho(t_end)`` to ``t_end`` exactly.  Returns a float for a
-    scalar ``rho`` and an array otherwise.  Raises
-    :class:`DomainError` when any element lies outside
-    [rho(0), rho(t_end)] beyond roundoff slack.
+    scalar ``rho`` and an array otherwise.  Raises :class:`DomainError`
+    when any element lies outside [rho(0), rho(t_end)] beyond roundoff
+    slack.
     """
     lo = float(rho_of_t(spec, 0.0))
     hi = float(rho_of_t(spec, spec.t_end))

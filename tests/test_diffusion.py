@@ -213,9 +213,11 @@ def test_closed_form_t_of_rho_matches_brentq(preset, request):
     lo, hi = float(rho_of_t(spec, 0.0)), float(rho_of_t(spec, spec.t_end))
 
     def root(r):
-        # the endpoints snap exactly, as in t_of_rho
-        if r == lo or r == hi:
-            return 0.0 if r == lo else spec.t_end
+        # t_of_rho snaps the endpoints exactly
+        if r == lo:
+            return 0.0
+        if r == hi:
+            return spec.t_end
         return brentq(lambda s: float(rho_of_t(spec, s)) - r, 0.0, spec.t_end,
                       xtol=1e-15, rtol=8.9e-16)
 
