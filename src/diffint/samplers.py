@@ -10,16 +10,16 @@ Runge-Kutta methods evaluate it s times per step (nfe = s N).  The
 count is taken by a wrapper around the field itself, so hidden
 evaluations are impossible.
 
-All samplers except the Runge-Kutta family in rho are one linear
-multistep update, x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i
-for sddim), eps_{i+j} the field value at node i+j.  Each builds a step
-plan (a :class:`~diffint.weights.WeightTable`: a_i in ``psi``, rows c_i
-in ``c``) from the diffusion and the grid arrays in one pass:
-elementwise expressions in t_i and t_{i-1} for all steps at once, or
-one weight build for ``ei_score``, ``tab`` and ``rho_ab``.  One executor
-runs them all, in place on its own copy of the state: it owns the
-evaluation count, the history buffer, the finite check and the recorded
-states (none for EM, which keeps the terminal only).  Plans:
+Every sampler is a plan that one executor runs, in place on its own
+copy of the state: it owns the evaluation count, the history buffer, the
+finite check at the nodes and the recorded states (none for EM, which
+keeps the terminal only).  Most samplers are one linear multistep update,
+x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i for sddim), eps_{i+j}
+the field value at node i+j.  Each builds a step plan (a
+:class:`~diffint.weights.WeightTable`: a_i in ``psi``, rows c_i in ``c``)
+from the diffusion and the grid arrays in one pass: elementwise
+expressions in t_i and t_{i-1} for all steps at once, or one weight build
+for ``ei_score``, ``tab`` and ``rho_ab``.  Plans:
 
 * ``euler``     a = 1 - f dt, c = -g2 dt / (2 L): the sampling ODE.
 * ``ei_score``  a = Psi(t_{i-1}, t_i), c = -w / L(t_i): holds the raw
@@ -35,15 +35,17 @@ states (none for EM, which keeps the terminal only).  Plans:
                 (:func:`em_terminal_batch`).
 
 The Runge-Kutta family in rho (``rho_mid``, ``rho_heun2``,
-``rho_kutta3``, ``rho_rk4``) evaluates the field between nodes and keeps
-its own loop.  :func:`run_sampler` runs every sampler by name, through
-one table that also holds the order each run reports and the arguments
-each sampler reads (:func:`check_sampler_args`).
+``rho_kutta3``, ``rho_rk4``) builds stage plans: each step evaluates the
+field at its stages, between nodes, and after each evaluation sets the
+next stage's state, or after the last x_{i-1}, to a multiple of the node
+state x_i plus a row over the step's own evaluations (:func:`_rho_rk_plan`).
+A step plan is the one-stage case, whose rows reach back over earlier
+node evaluations.  :func:`run_sampler` runs every sampler by name,
+through one table that also holds the order each run reports and the
+arguments each sampler reads (:func:`check_sampler_args`).
 
 Deterministic samplers are bitwise reproducible; stochastic ones are
-bitwise reproducible given their seed.  The multistep buffer holds
-evaluations at grid nodes only; Runge-Kutta stage values are never
-shared with it.
+bitwise reproducible given their seed.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -108,57 +111,54 @@ class _CountingField:
         return self.inner(x, t)
 
 
-def _start_states(grid: TimeGrid, x_T) -> np.ndarray:
-    x = np.asarray(x_T, dtype=float)
-    states = np.empty((grid.n_steps + 1,) + x.shape)
-    states[grid.n_steps] = x
-    return states
-
-
-def _diverged(sampler: str, i: int, t: float) -> DivergenceError:
-    return DivergenceError(f"{sampler} diverged stepping into node {i - 1} (t={t})",
-                           step_index=i - 1, time=t)
-
-
 def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
              states=None, nan_diverged=False):
-    """Run ``plan`` from node N to node 0 of ``plan.times``: one field
-    evaluation per step, x <- a_i x + sum_j c_ij eps_{i+j} over the
-    ``row.size`` most recent ones, plus s_i xi given ``s``: the k-th step
-    taken (k = N - i) draws xi from :func:`~diffint.oracle.normals`
-    stream 1 + k of ``seed``, state j at position j.  x is the executor's
-    own copy of ``x_T``, updated in place with step buffers reused from
-    step to step (an evaluation that shares its memory is copied first),
-    and written to ``states[i - 1]`` given ``states``.  A non-finite state
-    raises :class:`DivergenceError`, or is set to NaN given
-    ``nan_diverged``.  Returns x at node 0 (a numpy scalar if 0-d) and
-    the evaluation count."""
+    """Run ``plan`` from node N to node 0 of ``plan.times``: each step
+    evaluates the field at its stages in turn, and after each evaluation
+    sets the next stage's state, or x, to psi x + sum_j c_j eps_j over
+    the ``row.size`` most recent evaluations, x the step's node state;
+    given ``s``, the step then adds s_i xi: the k-th step taken
+    (k = N - i) draws xi from :func:`~diffint.oracle.normals` stream
+    1 + k of ``seed``, state j at position j.  x is the executor's own
+    copy of ``x_T``, updated in place with step buffers reused from step
+    to step (an evaluation that shares its memory with the state it was
+    given is copied first), and written to ``states[i - 1]`` given
+    ``states``.  A non-finite node state raises :class:`DivergenceError`,
+    or is set to NaN given ``nan_diverged``.  Returns x at node 0 (a
+    numpy scalar if 0-d) and the evaluation count."""
     counting = _CountingField(field)
-    times = plan.times
-    n = times.size - 1
+    times, at, psi, rows = plan.times, plan.eval_times, plan.psi.tolist(), plan.c
+    n, stages = at.shape
+    width = max(row.size for row in rows)  # the last stage reads the step's first
     x = np.array(x_T, dtype=float)
+    stage = np.empty(x.shape)
     term = np.empty(x.shape)
     noise = None if s is None else np.empty(x.shape)
     finite = np.empty(x.shape, dtype=bool)
-    buffer = []  # most recent first: buffer[j] evaluated at t_{i+j}
+    buffer = []  # most recent evaluation first
     for i in range(n, 0, -1):
-        row = plan.coeffs_for(i)
-        eps = counting(x, times[i])
-        if np.may_share_memory(eps, x):
-            eps = np.copy(eps)
-        buffer.insert(0, eps)
-        del buffer[row.size :]
-        x *= plan.psi_for(i)
-        for j in range(row.size):
-            np.multiply(row[j], buffer[j], out=term)
-            x += term
+        y = x
+        for k, t in enumerate(at[i - 1], (i - 1) * stages):
+            eps = counting(y, t)
+            if np.may_share_memory(eps, y):
+                eps = np.copy(eps)
+            buffer.insert(0, eps)
+            del buffer[width:]
+            y = x if k == i * stages - 1 else stage
+            np.multiply(x, psi[k], out=y)
+            row = rows[k]
+            for j in range(row.size):
+                np.multiply(row[j], buffer[j], out=term)
+                y += term
         if s is not None:
             normals(seed, 1 + n - i, x.shape, out=noise)
             noise *= s[i - 1]
             x += noise
         if not np.isfinite(x, out=finite).all():
             if not nan_diverged:
-                raise _diverged(sampler, i, times[i - 1])
+                t = times[i - 1]
+                raise DivergenceError(f"{sampler} diverged stepping into node {i - 1} (t={t})",
+                                      step_index=i - 1, time=t)
             x[~finite] = np.nan
         if states is not None:
             states[i - 1] = x
@@ -315,64 +315,43 @@ RK_METHODS = {
 }
 
 
-def _rho_rk(spec: DiffusionSpec, field, grid: TimeGrid, method: str, x_T) -> SolverRun:
+def _rho_rk_plan(spec: DiffusionSpec, grid: TimeGrid, method: str):
     """Classical explicit Runge-Kutta in rho with the ``RK_METHODS``
-    tableau ``method``, on d y / d rho = eps(mu(t) y, t), y = x / mu.
-
-    Stage times are mapped back through t(rho) for field evaluation,
-    all interior stages of the run in one call before the first step;
-    interval endpoints reuse the grid's own times so no inversion
-    error enters there.  A stage time that lands below t_0 (roundoff
-    in the inversion) is clamped to t_0 and recorded in the run notes;
-    mu is then taken at all the interior stage times in one call.
-    nfe = stages * N.
+    tableau ``method``, on d y / d rho = eps(mu(t) y, t), y = x / mu, as
+    a stage plan in x: with h = rho_{i-1} - rho_i, stage s of step i
+    evaluates the field at t(rho_i + c_s h) on x_s = (mu_s / mu_i) x_i +
+    mu_s h sum_m a_sm k_m, and the step is x_{i-1} = (mu_{i-1} / mu_i)
+    x_i + mu_{i-1} h sum_m b_m k_m.  All interior stage times of the run
+    are mapped back through t(rho) in one call; interval endpoints reuse
+    the grid's own times so no inversion error enters there.  A stage
+    time that lands below t_0 (roundoff in the inversion) is clamped to
+    t_0, with one run note per stage evaluated there.  Returns the
+    builder's (plan, None, notes).
     """
     c, a, b = RK_METHODS[method]
-    counting = _CountingField(field)
-    times = grid.times
-    rho = grid.rho_values(spec)
+    times, rho = grid.times, grid.rho_values(spec)
     mu = spec.mu(times)
-    states = _start_states(grid, x_T)
-    y = states[grid.n_steps] / mu[grid.n_steps]
-    notes = []
-    # t_inner[i - 1, k]: step i's stage time at the k-th distinct interior
-    # offset (rk4's two stages at 1/2 share one)
-    inner = sorted(set(c) - {0.0, 1.0})
+    h = rho[:-1] - rho[1:]
+    at = {0.0: (times[1:], mu[1:]), 1.0: (times[:-1], mu[:-1])}  # offset -> (t, mu) by step
+    notes = ()
+    inner = sorted(set(c) - {0.0, 1.0})  # rk4's two stages at 1/2 share one
     if inner:
-        t_inner = t_of_rho(spec, rho[1:, None] + np.array(inner) * (rho[:-1] - rho[1:])[:, None])
+        t_inner = t_of_rho(spec, rho[1:, None] + np.array(inner) * h[:, None])
         clamped = t_inner < grid.t0
         t_inner = np.where(clamped, grid.t0, t_inner)
-        mu_inner = spec.mu(t_inner)
-    for i in range(grid.n_steps, 0, -1):
-        h = rho[i - 1] - rho[i]
-        ks = []
-        for s_idx in range(len(c)):
-            if c[s_idx] == 0.0:
-                t_stage = times[i]
-                mu_stage = mu[i]
-            elif c[s_idx] == 1.0:
-                t_stage = times[i - 1]
-                mu_stage = mu[i - 1]
-            else:
-                j = inner.index(c[s_idx])
-                if clamped[i - 1, j]:
-                    notes.append(f"stage time clamped to t0 at step {i}")
-                t_stage = float(t_inner[i - 1, j])
-                mu_stage = float(mu_inner[i - 1, j])
-            y_stage = y
-            for m, a_sm in enumerate(a[s_idx]):
-                if a_sm != 0.0:
-                    y_stage = y_stage + h * a_sm * ks[m]
-            ks.append(counting(mu_stage * y_stage, t_stage))
-        for m in range(len(c)):
-            y = y + h * b[m] * ks[m]
-        x = mu[i - 1] * y
-        if not np.all(np.isfinite(x)):
-            raise _diverged(f"rho_{method}", i, times[i - 1])
-        states[i - 1] = x
-    return SolverRun(
-        f"rho_{method}", None, grid, states, counting.count, notes=tuple(notes)
-    )
+        at.update(zip(inner, zip(t_inner.T, spec.mu(t_inner).T)))
+        clamped = clamped[:, [inner.index(c_s) for c_s in c if c_s in inner]]
+        notes = tuple(f"stage time clamped to t0 at step {grid.n_steps - k}"
+                      for k in np.nonzero(clamped[::-1])[0])
+    t_at, mu_at = (np.column_stack(z) for z in zip(*(at[c_s] for c_s in c)))
+    # mu of the state each evaluation sets: the next stage's, then x_{i-1}'s
+    mu_next = np.column_stack((mu_at[:, 1:], mu[:-1]))
+    # each evaluation's weights, most recent first, less the oldest zero ones
+    weights = [w[::-1][: len(w) - next(j for j, v in enumerate(w) if v)] for w in a[1:] + (b,)]
+    rows = [(mu_next[:, s] * h)[:, None] * np.array(w) for s, w in enumerate(weights)]
+    plan = WeightTable(order=0, times=times, psi=(mu_next / mu[1:, None]).ravel(),
+                       c=tuple(chain.from_iterable(zip(*rows))), eval_times=t_at)
+    return plan, None, notes
 
 
 # blend coefficients for the multistep noise estimate, most recent first;
@@ -406,26 +385,36 @@ def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: flo
     return _execute("em", plan, field, x, s=s, seed=seed, nan_diverged=True)[0]
 
 
+def _ipndm_notes(grid: TimeGrid) -> tuple:
+    """ipndm's run note on a non-uniform grid, where its fixed-step blend is off."""
+    spacing = np.diff(grid.times)
+    if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
+        return ("blend coefficients assume a uniform grid; grid is non-uniform",)
+    return ()
+
+
 # public name -> (plan builder (spec, grid, order, eta) -> (plan, noise
-# scales or None), or the RK_METHODS tableau the name runs in rho; whether
-# the run reports the plan's order; the arguments the sampler reads -> their
-# range checks).  The builders resolve tab_weights, rho_ab_weights,
-# transition and t_of_rho when called, so the names can be rebound.
+# scales or None, run notes); whether the run reports the plan's order; the
+# arguments the sampler reads -> their range checks).  The builders resolve
+# tab_weights, rho_ab_weights, transition and t_of_rho when called, so the
+# names can be rebound.
 _SAMPLERS = {
-    "euler": (lambda spec, grid, order, eta: (_euler_plan(spec, grid), None), False, {}),
-    "ei_score": (lambda spec, grid, order, eta: (_ei_score_plan(spec, grid), None), False, {}),
-    "ddim": (lambda spec, grid, order, eta: (_ddim_plan(spec, grid), None), True, {}),
-    "tab": (lambda spec, grid, order, eta: (tab_weights(spec, grid, order), None), True,
+    "euler": (lambda spec, grid, order, eta: (_euler_plan(spec, grid), None, ()), False, {}),
+    "ei_score": (lambda spec, grid, order, eta: (_ei_score_plan(spec, grid), None, ()), False,
+                 {}),
+    "ddim": (lambda spec, grid, order, eta: (_ddim_plan(spec, grid), None, ()), True, {}),
+    "tab": (lambda spec, grid, order, eta: (tab_weights(spec, grid, order), None, ()), True,
             {"order": _check_order}),
-    "rho_ab": (lambda spec, grid, order, eta: (_rho_ab_plan(spec, grid, order), None), True,
+    "rho_ab": (lambda spec, grid, order, eta: (_rho_ab_plan(spec, grid, order), None, ()), True,
                {"order": _check_order}),
-    "rho_mid": ("midpoint", False, {}),
-    "rho_heun2": ("heun2", False, {}),
-    "rho_kutta3": ("kutta3", False, {}),
-    "rho_rk4": ("rk4", False, {}),
-    "ipndm": (lambda spec, grid, order, eta: (_ipndm_plan(spec, grid, order), None), True,
+    "rho_mid": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "midpoint"), False, {}),
+    "rho_heun2": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "heun2"), False, {}),
+    "rho_kutta3": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "kutta3"), False, {}),
+    "rho_rk4": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "rk4"), False, {}),
+    "ipndm": (lambda spec, grid, order, eta: (_ipndm_plan(spec, grid, order), None,
+                                              _ipndm_notes(grid)), True,
               {"order": _check_ipndm_order}),
-    "sddim": (lambda spec, grid, order, eta: _sddim_plan(spec, grid, eta), False,
+    "sddim": (lambda spec, grid, order, eta: (*_sddim_plan(spec, grid, eta), ()), False,
               {"eta": _check_eta}),
 }
 
@@ -454,17 +443,12 @@ def run_sampler(name: str, spec: DiffusionSpec, field, grid: TimeGrid, x_T, *,
     ignores an ``order`` or ``eta`` it does not read; ``sddim`` needs a
     ``seed``."""
     build, ranked, _ = _sampler(name)
-    if isinstance(build, str):
-        return _rho_rk(spec, field, grid, build, x_T)
     if name == "sddim" and seed is None:
         raise ParameterError("sddim needs a seed")
-    plan, s = build(spec, grid, order, eta)
-    notes = ()
-    if name == "ipndm":
-        spacing = np.diff(grid.times)
-        if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
-            notes = ("blend coefficients assume a uniform grid; grid is non-uniform",)
-    states = _start_states(grid, x_T)
-    _, nfe = _execute(name, plan, field, states[grid.n_steps], s=s, seed=seed, states=states)
+    plan, s, notes = build(spec, grid, order, eta)
+    x = np.asarray(x_T, dtype=float)
+    states = np.empty((grid.n_steps + 1,) + x.shape)
+    states[grid.n_steps] = x
+    _, nfe = _execute(name, plan, field, x, s=s, seed=seed, states=states)
     return SolverRun(name, plan.order if ranked else None, grid, states, nfe,
                      seed=seed if name == "sddim" else None, notes=notes)

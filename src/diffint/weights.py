@@ -11,10 +11,9 @@ where eps_j is the noise-prediction value recorded at t_{i+j} and
 
 with basis_j the Lagrange basis over the history nodes
 t_i, ..., t_{i+r}.  The weights depend only on the diffusion and the
-grid, so a :class:`WeightTable` (also the step plan, with its own a_i
-in place of Psi, of every other multistep sampler in
-:mod:`diffint.samplers`) is built once and is shared read-only across
-runs.
+grid, so a :class:`WeightTable` (also the plan, with its own a_i in
+place of Psi, of every other sampler in :mod:`diffint.samplers`) is
+built once and is shared read-only across runs.
 
 Near the start of sampling the history is shorter than r+1, so the
 polynomial order is lowered to what is available; row i then holds
@@ -80,38 +79,48 @@ def lagrange_basis(nodes: Sequence[float], j: int, tau):
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Step plan: per-step state factors and coefficient rows for a grid.
+    """Step plan: per-evaluation state factors and coefficient rows for a grid.
 
-    ``psi[i-1]`` is the state factor a_i (Psi(t_{i-1}, t_i) for ``tab``)
-    and ``c[i-1]`` the coefficient row for the step from t_i to t_{i-1}
-    (j = 0 first).  ``times`` is the grid the table was built from.
+    ``times`` is the grid the table was built from, and ``eval_times[i-1]``
+    the S stage times at which the step leaving node i evaluates the field
+    (by default t_i alone: S = 1).  After stage s, entry k = (i-1) S + s
+    sets the next stage's state, or after the last x_{i-1}, to ``psi[k]``
+    x_i plus row ``c[k]`` against the most recent evaluations (j = 0
+    first).  With S = 1, ``psi[i-1]`` is a_i (Psi(t_{i-1}, t_i) for
+    ``tab``) and row i-1 reaches back over min(``order``, N-i) earlier
+    node evaluations; a stage row reaches only its step's evaluations.
     """
 
     order: int
     times: np.ndarray
     psi: np.ndarray
     c: tuple
+    eval_times: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.ascontiguousarray(self.times, dtype=float)
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
+        at = times[1:, None] if self.eval_times is None else self.eval_times
+        at = np.ascontiguousarray(at, dtype=float)
+        at.setflags(write=False)
+        object.__setattr__(self, "eval_times", at)
         psi = np.ascontiguousarray(self.psi, dtype=float)
         psi.setflags(write=False)
         object.__setattr__(self, "psi", psi)
         object.__setattr__(
             self, "c", tuple(np.ascontiguousarray(row, dtype=float) for row in self.c)
         )
-        n = times.size - 1
-        if psi.size != n or len(self.c) != n:
-            raise ParameterError("psi and c must hold one entry per step")
-        for i in range(1, n + 1):
-            expected = min(self.order, n - i) + 1
-            if self.c[i - 1].size != expected:
-                raise ParameterError(
-                    f"row for step {i} has {self.c[i - 1].size} entries, "
-                    f"expected {expected}"
-                )
+        n, stages = times.size - 1, at.shape[-1] if at.ndim == 2 else 0
+        if at.shape != (n, stages) or psi.size != n * stages or len(self.c) != n * stages:
+            raise ParameterError("eval_times, psi and c must hold one entry per evaluation")
+        for k, row in enumerate(self.c):
+            i, s = k // stages + 1, k % stages
+            # stage rows drop their trailing zeros, so they are only bounded
+            most = min(self.order, n - i) + 1 if stages == 1 else s + 1
+            if not (row.size == most or stages > 1 and 0 < row.size < most):
+                raise ParameterError(f"row for step {i} stage {s} has {row.size} entries, "
+                                     f"expected {'' if stages == 1 else '1 to '}{most}")
         if not np.all(np.isfinite(np.concatenate((psi,) + self.c))):
             raise ParameterError("weight table contains non-finite entries")
 
@@ -120,12 +129,12 @@ class WeightTable:
         return self.times.size - 1
 
     def psi_for(self, i: int) -> float:
-        """State factor a_i (Psi(t_{i-1}, t_i) for ``tab``) for the step leaving node i."""
-        return float(self.psi[i - 1])
+        """State factor a_i of the step leaving node i (its last stage's)."""
+        return float(self.psi[i * self.eval_times.shape[1] - 1])
 
     def coeffs_for(self, i: int) -> np.ndarray:
-        """Coefficient row (C_i0, ..., C_ir_i) for the step leaving node i."""
-        return self.c[i - 1]
+        """Coefficient row (C_i0, ..., C_ir_i) of the step leaving node i (its last stage's)."""
+        return self.c[i * self.eval_times.shape[1] - 1]
 
 
 def _check_order(r: int):

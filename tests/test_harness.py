@@ -731,7 +731,7 @@ GOLDEN = {
     "marginal.json": "e599000abf1b5dbb29330f69a060508078177ff58e496fdf9c63967869d8d6e1",
     "sample.json": "7fed3589bbe4b449c0ea57bf0ac96c918a4d5bfbed5b42b287a668e4587e179f",
     "study_ablation.json": "63087dc57796c916e27ac8e9d380bf1949958fbb6f891f02a1f8aa6d9cf52289",
-    "study_convergence.json": "662937ba9848a01671346343ce0bbe18f3a5ed534421f34c36f64a535c354276",
+    "study_convergence.json": "2e66fc7098c7bbb875f0a9ed5c29c9dbb67f14e662034849119d61fb72079bbe",
     "trace.json": "68e411e7b6ca871803dc6c9abe0252400f147e12812b02e613771daad48e917b",
 }
 

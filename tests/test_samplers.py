@@ -30,6 +30,7 @@ from diffint.samplers import (
     _euler_plan,
     _ipndm_plan,
     _rho_ab_plan,
+    _rho_rk_plan,
     _sddim_coeffs,
     _sddim_plan,
 )
@@ -241,9 +242,10 @@ def test_rho_rk_constant_field_exact(vp):
 @pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
 def test_rho_rk_stage_mu_is_mu_of_the_stage_time(preset, t0, request):
     # Under a zero field y = x / mu stays put, so each evaluation gets
-    # mu(t) y at its stage time t, with mu(t) as one scalar call gives it.
-    # t(rho) moved down by 0.02 puts the first steps' interior stages
-    # below t0, where they are clamped to t0 before mu is taken.
+    # mu(t) y at its stage time t, with mu(t) as one scalar call gives it,
+    # up to the rounding of the plan's mu ratios.  t(rho) moved down by
+    # 0.02 puts the first steps' interior stages below t0, where they are
+    # clamped to t0 before mu is taken, which moves mu by far more.
     spec = request.getfixturevalue(preset)
     shifted = dataclasses.replace(
         spec, t_of_rho_closed=lambda rho: spec.t_of_rho_closed(rho) - 0.02
@@ -254,14 +256,16 @@ def test_rho_rk_stage_mu_is_mu_of_the_stage_time(preset, t0, request):
     calls = []
 
     def zero(x, t):
-        calls.append((x, t))
+        calls.append((np.copy(x), t))  # the executor reuses its state buffers
         return np.zeros_like(x)
 
     for name, method in (("rho_mid", "midpoint"), ("rho_heun2", "heun2"),
                          ("rho_kutta3", "kutta3"), ("rho_rk4", "rk4")):
         calls.clear()
         run = run_sampler(name, shifted, zero, grid, x)
-        assert all((float(spec.mu(t)) * y).tobytes() == x_t.tobytes() for x_t, t in calls)
+        for x_t, t in calls:
+            want = float(spec.mu(t)) * y
+            assert np.all(np.abs(x_t - want) <= 1e-15 * np.abs(want))
         # one note per clamped stage; a stage at c = 1 of the last step
         # is t0 itself, and heun2 has no interior stages to clamp
         at_t0 = sum(t == t0 for _, t in calls)
@@ -547,6 +551,18 @@ def test_divergence_error_carries_step_index(vp):
         with pytest.raises(DivergenceError) as err:
             run_sampler("euler", vp, exploding, grid, 1.0)
     assert err.value.step_index == 9
+    # a field that is infinite only at the second stage time of step 6
+    # (interior, or for heun2 the stage at t_5) fails that step's node
+    for name in ("rho_mid", "rho_heun2", "rho_kutta3", "rho_rk4"):
+        times = []
+        run_sampler(name, vp, lambda x, t: times.append(t) or np.zeros_like(x), grid, 1.0)
+        bad = times[(10 - 6) * (len(times) // 10) + 1]
+        field = lambda x, t: np.full_like(x, np.inf if t == bad else 0.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match=f"^{name} diverged stepping into "
+                                                      "node 5 ") as err:
+                run_sampler(name, vp, field, grid, 1.0)
+        assert err.value.step_index == 5 and err.value.time == grid.times[5]
 
 
 def test_run_sampler_dispatch(vp, gauss_oracle):
@@ -639,6 +655,11 @@ def test_plan_row_sizes(vp):
               for build in (tab_weights, _rho_ab_plan, _ipndm_plan)]
     for r, plan in plans:
         assert [row.size for row in plan.c] == [min(r, n - i) + 1 for i in range(1, n + 1)]
+    # stage rows, most recent evaluation first, lose their trailing zeros
+    stage_sizes = {"midpoint": [1, 1], "heun2": [1, 2], "kutta3": [1, 2, 3], "rk4": [1, 1, 1, 4]}
+    for method, sizes in stage_sizes.items():
+        plan = _rho_rk_plan(vp, grid, method)[0]
+        assert [row.size for row in plan.c] == sizes * n
 
 
 def test_rho_rk_inverts_all_stage_times_in_one_call(vp, gauss_oracle, monkeypatch):
@@ -672,8 +693,46 @@ def test_executor_copies_an_evaluation_that_aliases_the_state(vp):
     # the state itself (or a view of it) must not see its history change
     grid = quadratic(1e-3, 1.0, 6)
     x_T = np.array([0.4, -1.1, 2.0])
-    for name, kwargs in (("tab", {"order": 3}), ("ipndm", {"order": 3}), ("ddim", {})):
+    for name, kwargs in (("tab", {"order": 3}), ("ipndm", {"order": 3}), ("ddim", {}),
+                         ("rho_mid", {}), ("rho_heun2", {}), ("rho_kutta3", {}),
+                         ("rho_rk4", {})):
         want = run_sampler(name, vp, lambda x, t: np.copy(x), grid, x_T, **kwargs).states
         for field in (lambda x, t: x, lambda x, t: x[...]):
             got = run_sampler(name, vp, field, grid, x_T, **kwargs).states
             assert np.array_equal(got, want)
+
+
+def test_every_sampler_runs_once_through_the_executor(vp, gauss_oracle, monkeypatch):
+    from diffint import samplers
+
+    _, field = gauss_oracle
+    calls = []
+    execute = samplers._execute
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return execute(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "_execute", counting)
+    for name in samplers.SAMPLER_NAMES:
+        calls.clear()
+        run_sampler(name, vp, field, quadratic(1e-3, 1.0, 6), 1.0, order=2, eta=0.5, seed=3)
+        assert calls == [name]
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_rho_rk_terminals_match_the_pinned_values(preset, vp, ve):
+    # terminals of the former loop in y = x / mu; the stage plans in x
+    # round differently, by at most 1.1e-14 of the largest here
+    from diffint.oracle import draw_terminal_states
+    from rho_rk_terminals import TERMINALS
+
+    spec, t0 = (vp, 1e-3) if preset == "vp" else (ve, 1e-5)
+    field = EpsilonField(GaussianMixture([0.3, 0.7], [-1.0, 0.6], [0.2, 0.4]), spec)
+    x = draw_terminal_states(spec, 0, 8)
+    for (name, key_preset, schedule, n), pinned in TERMINALS.items():
+        if key_preset == preset:
+            grid = make_grid(schedule, t0=t0, t_end=spec.t_end, n=n, spec=spec)
+            terminal = run_sampler(name, spec, field, grid, x).terminal
+            pinned = np.array(pinned)
+            assert np.max(np.abs(terminal - pinned)) <= 1e-12 * np.max(np.abs(pinned))
