@@ -127,9 +127,9 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
     or is set to NaN given ``nan_diverged``.  Returns x at node 0 (a
     numpy scalar if 0-d) and the evaluation count."""
     counting = _CountingField(field)
-    times, at, psi, rows = plan.times, plan.eval_times, plan.psi.tolist(), plan.c
-    n, stages = at.shape
-    width = max(row.size for row in rows)  # the last stage reads the step's first
+    times, at, psi, rows = plan.times, plan.eval_times.ravel(), plan.psi.tolist(), plan.c
+    n, stages = plan.eval_times.shape
+    width = max(map(len, rows))  # the last stage reads the step's first
     x = np.array(x_T, dtype=float)
     stage = np.empty(x.shape)
     term = np.empty(x.shape)
@@ -138,8 +138,8 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
     buffer = []  # most recent evaluation first
     for i in range(n, 0, -1):
         y = x
-        for k, t in enumerate(at[i - 1], (i - 1) * stages):
-            eps = counting(y, t)
+        for k in range((i - 1) * stages, i * stages):
+            eps = counting(y, at[k])
             if np.may_share_memory(eps, y):
                 eps = np.copy(eps)
             buffer.insert(0, eps)
@@ -343,14 +343,15 @@ def _rho_rk_plan(spec: DiffusionSpec, grid: TimeGrid, method: str):
         clamped = clamped[:, [inner.index(c_s) for c_s in c if c_s in inner]]
         notes = tuple(f"stage time clamped to t0 at step {grid.n_steps - k}"
                       for k in np.nonzero(clamped[::-1])[0])
-    t_at, mu_at = (np.column_stack(z) for z in zip(*(at[c_s] for c_s in c)))
     # mu of the state each evaluation sets: the next stage's, then x_{i-1}'s
-    mu_next = np.column_stack((mu_at[:, 1:], mu[:-1]))
+    mu_next = [at[c_s][1] for c_s in c[1:]] + [mu[:-1]]
     # each evaluation's weights, most recent first, less the oldest zero ones
     weights = [w[::-1][: len(w) - next(j for j, v in enumerate(w) if v)] for w in a[1:] + (b,)]
-    rows = [(mu_next[:, s] * h)[:, None] * np.array(w) for s, w in enumerate(weights)]
-    plan = WeightTable(order=0, times=times, psi=(mu_next / mu[1:, None]).ravel(),
-                       c=tuple(chain.from_iterable(zip(*rows))), eval_times=t_at)
+    rows = [(m * h)[:, None] * np.array(w) for m, w in zip(mu_next, weights)]
+    plan = WeightTable(order=0, times=times,
+                       psi=(np.column_stack(mu_next) / mu[1:, None]).ravel(),
+                       c=tuple(chain.from_iterable(zip(*rows))),
+                       eval_times=np.column_stack([at[c_s][0] for c_s in c]))
     return plan, None, notes
 
 

@@ -111,8 +111,9 @@ class WeightTable:
         object.__setattr__(
             self, "c", tuple(np.ascontiguousarray(row, dtype=float) for row in self.c)
         )
-        n, stages = times.size - 1, at.shape[-1] if at.ndim == 2 else 0
-        if at.shape != (n, stages) or psi.size != n * stages or len(self.c) != n * stages:
+        n = times.size - 1
+        stages = at.shape[1] if at.ndim == 2 and at.shape[0] == n else 0
+        if stages < 1 or psi.size != n * stages or len(self.c) != n * stages:
             raise ParameterError("eval_times, psi and c must hold one entry per evaluation")
         for k, row in enumerate(self.c):
             i, s = k // stages + 1, k % stages

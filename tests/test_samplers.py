@@ -723,7 +723,7 @@ def test_every_sampler_runs_once_through_the_executor(vp, gauss_oracle, monkeypa
 @pytest.mark.parametrize("preset", ["vp", "ve"])
 def test_rho_rk_terminals_match_the_pinned_values(preset, vp, ve):
     # terminals of the former loop in y = x / mu; the stage plans in x
-    # round differently, by at most 1.1e-14 of the largest here
+    # round differently, by at most 9.4e-15 of the largest terminal here
     from diffint.oracle import draw_terminal_states
     from rho_rk_terminals import TERMINALS
 
