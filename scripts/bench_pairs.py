@@ -147,6 +147,8 @@ def machine():
         "platform": platform.platform(),
         "processor": platform.processor() or platform.machine(),
         "cpus": os.cpu_count(),
+        # the CPUs this process may run on, which can be fewer than cpus
+        "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
     }

@@ -42,7 +42,8 @@ Conventions:
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
   full).  A hit has the bits of a miss; a time whose marginal variance
-  underflows raises on every call and is never stored.
+  underflows raises on every call and is never stored.  A run that knows
+  its times ahead (Euler-Maruyama) fills the memo from one array call.
 * Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
   RK4 stepper, ``_rk4``, which steps in place in one buffer of six rows
   of the state's shape with numpy's over and invalid flags quiet, since
@@ -57,9 +58,11 @@ a miss would compute, so instances can be shared freely across
 threads.  Every random draw comes from :func:`normals`, Philox
 keyed by the two words (seed, stream): stream 0 holds the initial
 states of a batch and stream 1 + k the noise of the k-th step taken,
-with trajectory i at position i of each.  A shorter draw is a prefix
-of a longer one, so a trajectory sees the same draws at every batch
-size.  The Euler-Maruyama simulator of the reverse-time family, which
+with trajectory i at position i of each.  Each thread keeps one
+generator, whose whole state every draw resets to its key, so a draw
+has the bits of a freshly keyed generator in any thread.  A shorter
+draw is a prefix of a longer one, so a trajectory sees the same draws
+at every batch size.  The Euler-Maruyama simulator of the reverse-time family, which
 consumes these streams, is a step plan of :mod:`diffint.samplers`.
 """
 
@@ -423,6 +426,27 @@ class EpsilonField:
             self._memo[key] = entry
         return entry
 
+    def _fill(self, times):
+        """Store the memo entries of the float ``times`` that it does not
+        hold yet, from one :func:`_marginals` array call, each with its own
+        copied (K, 1) columns, as a miss at that time would store them.
+        Nothing is stored when they would not fit in the ``_MEMO_SIZE``
+        entries, or when a variance underflows, so that the call at that
+        time raises :class:`DomainError` as it would without the fill."""
+        keys = [t for t in dict.fromkeys(times) if t not in self._memo]
+        if not keys or len(self._memo) + len(keys) > _MEMO_SIZE:
+            return
+        try:
+            l_t, *columns = _marginals(self.gmm, self.spec, np.array(keys))
+        except DomainError:
+            return
+        for j, key in enumerate(keys):
+            entry = [float(l_t[j])]
+            for arr in columns:
+                entry.append(arr[:, j : j + 1].copy())
+                entry[-1].setflags(write=False)
+            self._memo[key] = tuple(entry)
+
     def __call__(self, x, t: float):
         l_t, means, var, bias = self._marginal(t)
         return _score(x, means, var, bias, -l_t)
@@ -582,17 +606,37 @@ def fixed_step_times(t_hi: float, t_lo: float, dt: float) -> np.ndarray:
     return np.linspace(t_hi, t_lo, _steps(t_hi, t_lo, dt)[0] + 1)
 
 
+# One Philox generator per thread, rekeyed by every :func:`normals` call.
+_philox = threading.local()
+_ZEROS = np.zeros(4, dtype=np.uint64)
+_ZEROS.setflags(write=False)
+
+
 def normals(seed: int, stream: int, n, out=None) -> np.ndarray:
     """Standard normals ``standard_normal(n)`` of Philox keyed by the two
     words (seed, stream), 0 <= seed, stream < 2**64, written into ``out``
     (of shape n) when given.  The draw of a smaller n is a prefix of the
     draw of a larger one.  A word that is not an integer in that range
-    raises :class:`ParameterError`, since it would alias another key."""
+    raises :class:`ParameterError`, since it would alias another key.
+
+    Each thread keeps one ``Generator(Philox)`` and every call resets its
+    whole state, to key [seed, stream], counter 0 and an empty output
+    buffer, so a draw has the bits of a freshly built
+    ``Generator(Philox(key=seed + (stream << 64)))`` and no state carries
+    from one call to the next.  That saves building a generator, and the
+    OS-entropy seed sequence a new bit generator makes, on every draw."""
     if not (isinstance(seed, Integral) and isinstance(stream, Integral)
             and 0 <= seed < 2**64 and 0 <= stream < 2**64):
         raise ParameterError(f"seed and stream must be integers in [0, 2**64), "
                              f"got {seed!r}, {stream!r}")
-    gen = np.random.Generator(np.random.Philox(key=int(seed) + (int(stream) << 64)))
+    gen = getattr(_philox, "gen", None)
+    if gen is None:
+        gen = _philox.gen = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": np.array([int(seed), int(stream)], dtype=np.uint64)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     return gen.standard_normal(n, out=out)
 
 

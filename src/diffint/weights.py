@@ -125,18 +125,6 @@ class WeightTable:
         if not np.all(np.isfinite(np.concatenate((psi,) + self.c))):
             raise ParameterError("weight table contains non-finite entries")
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
-    def psi_for(self, i: int) -> float:
-        """State factor a_i of the step leaving node i (its last stage's)."""
-        return float(self.psi[i * self.eval_times.shape[1] - 1])
-
-    def coeffs_for(self, i: int) -> np.ndarray:
-        """Coefficient row (C_i0, ..., C_ir_i) of the step leaving node i (its last stage's)."""
-        return self.c[i * self.eval_times.shape[1] - 1]
-
 
 def _check_order(r: int):
     if not 0 <= r <= MAX_ORDER:

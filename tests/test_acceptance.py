@@ -196,7 +196,7 @@ def test_criterion_06_weight_table_correctness():
         for i in range(1, 11):
             t_lo, t_hi = grid.times[i - 1], grid.times[i]
             nodes = grid.times[i : i + min(r, 10 - i) + 1]
-            for j in range(table.coeffs_for(i).size):
+            for j in range(table.c[i - 1].size):
 
                 def integrand(tau, j=j):
                     return (
@@ -208,7 +208,7 @@ def test_criterion_06_weight_table_correctness():
                     )
 
                 oracle = -adaptive_simpson(integrand, t_lo, t_hi, tol=1e-12)
-                worst = max(worst, abs(float(table.coeffs_for(i)[j]) - oracle))
+                worst = max(worst, abs(float(table.c[i - 1][j]) - oracle))
     assert worst <= 1e-8
     rho = rho_of_t(spec, grid.times)
     for r in (0, 1, 2, 3):

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -96,3 +97,9 @@ def test_summarise_reads_each_median_change_against_its_bound():
     at = bench_pairs.summarise(_runs(setup_s=[1.0, 1.0]), _runs(setup_s=[1.25, 1.25]),
                                metrics[1:2])["setup_s"]
     assert at["worse_frac"] == 0.25 and at["within_bound"] is True
+
+
+def test_machine_records_the_usable_cpus():
+    got = bench_pairs.machine()
+    assert got["cpus"] == os.cpu_count()
+    assert got["usable_cpus"] == len(os.sched_getaffinity(0))

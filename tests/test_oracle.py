@@ -35,7 +35,7 @@ from diffint.oracle import (
     normals,
     reference_states,
 )
-from diffint.samplers import _em_plan, _execute, em_terminal_batch, run_sampler
+from diffint.samplers import _WORKER_STATES, _em_plan, _execute, em_terminal_batch, run_sampler
 from diffint.timegrid import TimeGrid
 
 from helpers import central_difference, gaussian_pf_terminal
@@ -580,6 +580,80 @@ def test_em_divergence_is_nan_in_the_batch(vp, gauss_oracle):
     assert _same_bits(got[keep], want[keep])
 
 
+@pytest.mark.parametrize("n", [8, _WORKER_STATES])
+def test_a_failed_stochastic_run_leaves_no_worker_behind(vp, gauss_oracle, n):
+    # at n = _WORKER_STATES a worker thread draws the noise; it is joined
+    # before the error reaches the caller, which sees the error of a serial run
+    _, field = gauss_oracle
+    grid = uniform(1e-3, 1.0, 10)
+    x = draw_terminal_states(vp, 0, n)
+
+    def blowup(x, t):
+        eps = field(x, t)
+        if t < 0.5:
+            eps[0] = np.inf
+        return eps
+
+    i = max(i for i in range(1, grid.n_steps + 1) if grid.times[i] < 0.5)
+    before = threading.active_count()
+    with pytest.raises(DivergenceError) as err:
+        run_sampler("sddim", vp, blowup, grid, x, eta=1.0, seed=0)
+    assert str(err.value) == f"sddim diverged stepping into node {i - 1} (t={grid.times[i - 1]})"
+    assert threading.active_count() == before
+    plan, s = _em_plan(vp, 1.0, 1e-3, 1e-3)
+    with pytest.raises(ParameterError) as err:
+        _execute("em", plan, field, x, s=s, seed=None, nan_diverged=True)
+    assert str(err.value) == "seed and stream must be integers in [0, 2**64), got None, 1"
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
+def test_em_fills_the_field_memo_as_misses_would(preset, t0, request, monkeypatch):
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
+    times = _em_plan(spec, 0.0, 1e-3, t0)[0].eval_times.ravel().tolist()
+    filled, missed = EpsilonField(gmm, spec), EpsilonField(gmm, spec)
+    held = filled._marginal(times[5])
+    em_terminal_batch(spec, filled, 0.5, 1e-3, t0, 0, 4)
+    assert set(filled._memo) == set(times) and filled._memo[times[5]] is held
+    for t in times:
+        got, want = filled._memo[t], missed._marginal(t)
+        assert type(got[0]) is float and got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.shape == (2, 1) and _same_bits(a, b)
+            assert a.flags.owndata and not a.flags.writeable
+    # times that would not fit in the memo are left to the misses
+    monkeypatch.setattr(oracle, "_MEMO_SIZE", len(times))
+    full = EpsilonField(gmm, spec)
+    other = (times[0] + times[1]) / 2
+    full._marginal(other)
+    full._fill(times)
+    assert list(full._memo) == [other]
+
+
+def test_memo_fill_leaves_an_underflow_to_the_call():
+    from diffint import DiffusionSpec
+
+    # mu = exp(-400 t) and L = 0, so the variance underflows at t = 1 only
+    tiny = DiffusionSpec(
+        f=lambda t: -400.0 * np.ones_like(np.asarray(t, dtype=float)),
+        g2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        mu=lambda t: np.exp(-400.0 * np.asarray(t, dtype=float)),
+        L=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        transition_closed=lambda t, s: np.exp(
+            -400.0 * (np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
+        ),
+        t_of_rho_closed=lambda rho: np.zeros_like(np.asarray(rho, dtype=float)),
+        t_end=1.0,
+    )
+    field = EpsilonField(GaussianMixture([1.0], [0.0], [1.0]), tiny)
+    field._fill([0.1, 1.0])
+    assert not field._memo
+    with pytest.raises(DomainError):
+        field(0.0, 1.0)
+    assert np.isfinite(field(0.5, 0.1))
+
+
 # -- random streams ---------------------------------------------------
 
 
@@ -599,7 +673,8 @@ def test_streams_do_not_depend_on_batch_size(vp, gauss_oracle):
     small = em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed, 8)
     assert np.array_equal(small, em_terminal_batch(vp, field, 1.0, 1e-3, 1e-3, seed, 64)[:8])
     grid = uniform(1e-3, 1.0, 10)
-    x = draw_terminal_states(vp, seed, 64)
+    # a worker thread draws the big batch's noise, the small one draws its own
+    x = draw_terminal_states(vp, seed, _WORKER_STATES)
     big = run_sampler("sddim", vp, field, grid, x, eta=1.0, seed=seed)
     small = run_sampler("sddim", vp, field, grid, x[:8], eta=1.0, seed=seed)
     assert np.array_equal(small.states, big.states[:, :8])
@@ -646,6 +721,58 @@ def test_normals_into_a_buffer_are_the_same_draw():
     scalar = np.empty(())
     normals(5, 2, (), out=scalar)
     assert _same_bits(scalar, normals(5, 2, ()))
+
+
+_WORDS = (0, 1, 2**63, 2**64 - 1)
+
+
+def _fresh_normals(seed, stream, shape):
+    return np.random.Generator(np.random.Philox(key=seed + (stream << 64))).standard_normal(shape)
+
+
+@pytest.mark.parametrize("seed", _WORDS)
+@pytest.mark.parametrize("stream", _WORDS)
+def test_normals_have_the_bits_of_a_fresh_generator(seed, stream):
+    # each call rekeys this thread's generator: a draw under another key
+    # just before, which leaves part of a Philox block in its buffer,
+    # must not carry into the next
+    for shape in ((), (0,), (5,), (2, 3)):
+        want = _fresh_normals(seed, stream, shape)
+        normals(seed ^ 1, stream, 7)
+        assert _same_bits(normals(seed, stream, shape), want)
+        normals(seed, stream ^ 1, 3)
+        out = np.empty(shape)
+        assert normals(seed, stream, shape, out=out) is out
+        assert _same_bits(out, want)
+
+
+def test_normals_from_threads_at_once():
+    # every thread rekeys its own generator; four threads on two cores with
+    # a short switch interval interleave their draws
+    keys = [(seed, stream) for seed in _WORDS for stream in _WORDS]
+    want = {key: _fresh_normals(*key, 1001) for key in keys}
+    n_threads = 4
+    start = threading.Barrier(n_threads)
+    bad = [0] * n_threads
+
+    def work(j):
+        start.wait()
+        for _ in range(50):
+            for key in keys[j:] + keys[:j]:
+                bad[j] += not _same_bits(normals(*key, 1001), want[key])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert bad == [0] * n_threads
 
 
 def test_normals_key_words_are_not_interchangeable():

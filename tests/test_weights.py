@@ -83,7 +83,7 @@ def test_zero_order_weights_reduce_to_ddim(vp):
         table = tab_weights(vp, grid, 0)
         for i in range(1, 11):
             expected = _ddim_coefficient(vp, grid.times[i - 1], grid.times[i])
-            assert abs(float(table.coeffs_for(i)[0]) - expected) < 1e-8
+            assert abs(float(table.c[i - 1][0]) - expected) < 1e-8
 
 
 def test_zero_order_weights_ve():
@@ -93,7 +93,7 @@ def test_zero_order_weights_ve():
     for i in range(1, 9):
         # Psi = 1, so the coefficient is sigma(t_{i-1}) - sigma(t_i)
         expected = float(spec.L(grid.times[i - 1])) - float(spec.L(grid.times[i]))
-        assert np.isclose(float(table.coeffs_for(i)[0]), expected, rtol=1e-10)
+        assert np.isclose(float(table.c[i - 1][0]), expected, rtol=1e-10)
 
 
 def test_first_order_rows_sum_to_zero_order(vp):
@@ -102,8 +102,8 @@ def test_first_order_rows_sum_to_zero_order(vp):
     t1_table = tab_weights(vp, grid, 1)
     for i in range(1, 11):
         assert np.isclose(
-            float(np.sum(t1_table.coeffs_for(i))),
-            float(t0_table.coeffs_for(i)[0]),
+            float(np.sum(t1_table.c[i - 1])),
+            float(t0_table.c[i - 1][0]),
             atol=1e-12,
             rtol=1e-12,
         )
@@ -116,7 +116,7 @@ def test_weights_match_adaptive_simpson(vp):
         for i in range(1, 11):
             t_lo, t_hi = grid.times[i - 1], grid.times[i]
             nodes = grid.times[i : i + min(r, 10 - i) + 1]
-            for j in range(table.coeffs_for(i).size):
+            for j in range(table.c[i - 1].size):
 
                 def integrand(tau, j=j):
                     return (
@@ -128,14 +128,14 @@ def test_weights_match_adaptive_simpson(vp):
                     )
 
                 oracle = -adaptive_simpson(integrand, t_lo, t_hi, tol=1e-12)
-                assert abs(float(table.coeffs_for(i)[j]) - oracle) < 1e-8
+                assert abs(float(table.c[i - 1][j]) - oracle) < 1e-8
 
 
 def test_history_truncation_row_sizes(vp):
     grid = uniform(1e-3, 1.0, 6)
     table = tab_weights(vp, grid, 3)
     for i in range(1, 7):
-        assert table.coeffs_for(i).size == min(3, 6 - i) + 1
+        assert table.c[i - 1].size == min(3, 6 - i) + 1
 
 
 def test_tables_are_deterministic(vp):
@@ -155,7 +155,7 @@ def test_table_psi_matches_transition(vp):
         expected = np.sqrt(
             float(sched.alpha(grid.times[i - 1])) / float(sched.alpha(grid.times[i]))
         )
-        assert np.isclose(table.psi_for(i), expected, rtol=1e-12)
+        assert np.isclose(table.psi[i - 1], expected, rtol=1e-12)
 
 
 # -- rho-space Adams-Bashforth weights --------------------------------
