@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import sys
 import threading
 import warnings
@@ -581,9 +582,10 @@ def test_em_divergence_is_nan_in_the_batch(vp, gauss_oracle):
 
 
 @pytest.mark.parametrize("n", [8, _WORKER_STATES])
-def test_a_failed_stochastic_run_leaves_no_worker_behind(vp, gauss_oracle, n):
+def test_a_failed_stochastic_run_leaves_no_worker_behind(vp, gauss_oracle, n, monkeypatch):
     # at n = _WORKER_STATES a worker thread draws the noise; it is joined
     # before the error reaches the caller, which sees the error of a serial run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     _, field = gauss_oracle
     grid = uniform(1e-3, 1.0, 10)
     x = draw_terminal_states(vp, 0, n)
@@ -604,6 +606,31 @@ def test_a_failed_stochastic_run_leaves_no_worker_behind(vp, gauss_oracle, n):
     with pytest.raises(ParameterError) as err:
         _execute("em", plan, field, x, s=s, seed=None, nan_diverged=True)
     assert str(err.value) == "seed and stream must be integers in [0, 2**64), got None, 1"
+    assert threading.active_count() == before
+
+
+def test_the_noise_worker_runs_only_where_it_can_pay(vp, gauss_oracle, monkeypatch):
+    # the field sees one more live thread while a worker draws the noise
+    _, field = gauss_oracle
+    seen = set()
+
+    def counting(x, t):
+        seen.add(threading.active_count())
+        return field(x, t)
+
+    def threads_seen(n):
+        seen.clear()
+        x = draw_terminal_states(vp, 0, n)
+        run_sampler("sddim", vp, counting, uniform(1e-3, 1.0, 4), x, eta=1.0, seed=0)
+        return seen
+
+    before = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert threads_seen(_WORKER_STATES - 1) == {before}
+    assert threads_seen(_WORKER_STATES) == {before + 1}
+    # a process that may run on one CPU only gains nothing from a worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert threads_seen(_WORKER_STATES) == {before}
     assert threading.active_count() == before
 
 
