@@ -862,6 +862,12 @@ def test_loglik_array_equals_scalar_calls(preset, request):
     singles = np.array([pf_loglik(gmm, spec, float(x), dt=1e-3) for x in x0])
     assert batched.shape == x0.shape
     assert np.array_equal(batched, singles)
+    # 600 points carry the divergence in chunks shorter than a window
+    wide = np.linspace(-3.0, 3.0, 600)
+    assert oracle._loglik_chunk(2, wide.size, 1000)[0] < (_MEMO_SIZE - 1) // 2
+    batched = pf_loglik(gmm, spec, wide)
+    for i in (0, 1, 299, 599):
+        assert _same_bits(batched[i], pf_loglik(gmm, spec, wide[i]))
 
 
 LOGLIK_MIXTURES = [([1.0], [0.4], [0.8]), ([0.3, 0.7], [1.0, -0.5], [0.2, 0.4]),
@@ -921,13 +927,35 @@ def test_loglik_table_has_the_bits_of_one_call_per_time(preset, request, monkeyp
                     assert _same_bits(got[:, i : i + 1], want)
 
 
-@pytest.mark.parametrize("preset", ["vp", "ve"])
-def test_loglik_windows_keep_the_bits(preset, request, monkeypatch):
+# (steps, slots) of the divergence's chunks and passes, as
+# oracle._loglik_chunk gives them: 1 step with a pass after every stage,
+# every second stage or every step, and 7 steps
+LOGLIK_CHUNKS = [(1, 1), (1, 2), (1, 4), (7, 28)]
+
+
+def _with_chunks(name, values):
+    """Parametrize (name, chunk): each value with the chunk
+    _loglik_chunk gives (None), under the value's own id, then with each
+    of LOGLIK_CHUNKS."""
+    params = [pytest.param(v, None, id=str(v)) for v in values]
+    params += [pytest.param(v, c, id=f"{v}-chunk{c[0]}-pass{c[1]}")
+               for v in values for c in LOGLIK_CHUNKS]
+    return pytest.mark.parametrize(f"{name}, chunk", params)
+
+
+def _set_chunk(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(oracle, "_loglik_chunk", lambda k, m, n: chunk)
+
+
+@_with_chunks("preset", ["vp", "ve"])
+def test_loglik_windows_keep_the_bits(preset, chunk, request, monkeypatch):
     spec = request.getfixturevalue(preset)
     gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
     x0s = (0.3, np.array([-1.3, 0.0, 1.7]))
     whole = [pf_loglik(gmm, spec, x0) for x0 in x0s]
     assert type(whole[0]) is np.float64
+    _set_chunk(monkeypatch, chunk)
     sizes = []
     marginals = oracle._marginals
     monkeypatch.setattr(oracle, "_marginals",
@@ -944,15 +972,36 @@ def test_loglik_windows_keep_the_bits(preset, request, monkeypatch):
     assert sizes[:143] == [15] * 142 + [13]
 
 
-@pytest.mark.parametrize("memo_size", [_MEMO_SIZE, 15])
-def test_loglik_divergence_names_its_step(memo_size, ve, monkeypatch):
+@_with_chunks("memo_size", [_MEMO_SIZE, 15])
+def test_loglik_divergence_names_its_step(memo_size, chunk, vp, ve, monkeypatch):
     # step 819 is the first of a window when each window has 7 steps
     monkeypatch.setattr(oracle, "_MEMO_SIZE", memo_size)
+    _set_chunk(monkeypatch, chunk)
     gmm = GaussianMixture(*LOGLIK_MIXTURES[1])
     with pytest.raises(DivergenceError, match="at step 819$") as err:
         pf_loglik(gmm, ve, np.array([0.0, 5e152]))
     assert err.value.step_index == 819
     assert err.value.time == 0.8190000000000006
+    # where the divergence turns non-finite before the state, its step is
+    # named: at step 0 here, while the state lasts to step 737 on VE and
+    # to the end on VP
+    for spec in (vp, ve):
+        with pytest.raises(DivergenceError, match="at step 0$") as err:
+            pf_loglik(gmm, spec, np.array([0.0, 1e153]))
+        assert (err.value.step_index, err.value.time) == (0, 0.0)
+    # and at step 442, one step before the state, under a drift f = 800
+    # that blows the state up; step 442 is the second of a 7-step window
+    blowup = dataclasses.replace(ve, f=lambda t: np.full(np.shape(t), 800.0))
+    sharp = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.02, 0.4])
+    x0 = np.array([0.0, 1.0, 1.05])
+    with pytest.raises(DivergenceError, match="at step 442$") as err:
+        pf_loglik(sharp, blowup, x0)
+    assert (err.value.step_index, err.value.time) == (442, 0.44200000000000034)
+    # with a divergence that stays finite, the state names its own step
+    monkeypatch.setattr(oracle, "_divergence_slopes",
+                        lambda per_stage, records, lo, out: out.fill(0.0))
+    with pytest.raises(DivergenceError, match="at step 443$"):
+        pf_loglik(sharp, blowup, x0)
 
 
 # sha256 of the tobytes() of pf_loglik over LOGLIK_MIXTURES + [NINE] x
@@ -974,23 +1023,32 @@ def test_loglik_bits_are_pinned(vp, ve):
 
 @pytest.mark.parametrize("preset", ["vp", "ve"])
 def test_loglik_stage_is_the_drift_and_its_x_derivative(preset, request):
-    # each stage writes (f x - c s, f - c s_dx), c = g2 / 2, with the bits
-    # of the time-t marginal mixture's score and score_dx; the divergence
-    # row of the state does not enter
+    # the state's right side writes f x - c s, c = g2 / 2, and the
+    # divergence pass f - c s_dx at each recorded stage, with the bits of
+    # the time-t marginal mixture's score and score_dx at its stage state
     spec = request.getfixturevalue(preset)
     x = np.linspace(-2.0, 2.0, 9)
-    state = np.stack([x, np.full(x.size, 7.0)])
     times = [0.0, 1e-3, 0.37, 0.5, spec.t_end]
+    # the stages of two steps are at t_k, t_k + h/2 twice and t_k + h
+    at = [0, 1, 1, 2, 2, 3, 3, 4]
+    states = [x + 0.25 * i for i in range(len(at))]
     for mixture in LOGLIK_MIXTURES + [NINE]:
         gmm = GaussianMixture(*mixture)
-        rhs = oracle._loglik_rhs(gmm, spec, times, x.size)
-        for j, t in enumerate(times):
-            out = np.empty((2, x.size))
+        table = oracle._loglik_table(gmm, spec, times)
+        records = oracle._StageRecords(len(gmm.weights), x.size, 2, len(at))
+        rhs, _ = oracle._loglik_stages(table, records, np.zeros(x.size), 1e-3, times, 0)
+        for state, j in zip(states, at):
+            out = np.empty(x.size)
             rhs(state, j, out)
-            pushed = marginal_at(gmm, spec, t)
-            f, c = spec.f(t), 0.5 * spec.g2(t)
-            assert _same_bits(out[0], f * x - c * pushed.score(x))
-            assert _same_bits(out[1], f - c * pushed.score_dx(x))
+            pushed = marginal_at(gmm, spec, times[j])
+            f, c = spec.f(times[j]), 0.5 * spec.g2(times[j])
+            assert _same_bits(out, f * state - c * pushed.score(state))
+        slopes = np.empty((len(at), x.size))
+        oracle._divergence_slopes(table[1], records, 0, slopes)
+        for row, state, j in zip(slopes, states, at):
+            pushed = marginal_at(gmm, spec, times[j])
+            f, c = spec.f(times[j]), 0.5 * spec.g2(times[j])
+            assert _same_bits(row, f - c * pushed.score_dx(state))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e300])
