@@ -736,9 +736,11 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
 # Floats of pf_loglik's stage records: 512 KiB, so that they stay in a
 # core's L2 cache between the stages that write them and the pass that
 # reads them.  Measured on a shared 2-vCPU machine with 2 MiB of L2 a
-# core, at 10000 points (K = 2): a pass after each step's four stages,
-# 1.9 MiB of records, took 1.10 times the time of stepping the state
-# and the divergence together; a pass after each stage 1.02 times.
+# core, at 10000 points (K = 2), as medians of interleaved series against
+# stepping the state and the divergence as one stacked array: a pass
+# after each step's four stages (1.9 MiB of records) took 1.08-1.16
+# times as long, a pass after each stage 0.95-1.09 times.  Budgets of
+# 1 << 14 and 1 << 15 were 11% and 8% slower at 1000 points.
 _RECORD_FLOATS = 1 << 16
 
 
