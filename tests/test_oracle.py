@@ -862,9 +862,9 @@ def test_loglik_array_equals_scalar_calls(preset, request):
     singles = np.array([pf_loglik(gmm, spec, float(x), dt=1e-3) for x in x0])
     assert batched.shape == x0.shape
     assert np.array_equal(batched, singles)
-    # 600 points carry the divergence in chunks shorter than a window
+    # 600 points fill the records in fewer steps than a chunk may hold
     wide = np.linspace(-3.0, 3.0, 600)
-    assert oracle._loglik_chunk(2, wide.size, 1000)[0] < (_MEMO_SIZE - 1) // 2
+    assert oracle._loglik_chunk(2, wide.size, 1000)[0] < oracle._CHUNK_STEPS
     batched = pf_loglik(gmm, spec, wide)
     for i in (0, 1, 299, 599):
         assert _same_bits(batched[i], pf_loglik(gmm, spec, wide[i]))
