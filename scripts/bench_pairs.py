@@ -26,12 +26,15 @@ the median change in the worse direction read against the metric's
 each side's cost counters and their ``counters_sha256``, names the
 counters that differ, and sets ``work_equal`` when no counter differs but
 ``harness.render.bytes``, the length of the rendered reports, which
-changes with their digits even where the work done is the same.
+changes with their digits even where the work done is the same.  Each
+side's ``work_sha256`` digests its counters without that one, so equal
+work gives equal digests.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -131,13 +134,19 @@ NOT_WORK = {"harness.render.bytes"}
 
 def compare_counters(base: dict, change: dict) -> dict:
     """Both sides' traced counters ({span: {count: value}}), the names
-    ``span.count`` of those that differ, and whether the work is equal."""
+    ``span.count`` of those that differ, whether the work is equal, and
+    each side's ``work_sha256``: the sha256 of its flattened counters
+    without ``NOT_WORK``."""
     flat = [{f"{span}.{key}": value for span, counts in side.items()
              for key, value in counts.items()} for side in (base, change)]
     differ = sorted(name for name in flat[0].keys() | flat[1].keys()
                     if flat[0].get(name) != flat[1].get(name))
+    work = [json.dumps({k: v for k, v in side.items() if k not in NOT_WORK}, sort_keys=True)
+            for side in flat]
     return {"counters": {"base": base, "change": change}, "differ": differ,
-            "work_equal": set(differ) <= NOT_WORK}
+            "work_equal": set(differ) <= NOT_WORK,
+            "work_sha256": {side: hashlib.sha256(text.encode()).hexdigest()
+                            for side, text in zip(("base", "change"), work)}}
 
 
 def machine():

@@ -177,12 +177,19 @@ class ExperimentConfig:
                 f"config is not valid JSON (line {exc.lineno}, column {exc.colno}): "
                 f"{exc.msg}"
             ) from exc
+        except RecursionError as exc:
+            raise ConfigError("config JSON is nested too deeply") from exc
         return cls.from_dict(raw)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not valid UTF-8: {exc}") from exc
+        return cls.from_json(text)
 
     def validate(self):
         """Raise :class:`ConfigError` unless every value the runners use
@@ -596,7 +603,7 @@ def _case_labels(case: ExperimentConfig) -> dict:
     parameters, without commas: e.g. ``tab(order=2)``, ``power_t(kappa=3.0)``;
     a sampler shows only the given arguments it reads."""
     kwargs = _sampler_kwargs(case)
-    reads = _SAMPLERS[case.sampler["name"]][2]
+    reads = _SAMPLERS[case.sampler["name"]][1]
     sampler = [f"{k}={kwargs[k]}" for k in reads if k in case.sampler]
     schedule = [f"kappa={float(case.schedule['kappa'])}"] if "kappa" in case.schedule else []
     return {

@@ -15,11 +15,13 @@ copy of the state: it owns the evaluation count, the history buffer, the
 finite check at the nodes and the recorded states (none for EM, which
 keeps the terminal only).  Most samplers are one linear multistep update,
 x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i for sddim), eps_{i+j}
-the field value at node i+j.  Each builds a step plan (a
-:class:`~diffint.weights.WeightTable`: a_i in ``psi``, rows c_i in ``c``)
-from the diffusion and the grid arrays in one pass: elementwise
-expressions in t_i and t_{i-1} for all steps at once, or one weight build
-for ``ei_score``, ``tab`` and ``rho_ab``.  Plans:
+the field value at node i+j.  Each builder returns one plan, a
+:class:`~diffint.weights.WeightTable` that is all the run needs: a_i in
+``psi``, rows c_i in ``c``, the noise scales s_i in ``noise`` (None for
+a deterministic plan), and the ``order`` and ``notes`` the run reports.
+It is built from the diffusion and the grid arrays in one pass:
+elementwise expressions in t_i and t_{i-1} for all steps at once, or one
+weight build for ``ei_score``, ``tab`` and ``rho_ab``.  Plans:
 
 * ``euler``     a = 1 - f dt, c = -g2 dt / (2 L): the sampling ODE.
 * ``ei_score``  a = Psi(t_{i-1}, t_i), c = -w / L(t_i): holds the raw
@@ -41,8 +43,8 @@ next stage's state, or after the last x_{i-1}, to a multiple of the node
 state x_i plus a row over the step's own evaluations (:func:`_rho_rk_plan`).
 A step plan is the one-stage case, whose rows reach back over earlier
 node evaluations.  :func:`run_sampler` runs every sampler by name,
-through one table that also holds the order each run reports and the
-arguments each sampler reads (:func:`check_sampler_args`).
+through one table of builders and of the arguments each sampler reads
+(:func:`check_sampler_args`).
 
 Deterministic samplers are bitwise reproducible; stochastic ones are
 bitwise reproducible given their seed.
@@ -153,13 +155,13 @@ class _Drawn:
         return self.value
 
 
-def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
-             states=None, nan_diverged=False):
+def _execute(sampler: str, plan: WeightTable, field, x_T, *, seed=None, states=None,
+             nan_diverged=False):
     """Run ``plan`` from node N to node 0 of ``plan.times``: each step
     evaluates the field at its stages in turn, and after each evaluation
     sets the next stage's state, or x, to psi x + sum_j c_j eps_j over
     the ``row.size`` most recent evaluations, x the step's node state;
-    given ``s``, the step then adds s_i xi: the k-th step taken
+    given ``plan.noise`` (s), the step then adds s_i xi: the k-th step taken
     (k = N - i) draws xi from :func:`~diffint.oracle.normals` stream
     1 + k of ``seed``, state j at position j.  x is the executor's own
     copy of ``x_T``, updated in place with step buffers reused from step
@@ -181,7 +183,8 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, s=None, seed=None,
     depend on neither.  An error of a draw (such as
     :class:`ParameterError` for a missing seed) is raised unchanged."""
     counting = _CountingField(field)
-    times, at, psi, rows = plan.times, plan.eval_times.ravel(), plan.psi.tolist(), plan.c
+    times, at, psi, rows, s = (plan.times, plan.eval_times.ravel(), plan.psi.tolist(),
+                               plan.c, plan.noise)
     n, stages = plan.eval_times.shape
     width = max(map(len, rows))  # the last stage reads the step's first
     x = np.array(x_T, dtype=float)
@@ -277,17 +280,20 @@ def _sddim_coeffs(spec: DiffusionSpec, t, t_prev, eta: float):
     return psi, np.sqrt(np.maximum(0.0, l_prev**2 - var)) - psi * l_t, np.sqrt(var)
 
 
-def _zero_order_plan(grid: TimeGrid, psi, c) -> WeightTable:
+def _zero_order_plan(grid: TimeGrid, psi, c, order=None, noise=None) -> WeightTable:
     """Plan with a_i = psi[i - 1] and the one-entry row c[i - 1]."""
-    return WeightTable(order=0, times=grid.times, psi=psi, c=tuple(c[:, None]))
+    return WeightTable(order=order, times=grid.times, psi=psi, c=tuple(c[:, None]),
+                       noise=noise)
 
 
-def _euler_plan(spec: DiffusionSpec, grid: TimeGrid, scale: float = 1.0) -> WeightTable:
-    """euler's plan, with c times ``scale`` (exact at 1)."""
+def _euler_plan(spec: DiffusionSpec, grid: TimeGrid, scale: float = 1.0,
+                noise=None) -> WeightTable:
+    """euler's plan, with c times ``scale`` (exact at 1) and the step noise
+    scales ``noise``."""
     t, t_prev = grid.times[1:], grid.times[:-1]
     dt = t - t_prev
     return _zero_order_plan(grid, 1.0 - spec.f(t) * dt,
-                            scale * (-0.5 * spec.g2(t) / spec.L(t) * dt))
+                            scale * (-0.5 * spec.g2(t) / spec.L(t) * dt), noise=noise)
 
 
 def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
@@ -306,7 +312,7 @@ def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
 
 
 def _ddim_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
-    return _zero_order_plan(grid, *_ddim_coeffs(spec, grid.times[1:], grid.times[:-1]))
+    return _zero_order_plan(grid, *_ddim_coeffs(spec, grid.times[1:], grid.times[:-1]), 0)
 
 
 def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
@@ -323,19 +329,23 @@ def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
 def _ipndm_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
     """ddim's step with eps replaced by the fixed-step blend of the last
     j + 1 node evaluations, j = min(history, r), so the first step is
-    exactly ddim's.  The blend assumes a uniform grid."""
+    exactly ddim's.  The blend assumes a uniform grid; on a non-uniform
+    one the plan carries a run note saying so."""
     _check_ipndm_order(r)
     psi, c = _ddim_coeffs(spec, grid.times[1:], grid.times[:-1])
     n = grid.n_steps
     rows = tuple(c_i * np.array(IPNDM_BLEND[min(r, n - i)], dtype=float)
                  for i, c_i in enumerate(c, 1))
-    return WeightTable(order=r, times=grid.times, psi=psi, c=rows)
+    spacing = np.diff(grid.times)
+    uneven = spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean()
+    notes = ("blend coefficients assume a uniform grid; grid is non-uniform",) if uneven else ()
+    return WeightTable(order=r, times=grid.times, psi=psi, c=rows, notes=notes)
 
 
-def _sddim_plan(spec: DiffusionSpec, grid: TimeGrid, eta: float):
-    """ddim-shaped plan plus the noise scales s (index i-1; None when eta = 0)."""
+def _sddim_plan(spec: DiffusionSpec, grid: TimeGrid, eta: float) -> WeightTable:
+    """ddim-shaped plan with the noise scales s (None when eta = 0)."""
     psi, c, s = _sddim_coeffs(spec, grid.times[1:], grid.times[:-1], eta)
-    return _zero_order_plan(grid, psi, c), s if eta > 0.0 else None
+    return _zero_order_plan(grid, psi, c, noise=s if eta > 0.0 else None)
 
 
 def _check_lam(lam: float) -> float:
@@ -348,16 +358,16 @@ def _check_lam(lam: float) -> float:
     return scale
 
 
-def _em_plan(spec: DiffusionSpec, lam: float, dt: float, t0: float):
+def _em_plan(spec: DiffusionSpec, lam: float, dt: float, t0: float) -> WeightTable:
     """The Euler-Maruyama step of the reverse-time family on the grid of
     :func:`~diffint.oracle.fixed_step_times` from t_end down to t0:
-    euler's plan with c times (1 + lam^2), plus the noise scales
-    s = lam sqrt(g2) sqrt(h) (index i-1; None when lam = 0)."""
+    euler's plan with c times (1 + lam^2) and the noise scales
+    s = lam sqrt(g2) sqrt(h) (None when lam = 0)."""
     scale = _check_lam(lam)
     grid = TimeGrid(fixed_step_times(spec.t_end, t0, dt)[::-1])
     t = grid.times[1:]
     s = lam * np.sqrt(spec.g2(t)) * np.sqrt(t - grid.times[:-1]) if lam > 0 else None
-    return _euler_plan(spec, grid, scale), s
+    return _euler_plan(spec, grid, scale, s)
 
 
 # classical explicit tableaus: stage offsets c, stage rows a, output weights b
@@ -395,8 +405,7 @@ def _rho_rk_plan(spec: DiffusionSpec, grid: TimeGrid, method: str):
     are mapped back through t(rho) in one call; interval endpoints reuse
     the grid's own times so no inversion error enters there.  A stage
     time that lands below t_0 (roundoff in the inversion) is clamped to
-    t_0, with one run note per stage evaluated there.  Returns the
-    builder's (plan, None, notes).
+    t_0, with one plan note per stage evaluated there.
     """
     c, a, b = RK_METHODS[method]
     times, rho = grid.times, grid.rho_values(spec)
@@ -418,11 +427,10 @@ def _rho_rk_plan(spec: DiffusionSpec, grid: TimeGrid, method: str):
     # each evaluation's weights, most recent first, less the oldest zero ones
     weights = [w[::-1][: len(w) - next(j for j, v in enumerate(w) if v)] for w in a[1:] + (b,)]
     rows = [(m * h)[:, None] * np.array(w) for m, w in zip(mu_next, weights)]
-    plan = WeightTable(order=0, times=times,
+    return WeightTable(order=None, times=times,
                        psi=(np.column_stack(mu_next) / mu[1:, None]).ravel(),
                        c=tuple(chain.from_iterable(zip(*rows))),
-                       eval_times=np.column_stack([at[c_s][0] for c_s in c]))
-    return plan, None, notes
+                       eval_times=np.column_stack([at[c_s][0] for c_s in c]), notes=notes)
 
 
 # blend coefficients for the multistep noise estimate, most recent first;
@@ -454,44 +462,32 @@ def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: flo
     the step times from one array call before the first step, instead of
     one miss per step.
     """
-    plan, s = _em_plan(spec, lam, dt, t0)
+    plan = _em_plan(spec, lam, dt, t0)
     if isinstance(field, EpsilonField):
         field._fill(plan.eval_times.ravel().tolist())
     x = draw_terminal_states(spec, seed, n_traj)
-    return _execute("em", plan, field, x, s=s, seed=seed, nan_diverged=True)[0]
+    return _execute("em", plan, field, x, seed=seed, nan_diverged=True)[0]
 
 
-def _ipndm_notes(grid: TimeGrid) -> tuple:
-    """ipndm's run note on a non-uniform grid, where its fixed-step blend is off."""
-    spacing = np.diff(grid.times)
-    if spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean():
-        return ("blend coefficients assume a uniform grid; grid is non-uniform",)
-    return ()
-
-
-# public name -> (plan builder (spec, grid, order, eta) -> (plan, noise
-# scales or None, run notes); whether the run reports the plan's order; the
+# public name -> (plan builder (spec, grid, order, eta) -> plan; the
 # arguments the sampler reads -> their range checks).  The builders resolve
 # tab_weights, rho_ab_weights, transition and t_of_rho when called, so the
 # names can be rebound.
 _SAMPLERS = {
-    "euler": (lambda spec, grid, order, eta: (_euler_plan(spec, grid), None, ()), False, {}),
-    "ei_score": (lambda spec, grid, order, eta: (_ei_score_plan(spec, grid), None, ()), False,
-                 {}),
-    "ddim": (lambda spec, grid, order, eta: (_ddim_plan(spec, grid), None, ()), True, {}),
-    "tab": (lambda spec, grid, order, eta: (tab_weights(spec, grid, order), None, ()), True,
+    "euler": (lambda spec, grid, order, eta: _euler_plan(spec, grid), {}),
+    "ei_score": (lambda spec, grid, order, eta: _ei_score_plan(spec, grid), {}),
+    "ddim": (lambda spec, grid, order, eta: _ddim_plan(spec, grid), {}),
+    "tab": (lambda spec, grid, order, eta: tab_weights(spec, grid, order),
             {"order": _check_order}),
-    "rho_ab": (lambda spec, grid, order, eta: (_rho_ab_plan(spec, grid, order), None, ()), True,
+    "rho_ab": (lambda spec, grid, order, eta: _rho_ab_plan(spec, grid, order),
                {"order": _check_order}),
-    "rho_mid": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "midpoint"), False, {}),
-    "rho_heun2": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "heun2"), False, {}),
-    "rho_kutta3": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "kutta3"), False, {}),
-    "rho_rk4": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "rk4"), False, {}),
-    "ipndm": (lambda spec, grid, order, eta: (_ipndm_plan(spec, grid, order), None,
-                                              _ipndm_notes(grid)), True,
+    "rho_mid": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "midpoint"), {}),
+    "rho_heun2": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "heun2"), {}),
+    "rho_kutta3": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "kutta3"), {}),
+    "rho_rk4": (lambda spec, grid, order, eta: _rho_rk_plan(spec, grid, "rk4"), {}),
+    "ipndm": (lambda spec, grid, order, eta: _ipndm_plan(spec, grid, order),
               {"order": _check_ipndm_order}),
-    "sddim": (lambda spec, grid, order, eta: (*_sddim_plan(spec, grid, eta), ()), False,
-              {"eta": _check_eta}),
+    "sddim": (lambda spec, grid, order, eta: _sddim_plan(spec, grid, eta), {"eta": _check_eta}),
 }
 
 SAMPLER_NAMES = tuple(_SAMPLERS)
@@ -508,7 +504,7 @@ def check_sampler_args(name: str, order: int = 0, eta: float = 0.0):
     reject ``name``, or the ``order`` or ``eta`` it reads, without
     running it."""
     args = {"order": order, "eta": eta}
-    for key, check in _sampler(name)[2].items():
+    for key, check in _sampler(name)[1].items():
         check(args[key])
 
 
@@ -518,13 +514,13 @@ def run_sampler(name: str, spec: DiffusionSpec, field, grid: TimeGrid, x_T, *,
     last node of ``grid``, recording the state at every node.  A sampler
     ignores an ``order`` or ``eta`` it does not read; ``sddim`` needs a
     ``seed``."""
-    build, ranked, _ = _sampler(name)
+    build = _sampler(name)[0]
     if name == "sddim" and seed is None:
         raise ParameterError("sddim needs a seed")
-    plan, s, notes = build(spec, grid, order, eta)
+    plan = build(spec, grid, order, eta)
     x = np.asarray(x_T, dtype=float)
     states = np.empty((grid.n_steps + 1,) + x.shape)
     states[grid.n_steps] = x
-    _, nfe = _execute(name, plan, field, x, s=s, seed=seed, states=states)
-    return SolverRun(name, plan.order if ranked else None, grid, states, nfe,
-                     seed=seed if name == "sddim" else None, notes=notes)
+    _, nfe = _execute(name, plan, field, x, seed=seed, states=states)
+    return SolverRun(name, plan.order, grid, states, nfe,
+                     seed=seed if name == "sddim" else None, notes=plan.notes)

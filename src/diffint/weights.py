@@ -11,9 +11,9 @@ where eps_j is the noise-prediction value recorded at t_{i+j} and
 
 with basis_j the Lagrange basis over the history nodes
 t_i, ..., t_{i+r}.  The weights depend only on the diffusion and the
-grid, so a :class:`WeightTable` (also the plan, with its own a_i in
-place of Psi, of every other sampler in :mod:`diffint.samplers`) is
-built once and is shared read-only across runs.
+grid, so a :class:`WeightTable` is built from those alone.  It is also
+the plan, with its own a_i in place of Psi, of every other sampler in
+:mod:`diffint.samplers`.
 
 Near the start of sampling the history is shorter than r+1, so the
 polynomial order is lowered to what is available; row i then holds
@@ -79,7 +79,8 @@ def lagrange_basis(nodes: Sequence[float], j: int, tau):
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Step plan: per-evaluation state factors and coefficient rows for a grid.
+    """The whole plan of one run: per-evaluation state factors, coefficient
+    rows and step noise for a grid, and what the run reports.
 
     ``times`` is the grid the table was built from, and ``eval_times[i-1]``
     the S stage times at which the step leaving node i evaluates the field
@@ -88,42 +89,26 @@ class WeightTable:
     x_i plus row ``c[k]`` against the most recent evaluations (j = 0
     first).  With S = 1, ``psi[i-1]`` is a_i (Psi(t_{i-1}, t_i) for
     ``tab``) and row i-1 reaches back over min(``order``, N-i) earlier
-    node evaluations; a stage row reaches only its step's evaluations.
+    node evaluations (none for a plan without an order); a stage row
+    reaches only its step's evaluations.  ``noise[i-1]``, when given, is
+    the scale s_i of the standard normal draw the step leaving node i
+    adds.  ``order`` and ``notes`` are what the run reports: the order a
+    sampler reads (None for one that reads none) and its run notes.
+    The builders' tests pin the row sizes and finite entries, so the
+    table checks neither.
     """
 
-    order: int
+    order: int | None
     times: np.ndarray
     psi: np.ndarray
     c: tuple
     eval_times: np.ndarray | None = None
+    noise: np.ndarray | None = None
+    notes: tuple = ()
 
     def __post_init__(self):
-        times = np.ascontiguousarray(self.times, dtype=float)
-        times.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        at = times[1:, None] if self.eval_times is None else self.eval_times
-        at = np.ascontiguousarray(at, dtype=float)
-        at.setflags(write=False)
-        object.__setattr__(self, "eval_times", at)
-        psi = np.ascontiguousarray(self.psi, dtype=float)
-        psi.setflags(write=False)
-        object.__setattr__(self, "psi", psi)
-        object.__setattr__(
-            self, "c", tuple(np.ascontiguousarray(row, dtype=float) for row in self.c)
-        )
-        n = times.size - 1
-        stages = at.shape[1] if at.ndim == 2 and at.shape[0] == n else 0
-        if stages < 1 or psi.size != n * stages or len(self.c) != n * stages:
-            raise ParameterError("eval_times, psi and c must hold one entry per evaluation")
-        for k, row in enumerate(self.c):
-            i, s = k // stages + 1, k % stages
-            # stage rows drop their trailing zeros, so they are only bounded
-            most = min(self.order, n - i) + 1 if stages == 1 else s + 1
-            if not (row.size == most or stages > 1 and 0 < row.size < most):
-                raise ParameterError(f"row for step {i} stage {s} has {row.size} entries, "
-                                     f"expected {'' if stages == 1 else '1 to '}{most}")
-        if not np.all(np.isfinite(np.concatenate((psi,) + self.c))):
-            raise ParameterError("weight table contains non-finite entries")
+        if self.eval_times is None:
+            object.__setattr__(self, "eval_times", self.times[1:, None])
 
 
 def _check_order(r: int):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -20,14 +21,21 @@ def test_compare_counters_ignores_only_the_report_bytes():
     got = bench_pairs.compare_counters(base, digits)
     assert got["differ"] == ["harness.render.bytes"] and got["work_equal"]
     assert got["counters"] == {"base": base, "change": digits}
+    # the work digest is the sha256 of the flattened counters but the report bytes
+    work = {"harness.render.calls": 6, "harness.render.distinct": 0,
+            "oracle.em.calls": 6, "oracle.em.distinct": 0, "oracle.em.traj": 49152}
+    digest = hashlib.sha256(json.dumps(work, sort_keys=True).encode()).hexdigest()
+    assert got["work_sha256"] == {"base": digest, "change": digest}
     # a counter present on one side only is a change of work
     more = {**digits, "oracle.field": {"calls": 1, "distinct": 0}}
     got = bench_pairs.compare_counters(base, more)
     assert got["differ"] == ["harness.render.bytes", "oracle.field.calls",
                              "oracle.field.distinct"]
     assert not got["work_equal"]
+    assert got["work_sha256"]["base"] == digest != got["work_sha256"]["change"]
     assert bench_pairs.compare_counters(base, base) == {
-        "counters": {"base": base, "change": base}, "differ": [], "work_equal": True}
+        "counters": {"base": base, "change": base}, "differ": [], "work_equal": True,
+        "work_sha256": {"base": digest, "change": digest}}
 
 
 _TRACED_RUNS = textwrap.dedent("""

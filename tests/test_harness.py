@@ -344,6 +344,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["sample", "--config", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
+    # a file that is not UTF-8, and JSON nested past the recursion limit
+    for name, data in (("utf16.json", b"\xff\xfe{}"),
+                       ("deep.json", b"[" * 100000 + b"]" * 100000)):
+        (tmp_path / name).write_bytes(data)
+        assert main(["sample", "--config", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -808,8 +815,8 @@ def test_study_draws_checks_and_solves_the_reference_once(monkeypatch):
         monkeypatch.setattr(harness, name, _counted(calls, name, getattr(harness, name)))
     raw = _shipped_raw("study_ablation.json")
     report = run_experiment(ExperimentConfig.from_dict({**raw, "batch": 4}))
-    # the self-check's solve at ref_dt runs on the field memo the reference
-    # solve just filled
+    # the self-check gets the reference's terminal as ``coarse=``, so it runs
+    # only its dt/2 solve
     assert calls == ["draw_terminal_states", "reference_solve", "reference_self_check"]
     assert len(report.rows) == len(raw["sampler"]) * len(raw["schedule"]) * len(raw["n_list"])
     assert not any("," in row["sampler"] + row["schedule"] for row in report.rows)

@@ -539,12 +539,12 @@ def test_em_and_sddim_leave_the_callers_states_alone(vp, bimodal_oracle):
     _, field = bimodal_oracle
     seed, grid = 3, uniform(1e-3, 1.0, 10)
     x_T = draw_terminal_states(vp, seed, 16)
-    plan, s = _em_plan(vp, 1.0, 1e-3, 1e-3)
-    want_em = _execute("em", plan, field, x_T.copy(), s=s, seed=seed)[0]
+    plan = _em_plan(vp, 1.0, 1e-3, 1e-3)
+    want_em = _execute("em", plan, field, x_T.copy(), seed=seed)[0]
     want_sddim = run_sampler("sddim", vp, field, grid, x_T.copy(), eta=1.0, seed=seed).states
     before = x_T.copy()
     x_T.setflags(write=False)
-    assert _same_bits(_execute("em", plan, field, x_T, s=s, seed=seed)[0], want_em)
+    assert _same_bits(_execute("em", plan, field, x_T, seed=seed)[0], want_em)
     got = run_sampler("sddim", vp, field, grid, x_T, eta=1.0, seed=seed).states
     assert _same_bits(got, want_sddim)
     assert _same_bits(x_T, before)
@@ -607,9 +607,9 @@ def test_a_failed_stochastic_run_leaves_no_worker_behind(vp, gauss_oracle, n, mo
         run_sampler("sddim", vp, blowup, grid, x, eta=1.0, seed=0)
     assert str(err.value) == f"sddim diverged stepping into node {i - 1} (t={grid.times[i - 1]})"
     assert threading.active_count() == before
-    plan, s = _em_plan(vp, 1.0, 1e-3, 1e-3)
+    plan = _em_plan(vp, 1.0, 1e-3, 1e-3)
     with pytest.raises(ParameterError) as err:
-        _execute("em", plan, field, x, s=s, seed=None, nan_diverged=True)
+        _execute("em", plan, field, x, seed=None, nan_diverged=True)
     assert str(err.value) == "seed and stream must be integers in [0, 2**64), got None, 1"
     assert threading.active_count() == before
 
@@ -643,7 +643,7 @@ def test_the_noise_worker_runs_only_where_it_can_pay(vp, gauss_oracle, monkeypat
 def test_em_fills_the_field_memo_as_misses_would(preset, t0, request, monkeypatch):
     spec = request.getfixturevalue(preset)
     gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
-    times = _em_plan(spec, 0.0, 1e-3, t0)[0].eval_times.ravel().tolist()
+    times = _em_plan(spec, 0.0, 1e-3, t0).eval_times.ravel().tolist()
     filled, missed = EpsilonField(gmm, spec), EpsilonField(gmm, spec)
     held = filled._marginal(times[5])
     em_terminal_batch(spec, filled, 0.5, 1e-3, t0, 0, 4)
@@ -1166,6 +1166,6 @@ def test_em_vector_state_shape_and_independence(vp, gauss_oracle):
     assert np.all(np.isfinite(out))
     # lam=0 is deterministic, so each trajectory matches its scalar run
     vec = em_terminal_batch(vp, field, 0.0, 1e-3, 1e-3, 21, 2)
-    plan, _ = _em_plan(vp, 0.0, 1e-3, 1e-3)
+    plan = _em_plan(vp, 0.0, 1e-3, 1e-3)
     for k, x in enumerate(draw_terminal_states(vp, 21, 2)):
         assert vec[k] == _execute("em", plan, field, np.asarray(x))[0]

@@ -27,12 +27,15 @@ from diffint.samplers import (
     _ddim_coeffs,
     _ddim_plan,
     _ei_score_plan,
+    _em_plan,
     _euler_plan,
     _ipndm_plan,
     _rho_ab_plan,
     _rho_rk_plan,
     _sddim_coeffs,
     _sddim_plan,
+    _SAMPLERS,
+    SAMPLER_NAMES,
 )
 from diffint.timegrid import TimeGrid
 
@@ -639,27 +642,58 @@ def test_array_plans_equal_per_step_formulas(preset, schedule, request):
                 a, rows, _ = expected[name]
                 assert plan.psi.tobytes() == a.tobytes()
                 assert [row.tobytes() for row in plan.c] == [row.tobytes() for row in rows]
-            plan, s = _sddim_plan(spec, grid, 0.6)
-            a, rows, s_ref = expected["sddim"]
+            plan = _sddim_plan(spec, grid, 0.6)
+            a, rows, s = expected["sddim"]
             assert plan.psi.tobytes() == a.tobytes()
             assert [row.tobytes() for row in plan.c] == [row.tobytes() for row in rows]
-            assert s.tobytes() == s_ref.tobytes()
+            assert plan.noise.tobytes() == s.tobytes()
 
 
-def test_plan_row_sizes(vp):
-    grid = uniform(1e-3, 1.0, 7)
-    n = grid.n_steps
-    plans = [(0, _euler_plan(vp, grid)), (0, _ei_score_plan(vp, grid)),
-             (0, _ddim_plan(vp, grid)), (0, _sddim_plan(vp, grid, 0.5)[0])]
-    plans += [(r, build(vp, grid, r)) for r in range(4)
-              for build in (tab_weights, _rho_ab_plan, _ipndm_plan)]
-    for r, plan in plans:
-        assert [row.size for row in plan.c] == [min(r, n - i) + 1 for i in range(1, n + 1)]
-    # stage rows, most recent evaluation first, lose their trailing zeros
-    stage_sizes = {"midpoint": [1, 1], "heun2": [1, 2], "kutta3": [1, 2, 3], "rk4": [1, 1, 1, 4]}
-    for method, sizes in stage_sizes.items():
-        plan = _rho_rk_plan(vp, grid, method)[0]
-        assert [row.size for row in plan.c] == sizes * n
+def test_plan_row_sizes(vp, ve):
+    # every builder's rows have their sizes, and its psi and rows are finite
+    for spec, t0 in ((vp, 1e-3), (ve, 1e-5)):
+        grid = uniform(t0, 1.0, 7)
+        n = grid.n_steps
+        plans = [(0, _euler_plan(spec, grid)), (0, _ei_score_plan(spec, grid)),
+                 (0, _ddim_plan(spec, grid)), (0, _sddim_plan(spec, grid, 0.5)),
+                 (0, _em_plan(spec, 1.0, 1e-3, t0))]
+        plans += [(r, build(spec, grid, r)) for r in range(4)
+                  for build in (tab_weights, _rho_ab_plan, _ipndm_plan)]
+        for r, plan in plans:
+            steps = plan.times.size - 1
+            assert [row.size for row in plan.c] == [min(r, steps - i) + 1
+                                                    for i in range(1, steps + 1)]
+        # stage rows, most recent evaluation first, lose their trailing zeros
+        stage_sizes = {"midpoint": [1, 1], "heun2": [1, 2], "kutta3": [1, 2, 3],
+                       "rk4": [1, 1, 1, 4]}
+        for method, sizes in stage_sizes.items():
+            plan = _rho_rk_plan(spec, grid, method)
+            assert [row.size for row in plan.c] == sizes * n
+            plans.append((None, plan))
+        for _, plan in plans:
+            assert np.isfinite(plan.psi).all() and all(np.isfinite(row).all() for row in plan.c)
+            assert plan.noise is None or np.isfinite(plan.noise).all()
+    # each run reports its plan's order and notes: ipndm notes a non-uniform
+    # grid, and t(rho) moved down by 0.02 clamps rho_* stage times to t0
+    shifted = dataclasses.replace(
+        vp, t_of_rho_closed=lambda rho: vp.t_of_rho_closed(rho) - 0.02
+    )
+    orders = {"ddim": 0, "tab": 2, "rho_ab": 2, "ipndm": 2}
+    noted = {}
+    for spec in (vp, shifted):
+        for schedule in (uniform, quadratic):
+            grid = schedule(1e-3, 1.0, 7)
+            for name in SAMPLER_NAMES:
+                plan = _SAMPLERS[name][0](spec, grid, 2, 0.5)
+                run = run_sampler(name, spec, lambda x, t: np.zeros_like(x), grid, 1.0,
+                                  order=2, eta=0.5, seed=0)
+                assert run.order == plan.order == orders.get(name)
+                assert run.notes == plan.notes
+                if run.notes:
+                    noted.setdefault(name, set()).add((spec is shifted, schedule.__name__))
+    clamped = {(True, "quadratic")}
+    assert noted == {"ipndm": {(False, "quadratic"), (True, "quadratic")},
+                     "rho_mid": clamped, "rho_kutta3": clamped, "rho_rk4": clamped}
 
 
 def test_rho_rk_inverts_all_stage_times_in_one_call(vp, gauss_oracle, monkeypatch):
