@@ -312,7 +312,7 @@ def _ei_score_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
 
 
 def _ddim_plan(spec: DiffusionSpec, grid: TimeGrid) -> WeightTable:
-    return _zero_order_plan(grid, *_ddim_coeffs(spec, grid.times[1:], grid.times[:-1]), 0)
+    return _zero_order_plan(grid, *_ddim_coeffs(spec, grid.times[1:], grid.times[:-1]), order=0)
 
 
 def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
