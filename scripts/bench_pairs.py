@@ -21,7 +21,8 @@ change wins (better by the metric's direction), the median change, and
 the median change in the worse direction read against the metric's
 ``bound`` (``worse_frac``, ``within_bound``);
 ``setup_samples_s`` keeps each run's set-up probes, whose median is its
-``setup_s``.
+``setup_s``.  After the per-run lines the script prints a closing
+summary, one line per series and metric (:func:`summary_lines`).
 ``--trace`` adds one traced run per tree and workload (seed 0).  It keeps
 each side's cost counters and their ``counters_sha256``, names the
 counters that differ, and sets ``work_equal`` when no counter differs but
@@ -128,6 +129,22 @@ def summarise(base_runs, change_runs, metrics):
     return out
 
 
+def summary_lines(series) -> list:
+    """The closing summary of the ``series`` of a report, one line per
+    series and metric: each side's median, ``median_change_frac``, the
+    pairs the change wins, the base's interquartile range and
+    ``within_bound``."""
+    lines = []
+    for one in series:
+        for name, m in one["metrics"].items():
+            lines.append(
+                f"{one['workload']} seed {one['seed']} {name} ({m['unit']}, {m['better']} "
+                f"is better): base {m['base']['median']:.4g} change {m['change']['median']:.4g} "
+                f"({m['median_change_frac']:+.1%}), wins {m['wins']}/{m['pairs']}, "
+                f"base IQR {m['base']['iqr']:.3g}, within_bound {m['within_bound']}")
+    return lines
+
+
 # counters that measure the digits of the results, not the work done
 NOT_WORK = {"harness.render.bytes"}
 
@@ -219,6 +236,8 @@ def main(argv=None) -> int:
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     path = ROOT / f"BENCH_{args.slug}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    for line in summary_lines(report["series"]):
+        print(line, file=sys.stderr)
     print(path)
     return 0
 

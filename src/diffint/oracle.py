@@ -22,24 +22,28 @@ Conventions:
   log w_k - 0.5 log(2 pi var_k) directly (``_marginals``, at one time
   or many, with the bits of the one-time formula at each) instead of
   building a :class:`GaussianMixture`.  Every mixture evaluation runs
-  the same plain-numpy log terms (``_log_terms``), a shifted softmax:
-  with a_k the log terms and a_max their max, the weights are
-  exp(a_k - a_max) / sum_j exp(a_j - a_max) and the log density is
-  a_max + log(sum_j exp(a_j - a_max)).  So the field has the bits of
+  one plain-numpy score routine (``_score_half``): the log terms, a
+  shifted softmax (with a_k the log terms and a_max their max, the
+  weights are exp(a_k - a_max) / sum_j exp(a_j - a_max) and the log
+  density is a_max + log(sum_j exp(a_j - a_max))) and the score half of
+  the pair code of :meth:`GaussianMixture.score_dx`, which leaves the
+  score times -1.  So the field has the bits of
   ``marginal_at(gmm, spec, t).score(x)``, and against a 50-digit
   reference the score, the field and the log density are within 1e-13
   and the score's x-derivative within 1e-12, relative to max(1, |value|)
   (measured up to 3.4e-15 and 4.9e-14).  A one-component mixture has
   weight exactly 1, so its score has the bits of -(x - m) / var.  The
-  field and the mixture's methods run them through one kernel
-  (``_kernel``), which works on ``x.reshape(-1)`` in blocks of at most
-  8192 states (``_BLOCK``), in place in a per-thread scratch buffer that
-  outlives the call, so a call allocates only its output.  Each
-  ``pf_loglik`` stage runs the same log terms and the score half of the
-  pair code of :meth:`GaussianMixture.score_dx` (``_score_half``)
-  directly, and a later pass its derivative half (``_dx_half``), in
-  buffers of its own.  Either way each state gets the bits of a call on
-  it alone.
+  routine works on per-component row views built once, not per call,
+  and takes the max and the sums over the components as chains of binary
+  ``np.maximum`` and ``np.add`` calls in the order k = 0, 1, ..., with no
+  reduce over an axis.  The field and the mixture's methods run it
+  through one kernel (``_kernel``), which works on ``x.reshape(-1)`` in
+  blocks of at most 8192 states (``_BLOCK``), in place in a per-thread
+  scratch buffer that outlives the call and keeps its views (``_rows``),
+  so a call allocates only its output.  Each ``pf_loglik`` stage runs
+  the routine directly, in rows of its own, and a later pass the
+  derivative half of the pair code (``_dx_half``).  Either way each
+  state gets the bits of a call on it alone.
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
   full).  A hit has the bits of a miss; a time whose marginal variance
@@ -99,23 +103,23 @@ __all__ = [
 _VARIANCE_FLOOR = 1e-300
 
 
-# Widest run of states the mixture kernel works on at once.  Its
-# (3K + 1, block) temporaries live in a per-thread scratch buffer
-# (``_scratch``) that is reused in place from block to block and from
-# call to call, so a call allocates only its output.  Measured with
-# K = 2 on a shared 2-vCPU machine: a field call on 8192 states fell
-# from 159 to 113 us and on 50000 from 2800 to 880 us, and a 50000-wide
-# lambda = 0 ``samplers.em_terminal_batch``, 999 field calls, from 505k
-# minor page faults to under 800.  Blocks of 4096 made a field call on
-# 8192 states about 40% slower.
+# Widest run of states the score routine works on at once.  Its
+# (3K + 2, block) rows live in a per-thread scratch buffer (``_scratch``)
+# that is reused in place from block to block and from call to call, so
+# a call allocates only its output.  Measured with K = 2 on a shared
+# 2-vCPU machine: a field call on 8192 states fell from 159 to 113 us and
+# on 50000 from 2800 to 880 us, and a 50000-wide lambda = 0
+# ``samplers.em_terminal_batch``, 999 field calls, from 505k minor page
+# faults to under 800.  Blocks of 4096 made a field call on 8192 states
+# about 40% slower.
 _BLOCK = 8192
 
 # The scratch outlives the call because a fresh (5, 8192) buffer next to
 # a fresh 50000-wide output still made the allocator hand the heap back
 # to the OS after every field call of an EM run (146k minor faults per
-# 999 calls).  Each
-# block writes every element it reads, so no value carries between
-# calls; one buffer per thread keeps shared fields thread-safe.
+# 999 calls).  Each block writes every element it reads, so no value
+# carries between calls; one buffer per thread keeps shared fields
+# thread-safe.
 _scratch = threading.local()
 
 
@@ -127,49 +131,156 @@ def _scalars(values):
     return [arr[i, ...] for i in range(arr.size)]
 
 
+# The identities of the score routine's chains over the components,
+# max(a, -inf) = a and a + (-0.0) = a bit for bit (nan and -0.0 included),
+# which pair a one-component mixture's one row in place of a second; and
+# the routine's factor 0.5.
+_NO_MAX, _NO_SUM, _HALF = _scalars((-np.inf, -0.0, 0.5))
+
+
 def _bias(weights, var):
     """log w_k - 0.5 log(2 pi var_k), the x-free part of each component's
     log term."""
     return np.log(weights) - 0.5 * np.log(2 * np.pi * var)
 
 
+def _row_views(dev, e, eu, a_max, total):
+    """The rows :func:`_score_half` works in, for m states of a K-component
+    mixture: dev, e and eu, (K, m) each, a_max and total, (m,) each, and
+    the operands of its chains over the components, built once here so
+    that a call makes no view.  Each chain is one binary ufunc call per
+    component, in the order k = 0, 1, ...: it starts from the pair of rows
+    0 and 1 (row 0 and the chain's identity, ``_NO_MAX`` or ``_NO_SUM``,
+    when K = 1) and goes on with rows 2, 3, ...  Returns (dev, e, eu,
+    a_max, total, a pair, e pair, eu pair, rest of e, rest of eu)."""
+    e_k, eu_k = list(e), list(eu)
+    return (dev, e, eu, a_max, total, tuple(e_k + [_NO_MAX])[:2],
+            tuple(e_k + [_NO_SUM])[:2], tuple(eu_k + [_NO_SUM])[:2], e_k[2:], eu_k[2:])
+
+
 def _rows_of(buf, k: int, m: int):
-    """The working rows of the mixture kernel for m states of a k-component
-    mixture, as views of the front of ``buf`` ((3k + 1) m floats or more):
-    (dev, e, a_max, eu), with a_max (m,) and the others (k, m)."""
-    work = buf[: (3 * k + 1) * m].reshape(3 * k + 1, m)
-    return work[:k], work[k : 2 * k], work[-1], work[2 * k : -1]
+    """:func:`_row_views` for m states of a k-component mixture, cut from
+    the front of ``buf`` ((3k + 2) m floats or more)."""
+    work = buf[: (3 * k + 2) * m].reshape(3 * k + 2, m)
+    return _row_views(work[:k], work[k : 2 * k], work[2 * k : 3 * k], work[-2], work[-1])
 
 
 def _rows(k: int, m: int):
     """This thread's scratch, cut by :func:`_rows_of` for one block of m
-    states.  The buffer grows to the largest block asked for, and the views of the
-    last (k, m) are kept, which saves slicing them again on a run of calls
-    of one width."""
+    states.  The buffer grows to the largest block asked for.  The views
+    of the last (k, m), row and chain views alike, are kept and built anew
+    only when (k, m) changes, which is also the only time the buffer can
+    grow; so a run of calls of one width makes no view, and a 50000-state
+    call, whose last block has 848 states, builds them twice."""
     rows = getattr(_scratch, "rows", None)
     if rows is None or rows[0] != (k, m):
         buf = getattr(_scratch, "buf", None)
-        if buf is None or buf.size < (3 * k + 1) * m:
-            buf = _scratch.buf = np.empty((3 * k + 1) * m)
+        if buf is None or buf.size < (3 * k + 2) * m:
+            buf = _scratch.buf = np.empty((3 * k + 2) * m)
         rows = _scratch.rows = ((k, m), _rows_of(buf, k, m))
     return rows[1]
+
+
+def _score_half(x, means, var, bias, rows, q):
+    """The one score routine: the score half of the pair code at the
+    states x, (m,), of the mixture with (K, 1) columns (means, var, bias)
+    or (K, m) ones, working in ``rows`` (:func:`_row_views`).
+
+    It forms the log terms a_k = bias_k - 0.5 dev_k^2 / var_k, with
+    dev_k = x - m_k; their max a_max; e_k = exp(a_k - a_max), which lies
+    in [0, 1] with e_k = 1 at the max; the weight total sum_k e_k; and
+    q = sum_k e_k dev_k / var_k / sum_k e_k, minus the score, into q.  It
+    leaves dev_k / var_k in the rows' dev, e_k in e, e_k dev_k / var_k in
+    eu, and a_max and the total in theirs, as :func:`_dx_half` and
+    :func:`_logpdf_block` take them.  The max and the sums run over
+    k = 0, 1, ... one binary ufunc call at a time on the rows' cached
+    views, so a state gets the same bits alone and inside an array (numpy
+    reduces eight or more terms of a 1-d array pairwise), and no view is
+    made.  Where x is infinite, or |x - m_k| so large that its square
+    overflows, a_k is -inf; where x is nan, a_k is nan; either way e and q
+    are nan.  Callers hold numpy's over and invalid flags quiet."""
+    dev, e, eu, a_max, total, a_pair, e_pair, eu_pair, e_rest, eu_rest = rows
+    # the third argument of a ufunc is its output (numpy wants out= for
+    # np.maximum)
+    np.subtract(x, means, dev)
+    np.square(dev, e)
+    e *= _HALF
+    e /= var
+    np.subtract(bias, e, e)
+    np.maximum(*a_pair, out=a_max)
+    for row in e_rest:
+        np.maximum(a_max, row, out=a_max)
+    e -= a_max
+    np.exp(e, e)
+    dev /= var
+    np.multiply(e, dev, eu)
+    np.add(*e_pair, total)
+    for row in e_rest:
+        np.add(total, row, total)
+    np.add(*eu_pair, q)
+    for row in eu_rest:
+        np.add(q, row, q)
+    q /= total
+
+
+def _dx_half(dev, e, total, q, inv_var, out):
+    """The derivative half of the pair code: the score's x-derivative,
+    from the dev, e and total rows and the q that :func:`_score_half`
+    left, into out, with ``inv_var`` = 1.0 / var; overwrites dev.  It is
+    taken as the posterior mean of (u_k - s)^2 - 1 / var_k, with
+    u_k = -dev_k / var_k the component scores and s = -q, rather than as
+    E[u^2 - 1 / var] - s^2, which cancels.  The rows may hold many stages
+    at once, (k, n, m) against (n, m) q and (k, n, 1) ``inv_var``.  The
+    sum over the components runs one term after another, as in
+    :func:`_score_half`."""
+    dev -= q
+    np.square(dev, dev)
+    dev -= inv_var
+    np.multiply(e, dev, dev)
+    np.copyto(out, dev[0])
+    for row in dev[1:]:
+        out += row
+    out /= total
+
+
+def _pair_block(rows, out, inv_var):
+    """The score's x-derivative into out[1], by :func:`_dx_half` from the
+    rows and the q in out[0] that :func:`_score_half` left, with
+    ``inv_var`` = 1.0 / var.  This is the pair code of
+    :meth:`GaussianMixture.score_dx`; :func:`pf_loglik` runs its two
+    halves apart."""
+    _dx_half(rows[0], rows[1], rows[4], out[0], inv_var, out[1])
+
+
+def _logpdf_block(rows, out):
+    """log sum_k exp(a_k) = a_max + log(sum_k e_k), from the rows that
+    :func:`_score_half` left, into out[0]; a_max where a_max is
+    infinite."""
+    a_max, log = rows[3], out[0]
+    np.log(rows[4], log)
+    np.add(a_max, log, log)
+    np.copyto(log, a_max, where=np.isinf(a_max))
 
 
 # numpy 2 keeps the decorator's state per call, so it is thread-safe, and
 # entering it costs about half of a ``with np.errstate`` block
 @np.errstate(over="ignore", invalid="ignore")
-def _kernel(block_fn, n_out, x, means, var, bias, *args):
-    """Run the mixture kernel on x, in blocks of at most ``_BLOCK`` states.
+def _kernel(x, means, var, bias, scale, finish=None, n_out=1, *args):
+    """Run the score routine on x, in blocks of at most ``_BLOCK`` states.
 
     ``means``, ``var`` and ``bias`` (from :func:`_bias`) are (K, 1)
-    columns.  For each block of ``x.reshape(-1)``, :func:`_log_terms`
-    fills the block's :func:`_rows`, and ``block_fn(rows, var, out,
-    *args)`` writes the block's columns of the (n_out, x.size) output and
-    may overwrite the rows.  Returns the output as an (n_out,) + x.shape
-    array.  Where x is infinite, or |x - m_k| so large that its square
-    overflows, a_k is -inf; where x is nan, a_k is nan; neither warns.
-    Every step is elementwise in x or a sum over the components in a
-    fixed order, so each state gets the bits of a call on it alone.
+    columns.  For each block of ``x.reshape(-1)``, :func:`_score_half`
+    writes q into the block's columns of the first row of the
+    (n_out, x.size) output, in the block's :func:`_rows`; then
+    ``finish(rows, out, *args)``, when given, writes the block's columns
+    from them, and ``scale`` multiplies the first row.  So with
+    ``finish`` None and ``scale`` -1.0 the output is the score, as
+    (sum / sum) * -1.0, and with ``scale`` L(t) it is the field
+    -L(t) * score: negation is exact.  A ``finish`` that writes the first
+    row itself takes ``scale`` 1.0, which keeps its bits.  Returns the
+    output as an (n_out,) + x.shape array.  Every step is elementwise in
+    x or a sum over the components in a fixed order, so each state gets
+    the bits of a call on it alone.
     """
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
@@ -177,130 +288,17 @@ def _kernel(block_fn, n_out, x, means, var, bias, *args):
     out = np.empty((n_out, n))
     for lo in range(0, n, _BLOCK):
         xb, ob = flat[lo : lo + _BLOCK], out[:, lo : lo + _BLOCK]
-        rows = _rows(k, xb.size)
-        _log_terms(xb, means, var, bias, rows)
-        block_fn(rows, var, ob, *args)
+        rows, q = _rows(k, xb.size), ob[0]
+        _score_half(xb, means, var, bias, rows, q)
+        if finish is not None:
+            finish(rows, ob, *args)
+        q *= scale
     return out.reshape((n_out,) + x.shape)
-
-
-def _log_terms(xb, means, var, bias, rows):
-    """The log terms a_k = bias_k - 0.5 dev_k^2 / var_k of the states xb,
-    with dev_k = xb - m_k, shifted by :func:`_shift`: dev_k into the rows'
-    dev, e_k into e and a_max into a_max.  Callers hold numpy's over and
-    invalid flags quiet."""
-    dev, a, a_max, _ = rows
-    # the third argument of a ufunc is its output
-    np.subtract(xb, means, dev)
-    np.square(dev, a)
-    a *= 0.5
-    a /= var
-    np.subtract(bias, a, a)
-    _shift(a, a_max)
-
-
-def _shift(a, out=None):
-    """Shift the log terms a in place: returns their max a_max over axis 0
-    (into ``out``) and a, now holding e_k = exp(a_k - a_max), which lies
-    in [0, 1] with e_k = 1 at the max.  The posterior weights are
-    e / sum(e).  Where a_max is infinite or nan, e is nan (with numpy's
-    invalid flag); the callers decide what that means."""
-    a_max = np.maximum.reduce(a, axis=0, out=out)
-    a -= a_max
-    np.exp(a, a)
-    return a_max, a
-
-
-def _sum_k(terms, out):
-    """Sum over the components (axis 0) into ``out``, one after another,
-    so that a state gets the same bits alone and inside an array; numpy
-    adds eight or more terms of a 1-d array pairwise."""
-    if len(terms) == 1:
-        out[...] = terms[0]
-        return out
-    np.add(terms[0], terms[1], out)
-    for k in range(2, len(terms)):
-        out += terms[k]
-    return out
-
-
-def _log_sum(a_max, e, out):
-    """log sum_k exp(a_k) from :func:`_shift`'s (a_max, e), into ``out``;
-    a_max where a_max is infinite."""
-    _sum_k(e, out)
-    np.log(out, out)
-    np.add(a_max, out, out)
-    np.copyto(out, a_max, where=np.isinf(a_max))
-    return out
-
-
-def _score_block(rows, var, out, factor):
-    """factor times the score -sum_k e_k dev_k / var_k / sum_k e_k, into
-    out[0].  It is formed as (sum / sum) * -factor: negation is exact, so
-    every non-nan value has the bits of factor * (-sum / sum)."""
-    dev, e, a_max, _ = rows
-    s = out[0]
-    dev /= var
-    np.multiply(e, dev, dev)
-    _sum_k(dev, s)
-    s /= _sum_k(e, a_max)
-    s *= -factor
-
-
-def _score_half(rows, var, q):
-    """The score half of the pair code: q = sum_k e_k dev_k / var_k /
-    sum_k e_k, minus the score, into q, leaving dev_k / var_k in the rows'
-    dev and the weight total sum_k e_k in a_max, as :func:`_dx_half`
-    takes them."""
-    dev, e, total, eu = rows
-    dev /= var
-    _sum_k(e, total)
-    np.multiply(e, dev, eu)
-    _sum_k(eu, q)
-    q /= total
-
-
-def _dx_half(rows, q, inv_var, out):
-    """The derivative half of the pair code: the score's x-derivative,
-    from the rows and q that :func:`_score_half` left, into out, with
-    ``inv_var`` = 1.0 / var; overwrites the rows' dev.  It is taken as the
-    posterior mean of (u_k - s)^2 - 1 / var_k, with u_k = -dev_k / var_k
-    the component scores and s = -q, rather than as E[u^2 - 1 / var] - s^2,
-    which cancels.  The rows may hold many stages at once, (k, n, m)
-    against (n, m) q and (k, n, 1) ``inv_var``."""
-    dev, e, total, _ = rows
-    dev -= q
-    np.square(dev, dev)
-    dev -= inv_var
-    np.multiply(e, dev, dev)
-    _sum_k(dev, out)
-    out /= total
-
-
-def _pair_block(rows, var, out, inv_var):
-    """The score s and its x-derivative s_dx into out[0] and out[1], from
-    one set of weights, with ``inv_var`` = 1.0 / var: :func:`_score_half`,
-    then :func:`_dx_half`.  This is the pair code of
-    :meth:`GaussianMixture.score_dx`; :func:`pf_loglik` runs its two
-    halves apart.  Negation is exact, so s = -q has the bits of
-    (-sum) / total."""
-    _score_half(rows, var, out[0])
-    _dx_half(rows, out[0], inv_var, out[1])
-    np.negative(out[0], out[0])
-
-
-def _logpdf_block(rows, var, out):
-    _log_sum(rows[2], rows[1], out[0])
-
-
-def _score(x, means, var, bias, factor=1.0):
-    """factor times the score of the mixture with (K, 1) columns (means,
-    var, bias) at x."""
-    return _kernel(_score_block, 1, x, means, var, bias, factor)[0]
 
 
 def _score_pair(x, means, var, bias):
     """Score s of the mixture and its x-derivative (see :func:`_pair_block`)."""
-    pair = _kernel(_pair_block, 2, x, means, var, bias, 1.0 / var)
+    pair = _kernel(x, means, var, bias, -1.0, _pair_block, 2, 1.0 / var)
     return pair[0], pair[1]
 
 
@@ -338,11 +336,11 @@ class GaussianMixture:
 
     def logpdf(self, x):
         """Log density; -inf where every component's term is -inf."""
-        return _kernel(_logpdf_block, 1, x, *self._kernel_args())[0]
+        return _kernel(x, *self._kernel_args(), 1.0, _logpdf_block)[0]
 
     def score(self, x):
         """Gradient of the log density."""
-        return _score(x, *self._kernel_args())
+        return _kernel(x, *self._kernel_args(), -1.0)[0]
 
     def score_dx(self, x):
         """Derivative of the score (exact divergence in the scalar case)."""
@@ -474,11 +472,11 @@ class EpsilonField:
 
     def __call__(self, x, t: float):
         l_t, means, var, bias = self._marginal(t)
-        return _score(x, means, var, bias, -l_t)
+        return _kernel(x, means, var, bias, l_t)[0]
 
     def score(self, x, t: float):
         """Exact score of the time-t marginal, evaluated elementwise."""
-        return _score(x, *self._marginal(t)[1:])
+        return _kernel(x, *self._marginal(t)[1:], -1.0)[0]
 
 
 def _steps(t_from: float, t_to: float, dt: float):
@@ -694,12 +692,13 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
 
     An array ``x0`` holds independent points, which are integrated
     together and give the same bits as one call per point, since every
-    step of the mixture kernel is elementwise in x or a sum over the
+    step of the score routine is elementwise in x or a sum over the
     components in one fixed order.  The divergence never feeds back into
     x, so :func:`_rk4` steps the state alone, (x0.size,), one
     :func:`_stage_windows` window at a time, with the right side of
-    :func:`_loglik_stages`: the log terms and the score half of the pair
-    code, whose per-stage values it records.  A vectorised pass then
+    :func:`_loglik_stages`: the score routine (:func:`_score_half`, the
+    log terms and the score half of the pair code), whose per-stage
+    values it records.  A vectorised pass then
     finishes s_dx from the records with the derivative half, and after
     each chunk of steps (:func:`_loglik_chunk`) the RK4 increments of
     f - c s_dx, formed in :func:`_rk4`'s expression order, are added to
@@ -789,15 +788,17 @@ class _StageRecords:
     ``q``, (slots, m) each.  The pass writes f - c s_dx of the chunk's
     stages into ``slopes``, (4 steps, m), and the carry the divergence
     after each step into ``inc``, (steps, m).  ``slots`` holds each
-    record's (rows, q) as the state's right side writes them, with the
-    rows' fourth entry, e_k dev_k, and ``fx`` shared scratch."""
+    record's (rows, q) as :func:`_score_half` takes them: the rows are
+    :func:`_row_views` of the record, built once per call with their
+    chains' views, and share their e_k dev_k / var_k and a_max rows, and
+    ``fx``, as scratch."""
 
     def __init__(self, k: int, m: int, steps: int, slots: int):
         self.dev, self.e = np.empty((2, slots, k, m))
         self.total, self.q = np.empty((2, slots, m))
         self.slopes, self.inc = np.empty((4 * steps, m)), np.empty((steps, m))
-        self.fx, eu = np.empty(m), np.empty((k, m))
-        self.slots = [((self.dev[i], self.e[i], self.total[i], eu), self.q[i])
+        self.fx, a_max, eu = np.empty(m), np.empty(m), np.empty((k, m))
+        self.slots = [(_row_views(self.dev[i], self.e[i], eu, a_max, self.total[i]), self.q[i])
                       for i in range(slots)]
 
 
@@ -808,8 +809,8 @@ def _loglik_stages(table, records: _StageRecords, div, h, times, first: int):
 
     ``rhs(x, j, out)`` is :func:`_rk4`'s right side for the state alone:
     it writes f x - c s at times[j] into out, with c = g2 / 2 and the
-    score s from :func:`_log_terms` and :func:`_score_half`, in the next
-    free record.  When the records are full it first runs the pass
+    score s from :func:`_score_half`, in the next free record.  When the
+    records are full it first runs the pass
     (:func:`_divergence_slopes`) on them, and when the chunk's slopes
     are complete, ``finish``.  ``finish(step)`` runs the pass on what is
     recorded and carries the chunk's steps before the window's step
@@ -868,8 +869,7 @@ def _loglik_stages(table, records: _StageRecords, div, h, times, first: int):
         rows, q = slots[i]
         i += 1
         # f x + c (-s): c q = -(c s) and a + (-b) = a - b, bit for bit
-        _log_terms(x, means[j], var[j], bias[j], rows)
-        _score_half(rows, var[j], q)
+        _score_half(x, means[j], var[j], bias[j], rows, q)
         np.multiply(q, c[j], out)
         np.multiply(x, f[j], fx)
         out += fx
@@ -886,8 +886,7 @@ def _divergence_slopes(per_stage, records: _StageRecords, lo: int, out):
     dev; callers hold numpy's over and invalid flags quiet."""
     f, c, inv_var = per_stage
     n = len(out)
-    rows = (records.dev[:n].transpose(1, 0, 2), records.e[:n].transpose(1, 0, 2),
-            records.total[:n], None)
-    _dx_half(rows, records.q[:n], inv_var[:, lo : lo + n], out)
+    _dx_half(records.dev[:n].transpose(1, 0, 2), records.e[:n].transpose(1, 0, 2),
+             records.total[:n], records.q[:n], inv_var[:, lo : lo + n], out)
     out *= c[lo : lo + n]
     np.subtract(f[lo : lo + n], out, out)

@@ -107,6 +107,26 @@ def test_summarise_reads_each_median_change_against_its_bound():
     assert at["worse_frac"] == 0.25 and at["within_bound"] is True
 
 
+def test_summary_lines_give_each_series_verdict():
+    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "unbounded", "unit": "s", "better": "lower"}]
+    base = _runs(items_per_s=[50.0, 50.5, 51.0, 52.0], unbounded=[1.0, 1.0, 1.0, 1.0])
+    change = _runs(items_per_s=[58.0, 60.0, 59.0, 49.0], unbounded=[2.0, 2.0, 2.0, 2.0])
+    series = [{"workload": "loglik", "seed": 0,
+               "metrics": bench_pairs.summarise(base, change, metrics)},
+              {"workload": "sweep", "seed": 7919,
+               "metrics": bench_pairs.summarise(change, base, metrics[:1])}]
+    assert bench_pairs.summary_lines(series) == [
+        # medians 50.75 and 58.5, +15.3%; the base quartiles 50.375 and 51.25
+        "loglik seed 0 items_per_s (1/s, higher is better): base 50.75 change 58.5 "
+        "(+15.3%), wins 3/4, base IQR 0.875, within_bound True",
+        "loglik seed 0 unbounded (s, lower is better): base 1 change 2 (+100.0%), "
+        "wins 0/4, base IQR 0, within_bound None",
+        "sweep seed 7919 items_per_s (1/s, higher is better): base 58.5 change 50.75 "
+        "(-13.2%), wins 1/4, base IQR 3.5, within_bound True",
+    ]
+
+
 def test_machine_records_the_usable_cpus():
     got = bench_pairs.machine()
     assert got["cpus"] == os.cpu_count()

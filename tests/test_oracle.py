@@ -218,8 +218,14 @@ def test_logsumexp_matches_scipy_bit_for_bit(k, batch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # scipy's own log(0) at nan
         want = scipy.special.logsumexp(a, axis=0)
+    # the score routine's log terms are a itself at x = m = 0, var = 1 and
+    # bias = a: a - 0.5 * 0**2 / 1 = a, bit for bit
+    m = flat.shape[1]
+    rows, out = oracle._rows(k, m), np.empty((1, m))
     with np.errstate(invalid="ignore"):  # inf - inf, as in the kernel's blocks
-        assert _same_bits(oracle._log_sum(*oracle._shift(a), np.empty(batch))[()], want)
+        oracle._score_half(np.zeros(m), np.zeros((k, 1)), np.ones((k, 1)), flat, rows, out[0])
+        oracle._logpdf_block(rows, out)
+    assert _same_bits(out[0].reshape(batch)[()], want)
 
 
 # K = 1, 2 and 3 components, and a tie: two equal components
@@ -279,12 +285,12 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
         # the pair code of score_dx and of each pf_loglik stage, run as a
         # stage runs it: in rows of its own, under the solve's errstate
         k = len(means)
-        rows = oracle._rows_of(np.empty((3 * k + 1) * x.size), k, x.size)
+        rows = oracle._rows_of(np.empty((3 * k + 2) * x.size), k, x.size)
         pair = np.empty((2, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
-            oracle._log_terms(x, means, var, bias, rows)
-            oracle._pair_block(rows, var, pair, 1.0 / var)
-        assert _rel_error(pair[0], s) < 1e-13
+            oracle._score_half(x, means, var, bias, rows, pair[0])
+            oracle._pair_block(rows, pair, 1.0 / var)
+        assert _rel_error(-pair[0], s) < 1e-13
         assert _rel_error(pair[1], s_dx) < 1e-12
 
 
@@ -370,6 +376,152 @@ def test_blocks_give_the_bits_of_slices_across_each_edge(shape, vp):
         for edge in edges:
             part = slice(max(0, edge - 3), edge + 3)
             assert _same_bits(whole[part], fn(flat[part]))
+
+
+# K = 1, 2, 3 and 5 components; no other test takes K = 5
+PLAIN_MIXTURES = {
+    1: ([1.0], [0.5], [0.25]),
+    2: ([0.3, 0.7], [1.0, -0.5], [0.2, 0.4]),
+    3: ([0.3, 0.5, 0.2], [1.0, -0.5, 0.1], [0.2, 0.4, 0.05]),
+    5: ([0.1, 0.3, 0.2, 0.25, 0.15], [-2.0, -0.5, 0.0, 0.7, 1.5], [0.3, 0.2, 0.5, 0.1, 0.4]),
+}
+# every log term is -inf at +-inf and where (x - m)**2 overflows, nan at nan
+PLAIN_SPECIAL = [np.inf, -np.inf, np.nan, 1e155, -1e155]
+
+
+def _plain(x, means, var, bias):
+    """What the score routine gives at the 1-d states x for the mixture
+    with (K, 1) columns (means, var, bias), by plain numpy in the order its
+    docstrings give, one component after another: q (minus the score),
+    the score's x-derivative and the log density."""
+    k = len(means)
+    with np.errstate(all="ignore"):
+        dev = [x - means[i] for i in range(k)]
+        a = [bias[i] - dev[i] * dev[i] * 0.5 / var[i] for i in range(k)]
+        a_max = a[0]
+        for i in range(1, k):
+            a_max = np.maximum(a_max, a[i])
+        e = [np.exp(a[i] - a_max) for i in range(k)]
+        u = [dev[i] / var[i] for i in range(k)]
+        total, q = e[0], e[0] * u[0]
+        for i in range(1, k):
+            total = total + e[i]
+            q = q + e[i] * u[i]
+        q = q / total
+        d = [e[i] * ((u[i] - q) * (u[i] - q) - 1.0 / var[i]) for i in range(k)]
+        s_dx = d[0]
+        for i in range(1, k):
+            s_dx = s_dx + d[i]
+        s_dx = s_dx / total
+        logpdf = np.where(np.isinf(a_max), a_max, a_max + np.log(total))
+    return q, s_dx, logpdf
+
+
+def _plain_states(shape, means, rng):
+    """States of ``shape`` for the plain-numpy test: for shape (), one
+    state of each kind in turn; otherwise one array with the special values
+    and each component mean at its start, and again at the end."""
+    kinds = PLAIN_SPECIAL + [float(m) for m in means.ravel()] + [0.3]
+    if shape == ():
+        return [np.float64(v) for v in kinds]
+    x = rng.normal(0.0, 2.0, shape)
+    flat = x.reshape(-1)
+    size = min(len(kinds), flat.size)
+    flat[:size] = kinds[:size]
+    flat[flat.size - size :] = kinds[-size:]
+    return [x]
+
+
+def _plain_check(fns, x, columns, scale=1.0):
+    """Each of fns (field, score, score_dx, logpdf; None to skip) at x has
+    the bits of :func:`_plain` on these columns, the field and score as q
+    times their scale, shaped as x, a numpy scalar for a 0-d x."""
+    q, s_dx, logpdf = (np.reshape(v, np.shape(x))[()]
+                       for v in _plain(np.reshape(x, -1), *columns))
+    for fn, want in zip(fns, (q * scale, q * -1.0, s_dx, logpdf)):
+        if fn is not None:
+            assert _same_bits(fn(x), want)
+
+
+@pytest.mark.parametrize("k", sorted(PLAIN_MIXTURES))
+@pytest.mark.parametrize("shape", [(), (7,), (2, 3), (oracle._BLOCK + 1,)], ids=str)
+def test_score_routine_matches_plain_numpy(k, shape, vp):
+    gmm = GaussianMixture(*PLAIN_MIXTURES[k])
+    t = 0.37
+    field = EpsilonField(gmm, vp)
+    pushed = marginal_at(gmm, vp, t)
+    l_t, *columns = field._marginal(t)
+    rng = np.random.default_rng(k)
+    for x in _plain_states(shape, columns[0], rng):
+        _plain_check((lambda v: field(v, t), lambda v: field.score(v, t), None, None),
+                     x, columns, l_t)
+    for x in _plain_states(shape, pushed.means, rng):
+        _plain_check((None, pushed.score, pushed.score_dx, pushed.logpdf), x,
+                     pushed._kernel_args())
+
+
+def _in_thread(fn):
+    """fn() run in a new thread, whose scratch starts empty."""
+    got = []
+    th = threading.Thread(target=lambda: got.append(fn()))
+    th.start()
+    th.join(timeout=120)
+    assert not th.is_alive() and got
+    return got[0]
+
+
+def test_cached_rows_give_the_bits_of_a_fresh_call(vp):
+    t = 0.37
+    fields = {k: EpsilonField(GaussianMixture(*PLAIN_MIXTURES[k]), vp) for k in (2, 5)}
+    rng = np.random.default_rng(7)
+    # 50000 states end in a block of 848, so each call switches widths
+    xs = {n: rng.normal(0.0, 2.0, n) for n in (1, 64, 848, 50000)}
+    assert 50000 % oracle._BLOCK == 848
+    want = {(k, n): q * fields[k]._marginal(t)[0]
+            for k in fields for n, x in xs.items()
+            for q in [_plain(x, *fields[k]._marginal(t)[1:])[0]]}
+    # widths that alternate, and a buffer that grows: 64 states of K = 2
+    # first, then whole blocks of K = 5, then the small widths again
+    order = [(2, 64), (2, 50000), (2, 64), (5, 50000), (2, 848), (5, 1), (2, 50000),
+             (5, 64), (2, 1), (5, 848)]
+
+    def run():
+        sizes, got = [], []
+        for k, n in order:
+            got.append(fields[k](xs[n], t))
+            sizes.append(oracle._scratch.buf.size)
+        return sizes, got
+
+    sizes, got = _in_thread(run)
+    assert sizes[0] < sizes[1] < sizes[3]
+    for (k, n), g in zip(order, got):
+        assert _same_bits(g, want[k, n]), (k, n)
+    # four threads calling one field at once, each in its own order of
+    # widths; a short switch interval interleaves their blocks
+    field = fields[5]
+    n_threads, runs = 4, 3
+    got = [[] for _ in range(n_threads)]
+    widths = list(xs)
+
+    def work(j):
+        for i in range(runs * len(widths)):
+            n = widths[(i + j) % len(widths)]
+            got[j].append((n, field(xs[n], t)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for j in range(n_threads):
+        assert len(got[j]) == runs * len(widths)
+        assert all(_same_bits(g, want[5, n]) for n, g in got[j])
 
 
 # -- epsilon field ----------------------------------------------------
