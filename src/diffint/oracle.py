@@ -104,7 +104,7 @@ _VARIANCE_FLOOR = 1e-300
 
 
 # Widest run of states the score routine works on at once.  Its
-# (3K + 2, block) rows live in a per-thread scratch buffer (``_scratch``)
+# (2K + 2, block) rows live in a per-thread scratch buffer (``_scratch``)
 # that is reused in place from block to block and from call to call, so
 # a call allocates only its output.  Measured with K = 2 on a shared
 # 2-vCPU machine: a field call on 8192 states fell from 159 to 113 us and
@@ -146,13 +146,14 @@ def _bias(weights, var):
 
 def _row_views(dev, e, eu, a_max, total):
     """The rows :func:`_score_half` works in, for m states of a K-component
-    mixture: dev, e and eu, (K, m) each, a_max and total, (m,) each, and
-    the operands of its chains over the components, built once here so
-    that a call makes no view.  Each chain is one binary ufunc call per
-    component, in the order k = 0, 1, ...: it starts from the pair of rows
-    0 and 1 (row 0 and the chain's identity, ``_NO_MAX`` or ``_NO_SUM``,
-    when K = 1) and goes on with rows 2, 3, ...  Returns (dev, e, eu,
-    a_max, total, a pair, e pair, eu pair, rest of e, rest of eu)."""
+    mixture: dev, e and eu, (K, m) each (eu may be dev itself), a_max and
+    total, (m,) each, and the operands of its chains over the components,
+    built once here so that a call makes no view.  Each chain is one
+    binary ufunc call per component, in the order k = 0, 1, ...: it starts
+    from the pair of rows 0 and 1 (row 0 and the chain's identity,
+    ``_NO_MAX`` or ``_NO_SUM``, when K = 1) and goes on with rows 2, 3,
+    ...  Returns (dev, e, eu, a_max, total, a pair, e pair, eu pair, rest
+    of e, rest of eu)."""
     e_k, eu_k = list(e), list(eu)
     return (dev, e, eu, a_max, total, tuple(e_k + [_NO_MAX])[:2],
             tuple(e_k + [_NO_SUM])[:2], tuple(eu_k + [_NO_SUM])[:2], e_k[2:], eu_k[2:])
@@ -160,9 +161,13 @@ def _row_views(dev, e, eu, a_max, total):
 
 def _rows_of(buf, k: int, m: int):
     """:func:`_row_views` for m states of a k-component mixture, cut from
-    the front of ``buf`` ((3k + 2) m floats or more)."""
-    work = buf[: (3 * k + 2) * m].reshape(3 * k + 2, m)
-    return _row_views(work[:k], work[k : 2 * k], work[2 * k : 3 * k], work[-2], work[-1])
+    the front of ``buf`` ((2k + 2) m floats or more), whose eu is their
+    dev: e_k dev_k / var_k overwrites dev_k / var_k in place, which at
+    8192 states and more takes less time than filling rows of their
+    own."""
+    work = buf[: (2 * k + 2) * m].reshape(2 * k + 2, m)
+    dev = work[:k]
+    return _row_views(dev, work[k : 2 * k], dev, work[-2], work[-1])
 
 
 def _rows(k: int, m: int):
@@ -175,8 +180,8 @@ def _rows(k: int, m: int):
     rows = getattr(_scratch, "rows", None)
     if rows is None or rows[0] != (k, m):
         buf = getattr(_scratch, "buf", None)
-        if buf is None or buf.size < (3 * k + 2) * m:
-            buf = _scratch.buf = np.empty((3 * k + 2) * m)
+        if buf is None or buf.size < (2 * k + 2) * m:
+            buf = _scratch.buf = np.empty((2 * k + 2) * m)
         rows = _scratch.rows = ((k, m), _rows_of(buf, k, m))
     return rows[1]
 
@@ -190,13 +195,13 @@ def _score_half(x, means, var, bias, rows, q):
     dev_k = x - m_k; their max a_max; e_k = exp(a_k - a_max), which lies
     in [0, 1] with e_k = 1 at the max; the weight total sum_k e_k; and
     q = sum_k e_k dev_k / var_k / sum_k e_k, minus the score, into q.  It
-    leaves dev_k / var_k in the rows' dev, e_k in e, e_k dev_k / var_k in
-    eu, and a_max and the total in theirs, as :func:`_dx_half` and
-    :func:`_logpdf_block` take them.  The max and the sums run over
-    k = 0, 1, ... one binary ufunc call at a time on the rows' cached
-    views, so a state gets the same bits alone and inside an array (numpy
-    reduces eight or more terms of a 1-d array pairwise), and no view is
-    made.  Where x is infinite, or |x - m_k| so large that its square
+    leaves dev_k / var_k in the rows' dev (unless their eu is dev), e_k in
+    e, e_k dev_k / var_k in eu, and a_max and the total in theirs, as
+    :func:`_dx_half` and :func:`_logpdf_block` take them.  The max and
+    the sums run over k = 0, 1, ... one binary ufunc call at a time on the
+    rows' cached views, so a state gets the same bits alone and inside an
+    array (numpy reduces eight or more terms of a 1-d array pairwise), and
+    no view is made.  Where x is infinite, or |x - m_k| so large that its square
     overflows, a_k is -inf; where x is nan, a_k is nan; either way e and q
     are nan.  Callers hold numpy's over and invalid flags quiet."""
     dev, e, eu, a_max, total, a_pair, e_pair, eu_pair, e_rest, eu_rest = rows
@@ -232,27 +237,34 @@ def _dx_half(dev, e, total, q, inv_var, out):
     E[u^2 - 1 / var] - s^2, which cancels.  The rows may hold many stages
     at once, (k, n, m) against (n, m) q and (k, n, 1) ``inv_var``.  The
     sum over the components runs one term after another, as in
-    :func:`_score_half`."""
+    :func:`_score_half`, from the pair of rows 0 and 1 (or row 0 and
+    ``_NO_SUM``)."""
     dev -= q
     np.square(dev, dev)
     dev -= inv_var
     np.multiply(e, dev, dev)
-    np.copyto(out, dev[0])
-    for row in dev[1:]:
+    terms = list(dev) + [_NO_SUM]
+    np.add(terms[0], terms[1], out)
+    for row in terms[2:-1]:
         out += row
     out /= total
 
 
-def _pair_block(rows, out, inv_var):
-    """The score's x-derivative into out[1], by :func:`_dx_half` from the
-    rows and the q in out[0] that :func:`_score_half` left, with
-    ``inv_var`` = 1.0 / var.  This is the pair code of
+def _pair_block(rows, out, x, means, var, inv_var):
+    """The score's x-derivative at the states x into out[1], by
+    :func:`_dx_half` from the rows and the q in out[0] that
+    :func:`_score_half` left, with ``inv_var`` = 1.0 / var.  The kernel's
+    rows hold e_k dev_k / var_k in their dev, so dev_k / var_k is formed
+    again first, with the routine's bits.  This is the pair code of
     :meth:`GaussianMixture.score_dx`; :func:`pf_loglik` runs its two
     halves apart."""
-    _dx_half(rows[0], rows[1], rows[4], out[0], inv_var, out[1])
+    dev = rows[0]
+    np.subtract(x, means, dev)
+    dev /= var
+    _dx_half(dev, rows[1], rows[4], out[0], inv_var, out[1])
 
 
-def _logpdf_block(rows, out):
+def _logpdf_block(rows, out, x):
     """log sum_k exp(a_k) = a_max + log(sum_k e_k), from the rows that
     :func:`_score_half` left, into out[0]; a_max where a_max is
     infinite."""
@@ -272,8 +284,9 @@ def _kernel(x, means, var, bias, scale, finish=None, n_out=1, *args):
     columns.  For each block of ``x.reshape(-1)``, :func:`_score_half`
     writes q into the block's columns of the first row of the
     (n_out, x.size) output, in the block's :func:`_rows`; then
-    ``finish(rows, out, *args)``, when given, writes the block's columns
-    from them, and ``scale`` multiplies the first row.  So with
+    ``finish(rows, out, x, *args)``, when given, writes the block's
+    columns from them and the block's states, and ``scale`` multiplies
+    the first row.  So with
     ``finish`` None and ``scale`` -1.0 the output is the score, as
     (sum / sum) * -1.0, and with ``scale`` L(t) it is the field
     -L(t) * score: negation is exact.  A ``finish`` that writes the first
@@ -291,14 +304,14 @@ def _kernel(x, means, var, bias, scale, finish=None, n_out=1, *args):
         rows, q = _rows(k, xb.size), ob[0]
         _score_half(xb, means, var, bias, rows, q)
         if finish is not None:
-            finish(rows, ob, *args)
+            finish(rows, ob, xb, *args)
         q *= scale
     return out.reshape((n_out,) + x.shape)
 
 
 def _score_pair(x, means, var, bias):
     """Score s of the mixture and its x-derivative (see :func:`_pair_block`)."""
-    pair = _kernel(x, means, var, bias, -1.0, _pair_block, 2, 1.0 / var)
+    pair = _kernel(x, means, var, bias, -1.0, _pair_block, 2, means, var, 1.0 / var)
     return pair[0], pair[1]
 
 

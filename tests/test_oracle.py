@@ -224,7 +224,7 @@ def test_logsumexp_matches_scipy_bit_for_bit(k, batch):
     rows, out = oracle._rows(k, m), np.empty((1, m))
     with np.errstate(invalid="ignore"):  # inf - inf, as in the kernel's blocks
         oracle._score_half(np.zeros(m), np.zeros((k, 1)), np.ones((k, 1)), flat, rows, out[0])
-        oracle._logpdf_block(rows, out)
+        oracle._logpdf_block(rows, out, None)
     assert _same_bits(out[0].reshape(batch)[()], want)
 
 
@@ -285,11 +285,11 @@ def test_kernel_matches_high_precision_reference(mixture, preset, request):
         # the pair code of score_dx and of each pf_loglik stage, run as a
         # stage runs it: in rows of its own, under the solve's errstate
         k = len(means)
-        rows = oracle._rows_of(np.empty((3 * k + 2) * x.size), k, x.size)
+        rows = oracle._rows_of(np.empty((2 * k + 2) * x.size), k, x.size)
         pair = np.empty((2, x.size))
         with np.errstate(over="ignore", invalid="ignore"):
             oracle._score_half(x, means, var, bias, rows, pair[0])
-            oracle._pair_block(rows, pair, 1.0 / var)
+            oracle._pair_block(rows, pair, x, means, var, 1.0 / var)
         assert _rel_error(-pair[0], s) < 1e-13
         assert _rel_error(pair[1], s_dx) < 1e-12
 
