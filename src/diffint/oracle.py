@@ -201,12 +201,14 @@ def _score_half(x, means, var, bias, rows, q):
     the sums run over k = 0, 1, ... one binary ufunc call at a time on the
     rows' cached views, so a state gets the same bits alone and inside an
     array (numpy reduces eight or more terms of a 1-d array pairwise), and
-    no view is made.  Where x is infinite, or |x - m_k| so large that its square
-    overflows, a_k is -inf; where x is nan, a_k is nan; either way e and q
-    are nan.  Callers hold numpy's over and invalid flags quiet."""
+    no view is made.  Where x is infinite, or |x - m_k| so large that its
+    square overflows, a_k is -inf; where x is nan, a_k is nan; either way
+    e and q are nan.  Callers hold numpy's over and invalid flags
+    quiet."""
     dev, e, eu, a_max, total, a_pair, e_pair, eu_pair, e_rest, eu_rest = rows
-    # the third argument of a ufunc is its output (numpy wants out= for
-    # np.maximum)
+    # the third argument of a ufunc is its output, but np.maximum takes
+    # out= (numpy 2 deprecates its positional out, a path about twice as
+    # slow)
     np.subtract(x, means, dev)
     np.square(dev, e)
     e *= _HALF
@@ -258,18 +260,18 @@ def _pair_block(rows, out, x, means, var, inv_var):
     again first, with the routine's bits.  This is the pair code of
     :meth:`GaussianMixture.score_dx`; :func:`pf_loglik` runs its two
     halves apart."""
-    dev = rows[0]
+    dev, e, _, _, total = rows[:5]
     np.subtract(x, means, dev)
     dev /= var
-    _dx_half(dev, rows[1], rows[4], out[0], inv_var, out[1])
+    _dx_half(dev, e, total, out[0], inv_var, out[1])
 
 
 def _logpdf_block(rows, out, x):
     """log sum_k exp(a_k) = a_max + log(sum_k e_k), from the rows that
     :func:`_score_half` left, into out[0]; a_max where a_max is
     infinite."""
-    a_max, log = rows[3], out[0]
-    np.log(rows[4], log)
+    a_max, total, log = rows[3], rows[4], out[0]
+    np.log(total, log)
     np.add(a_max, log, log)
     np.copyto(log, a_max, where=np.isinf(a_max))
 
@@ -283,13 +285,14 @@ def _kernel(x, means, var, bias, scale, finish=None, n_out=1, *args):
     ``means``, ``var`` and ``bias`` (from :func:`_bias`) are (K, 1)
     columns.  For each block of ``x.reshape(-1)``, :func:`_score_half`
     writes q into the block's columns of the first row of the
-    (n_out, x.size) output, in the block's :func:`_rows`; then
-    ``finish(rows, out, x, *args)``, when given, writes the block's
-    columns from them and the block's states, and ``scale`` multiplies
-    the first row.  So with
-    ``finish`` None and ``scale`` -1.0 the output is the score, as
-    (sum / sum) * -1.0, and with ``scale`` L(t) it is the field
-    -L(t) * score: negation is exact.  A ``finish`` that writes the first
+    (n_out, x.size) output, in the block's :func:`_rows`, whose views,
+    those of its binary chains over the components included, are built
+    once per block width, so a block makes no view and reduces over no
+    axis.  Then ``finish(rows, out, x, *args)``, when given, writes the
+    block's columns from them and the block's states, and ``scale``
+    multiplies the first row.  So with ``finish`` None and ``scale`` -1.0
+    the output is the score, as (sum / sum) * -1.0, and with ``scale``
+    L(t) it is the field -L(t) * score: negation is exact.  A ``finish`` that writes the first
     row itself takes ``scale`` 1.0, which keeps its bits.  Returns the
     output as an (n_out,) + x.shape array.  Every step is elementwise in
     x or a sum over the components in a fixed order, so each state gets
