@@ -642,6 +642,37 @@ def test_reference_divergence_error(vp, gauss_oracle):
         assert (err.value.step_index, err.value.time) == (499, 0.5009999999999999)
 
 
+# sha256 of the tobytes() of _reference_pins, as computed before each
+# solve ran as one RK4 loop over a stage table: a K = 2 mixture's
+# reference_solve terminals at batch 64, dt 1e-3 and 5e-4, and its
+# reference_states on an uneven 11-node grid from 8 states and from a 0-d
+# one (as run_trace passes), on VP and VE; then one span longer than a
+# stage window (4750 steps at dt 2e-4), which carries t across windows
+REFERENCE_MIXTURE = ([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
+REFERENCE_SHA256 = "909abc57c9a13cd4f4836629cfe94158ac3ec9dcd6b62e2a3f33dd6ff4abef97"
+UNEVEN = np.linspace(np.sqrt(1e-3), 1.0, 11) ** 2
+
+
+def _reference_pins(vp, ve):
+    gmm = GaussianMixture(*REFERENCE_MIXTURE)
+    x = np.random.default_rng(28).standard_normal(64)
+    for spec in (vp, ve):
+        field = EpsilonField(gmm, spec)
+        x_T = spec.pi_std * x
+        for dt in (1e-3, 5e-4):
+            yield reference_solve(spec, field, x_T, dt).terminal
+        yield reference_states(spec, field, x_T[:8], UNEVEN)
+        yield reference_states(spec, field, 0.7 * spec.pi_std, UNEVEN)
+    yield reference_states(vp, EpsilonField(gmm, vp), x[:4], [0.05, 1.0], 2e-4)
+
+
+def test_reference_bits_are_pinned(vp, ve):
+    digest = hashlib.sha256()
+    for states in _reference_pins(vp, ve):
+        digest.update(np.asarray(states).tobytes())
+    assert digest.hexdigest() == REFERENCE_SHA256
+
+
 # -- hold-error parameterization ordering (concentrated data) ----------
 
 
