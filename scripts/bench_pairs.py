@@ -22,7 +22,8 @@ the median change in the worse direction read against the metric's
 ``bound`` (``worse_frac``, ``within_bound``);
 ``setup_samples_s`` keeps each run's set-up probes, whose median is its
 ``setup_s``.  After the per-run lines the script prints a closing
-summary, one line per series and metric (:func:`summary_lines`).
+summary, one line per series and metric (:func:`summary_lines`), and
+with ``--trace`` one per differing traced counter (:func:`counter_lines`).
 ``--trace`` adds one traced run per tree and workload (seed 0).  It keeps
 each side's cost counters and their ``counters_sha256``, names the
 counters that differ, and sets ``work_equal`` when no counter differs but
@@ -145,6 +146,26 @@ def summary_lines(series) -> list:
     return lines
 
 
+def flatten(counters: dict) -> dict:
+    """Traced counters {span: {count: value}} as {"span.count": value}."""
+    return {f"{span}.{key}": value for span, counts in counters.items()
+            for key, value in counts.items()}
+
+
+def counter_lines(traced) -> list:
+    """The closing summary's lines for ``--trace``: per workload of
+    ``traced`` (its :func:`compare_counters` results), one line per
+    counter that differs, with its base and change values (None where a
+    side lacks it), so that an expected change in work reads at a
+    glance."""
+    lines = []
+    for workload, one in traced.items():
+        flat = [flatten(one["counters"][side]) for side in ("base", "change")]
+        lines += [f"{workload} {name} {flat[0].get(name)} -> {flat[1].get(name)}"
+                  for name in one["differ"]]
+    return lines
+
+
 # counters that measure the digits of the results, not the work done
 NOT_WORK = {"harness.render.bytes"}
 
@@ -154,8 +175,7 @@ def compare_counters(base: dict, change: dict) -> dict:
     ``span.count`` of those that differ, whether the work is equal, and
     each side's ``work_sha256``: the sha256 of its flattened counters
     without ``NOT_WORK``."""
-    flat = [{f"{span}.{key}": value for span, counts in side.items()
-             for key, value in counts.items()} for side in (base, change)]
+    flat = [flatten(side) for side in (base, change)]
     differ = sorted(name for name in flat[0].keys() | flat[1].keys()
                     if flat[0].get(name) != flat[1].get(name))
     work = [json.dumps({k: v for k, v in side.items() if k not in NOT_WORK}, sort_keys=True)
@@ -236,7 +256,7 @@ def main(argv=None) -> int:
     report["finished"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     path = ROOT / f"BENCH_{args.slug}.json"
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
-    for line in summary_lines(report["series"]):
+    for line in summary_lines(report["series"]) + counter_lines(report.get("traced", {})):
         print(line, file=sys.stderr)
     print(path)
     return 0

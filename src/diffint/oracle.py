@@ -506,37 +506,78 @@ def _steps(t_from: float, t_to: float, dt: float):
 
 def _stage_windows(t, n: int, h):
     """The stage times of n RK4 steps of size h from t, in windows of at
-    most ``(_MEMO_SIZE - 1) // 2`` steps: yields the index of a window's
-    first step and its list t_k, t_k + h/2, t_k + h, ..., with t carried
-    by ``t += h`` across windows, so their size never moves a time."""
+    most ``(_MEMO_SIZE - 1) // 2`` steps: yields each window's list t_k,
+    t_k + h/2, t_k + h, ..., with t carried by ``t += h`` across windows,
+    so their size never moves a time."""
     window = (_MEMO_SIZE - 1) // 2
     for first in range(0, n, window):
         times = [t]
         for _ in range(min(window, n - first)):
             times += (t + 0.5 * h, t + h)
             t += h
-        yield first, times
+        yield times
+
+
+def _solve_windows(spans, dt: float):
+    """The windows of one fixed-step solve through ``spans``, pairs
+    (t_from, t_to) taken in turn, each in the steps of :func:`_steps` with
+    its own h and the stage times of :func:`_stage_windows`.  Yields
+    (first, times, steps) per window of at most ``(_MEMO_SIZE - 1) // 2``
+    steps, which holds whole pieces of :func:`_stage_windows`: the index
+    of its first step in the solve, the stage times of its pieces one
+    after another, and per step (j, half, h, end), for :func:`_rk4`."""
+    window = (_MEMO_SIZE - 1) // 2
+    first, times, steps = 0, [], []
+    for end, (t_from, t_to) in enumerate(spans):
+        n, h = _steps(t_from, t_to, dt)
+        half, full = _scalars((0.5 * h, h))
+        for piece in _stage_windows(t_from, n, h):
+            if len(steps) + len(piece) // 2 > window:
+                yield first, times, steps
+                first, times, steps = first + len(steps), [], []
+            steps += [(j, half, full, None) for j in range(len(times), len(times) + len(piece) - 1, 2)]
+            times += piece
+        steps[-1] = steps[-1][:3] + (end,)
+    if steps:
+        yield first, times, steps
+
+
+def _stage_table(spec: DiffusionSpec, times, gmm: GaussianMixture | None = None):
+    """What a fixed-step solve takes from the stage times of one window,
+    from one array call each, each value with the bits of a call at its
+    time alone: f and g2 / 2, (T,) each, then L, (T,), and, given the
+    mixture ``gmm``, the means, var and bias of its marginal
+    (:func:`_marginals`)."""
+    stage = np.array(times)
+    f, half_g2 = spec.f(stage), 0.5 * spec.g2(stage)
+    if gmm is None:
+        return f, half_g2, np.asarray(spec.L(stage), dtype=float).reshape(-1)
+    return (f, half_g2) + _marginals(gmm, spec, stage)
 
 
 # the decorator enters np.errstate once per call, in about half the time
-# of a ``with`` block, which counts where a reference span is one step
+# of a ``with`` block
 @np.errstate(over="ignore", invalid="ignore")
-def _rk4(rhs, y, h, times, what: str, first: int):
-    """The oracle's one RK4 loop: classical steps of size h (negative to
-    step down) over one :func:`_stage_windows` window, from a copy of y,
-    with ``rhs(y, j, out)`` writing the right side at times[j] into
-    ``out``.  The state, the stage state and the four slopes are the rows
-    of one buffer allocated per call, and each update keeps the order of
-    y + (0.5 h) k1 and y + h (((k1 + 2 k2) + 2 k3) + k4) / 6.  The loop
-    runs with numpy's over and invalid flags quiet: a non-finite state
-    raises :class:`DivergenceError` naming ``what``, the step counted
-    from the solve's start (this window's is ``first``) and the time it
-    starts from."""
+def _rk4(rhs, y, times, steps, what: str, first: int, ends):
+    """The oracle's one RK4 loop: classical steps over one window of
+    :func:`_solve_windows`, from a copy of y, with ``rhs(y, j, out)``
+    writing the right side at times[j] into ``out``.  Step (j, half, h,
+    end) of ``steps`` has size h (negative to step down) and half = 0.5 h,
+    both 0-d arrays, and its stages at times[j], times[j + 1] twice and
+    times[j + 2]; a step that ends span ``end`` of the solve (else None)
+    copies its state into ends[end].  The state, the stage state and the
+    four slopes are the rows of one buffer allocated per call, and each
+    update keeps the order of y + (0.5 h) k1 and
+    y + h (((k1 + 2 k2) + 2 k3) + k4) / 6.  The loop runs with numpy's
+    over and invalid flags quiet: a non-finite state raises
+    :class:`DivergenceError` naming ``what``, the step counted from the
+    solve's start (this window's is ``first``) and the time it starts
+    from."""
     work = np.empty((6,) + np.shape(y))
     work[0] = y
     y, stage, k1, k2, k3, k4 = (work[i, ...] for i in range(6))
-    half, h, two, six = (np.array(v) for v in (0.5 * h, h, 2.0, 6.0))
-    for j in range(0, len(times) - 1, 2):
+    two, six = np.array(2.0), np.array(6.0)
+    for s, (j, half, h, end) in enumerate(steps):
         rhs(y, j, k1)
         np.multiply(k1, half, stage)
         stage += y
@@ -556,7 +597,9 @@ def _rk4(rhs, y, h, times, what: str, first: int):
         stage /= six
         y += stage
         if not np.isfinite(y).all():
-            raise _diverged(what, first + j // 2, times[j])
+            raise _diverged(what, first + s, times[j])
+        if end is not None:
+            ends[end] = y
     return y
 
 
@@ -569,7 +612,8 @@ def _diverged(what: str, k: int, time: float):
 def reference_solve(
     spec: DiffusionSpec, field, x_T, dt: float = 1e-3, t0: float = 1e-3
 ) -> Trajectory:
-    """Ground-truth solve of the sampling ODE, t_end down to t0.
+    """Ground-truth solve of the sampling ODE, t_end down to t0, with
+    0 < t0 < t_end.
 
     Fixed-step classical RK4 (:func:`reference_states` on
     :func:`fixed_step_times`); ``dt`` must lie in (0, 1e-3] so that the
@@ -577,8 +621,8 @@ def reference_solve(
     package (run :func:`reference_self_check` before trusting it for
     a new oracle).
     """
-    if t0 <= 0:
-        raise ParameterError("t0 must be positive")
+    if not 0 < t0 < spec.t_end:
+        raise ParameterError(f"t0 must lie in (0, t_end = {spec.t_end}), got {t0}")
     times = fixed_step_times(spec.t_end, t0, dt)
     states = reference_states(spec, field, x_T, times[::-1], dt)[::-1]
     return Trajectory(times=times, states=states)
@@ -587,32 +631,70 @@ def reference_solve(
 def reference_states(
     spec: DiffusionSpec, field, x_T, times, dt: float = 1e-3
 ) -> np.ndarray:
-    """Reference states aligned with ``times`` (strictly increasing).
+    """Reference states aligned with ``times``, strictly increasing with
+    0 < times[0] and times[-1] <= t_end.
 
     Integration starts at times[-1] with state x_T and proceeds
     downward; the returned array is indexed like ``times`` (entry i is
     the state at times[i], entry -1 the initial condition).  Each span
-    takes the steps of :func:`_steps` through :func:`_rk4` on
-    dx/dt = f(t) x + g2(t) / (2 L(t)) eps(x, t).
+    takes the steps of :func:`_steps`, and the whole solve runs through
+    :func:`_rk4` once per window of :func:`_solve_windows` on
+    dx/dt = f(t) x + g2(t) / (2 L(t)) eps(x, t), with the right side of
+    :func:`_reference_side`.
     """
     _check_step(dt)
     times = np.asarray(times, dtype=float)
+    if not (times.ndim == 1 and times.size and 0 < times[0] and times[-1] <= spec.t_end
+            and (np.diff(times) > 0).all()):
+        raise ParameterError(f"reference times must be strictly increasing in "
+                             f"(0, t_end = {spec.t_end}], got {times}")
     x = np.asarray(x_T, dtype=float)
-    out = np.empty((times.size,) + x.shape)
-    out[-1] = x
-    done = 0
-    for i in range(times.size - 1, 0, -1):
-        n, h = _steps(times[i], times[i - 1], dt)
-        for first, stage in _stage_windows(times[i], n, h):
-            def rhs(y, j, out):
-                t = stage[j]
-                np.multiply(spec.f(t), y, out)
-                out += 0.5 * spec.g2(t) / spec.L(t) * field(y, t)
+    out = np.empty((times.size, x.size))
+    out[-1] = x.reshape(-1)
+    y, side = out[-1], _reference_side(spec, field, x.shape)
+    spans = [(times[i], times[i - 1]) for i in range(times.size - 1, 0, -1)]
+    for first, stage, steps in _solve_windows(spans, dt):
+        y = _rk4(side(stage), y, stage, steps, "reference solve", first, out[-2::-1])
+    return out.reshape(times.shape + x.shape)
 
-            x = _rk4(rhs, x, h, stage, "reference solve", done + first)
-        done += n
-        out[i - 1] = x
-    return out
+
+def _reference_side(spec: DiffusionSpec, field, shape):
+    """The reference solve's right side f y + c eps(y, t), c = (0.5 g2) / L,
+    on the flat state of ``x_T``'s ``shape``, as ``side(times)``, which
+    gives :func:`_rk4`'s rhs for one window from its
+    :func:`_stage_table`.  For an :class:`EpsilonField` of ``spec`` the
+    rhs runs the score routine (:func:`_score_half`) on rows built once
+    per solve, then q *= L, q *= c, out = f y and out += q: the field's
+    -L s is q L, so these are the float operations of calling it, in
+    their order, and the field's memo is neither read nor filled.  Any
+    other field is called as ``field(y, t)``."""
+    if not (isinstance(field, EpsilonField) and field.spec == spec):
+        def side(times):
+            f, half_g2, l_t = _stage_table(spec, times)
+            f, c = _scalars(f), _scalars(half_g2 / l_t)
+
+            def rhs(y, j, out):
+                np.multiply(y, f[j], out)
+                out += np.reshape(c[j] * field(y.reshape(shape), times[j]), -1)
+            return rhs
+        return side
+
+    k, m = len(field.gmm.weights), int(np.prod(shape))
+    rows, q = _rows_of(np.empty((2 * k + 2) * m), k, m), np.empty(m)
+
+    def side(times):
+        f, half_g2, l_t, *columns = _stage_table(spec, times, field.gmm)
+        f, c, l_t = _scalars(f), _scalars(half_g2 / l_t), _scalars(l_t)
+        means, var, bias = (list(arr.T[:, :, None]) for arr in columns)
+
+        def rhs(y, j, out):
+            _score_half(y, means[j], var[j], bias[j], rows, q)
+            np.multiply(q, l_t[j], q)
+            np.multiply(q, c[j], q)
+            np.multiply(y, f[j], out)
+            out += q
+        return rhs
+    return side
 
 
 def reference_self_check(
@@ -624,13 +706,16 @@ def reference_self_check(
     Solves at ``dt`` and ``dt/2`` and returns the max terminal gap;
     raises :class:`OracleTrustError` when it exceeds ``tol``.  A caller
     that already holds the terminal state of the solve at ``dt`` passes
-    it as ``coarse``, and only the ``dt/2`` solve runs.
+    it as ``coarse``, and only the ``dt/2`` solve runs.  ``tol`` must be
+    finite and non-negative, and a nan gap fails the check.
     """
+    if not 0 <= tol < np.inf:
+        raise ParameterError(f"tol must be finite and non-negative, got {tol}")
     if coarse is None:
         coarse = reference_solve(spec, field, x_T, dt, t0).terminal
     fine = reference_solve(spec, field, x_T, dt / 2, t0).terminal
     gap = float(np.max(np.abs(coarse - fine)))
-    if gap > tol:
+    if not gap <= tol:
         raise OracleTrustError(
             f"reference dt-halving changed the terminal state by {gap:.3e} > {tol:.1e}"
         )
@@ -732,20 +817,20 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     k, m = len(gmm.weights), x.size
     n, h = _steps(0.0, spec.t_end, dt)
     records = _StageRecords(k, m, *_loglik_chunk(k, m, n))
-    y, div = x.reshape(-1), np.zeros(m)
-    for first, times in _stage_windows(0.0, n, h):
+    y, div, end = x.reshape(-1), np.zeros(m), np.empty((1, m))
+    for first, times, steps in _solve_windows([(0.0, spec.t_end)], dt):
         rhs, finish = _loglik_stages(_loglik_table(gmm, spec, times), records, div, h,
                                      times, first)
         try:
-            y = _rk4(rhs, y, h, times, "likelihood ODE", first)
+            y = _rk4(rhs, y, times, steps, "likelihood ODE", first, end)
         except DivergenceError as err:
             # the divergence may have failed at an earlier step of the
             # chunk; after a failed carry this call is a no-op
             finish(err.step_index - first)
             raise
-        finish(len(times) // 2)
+        finish(len(steps))
     terminal = marginal_at(gmm, spec, spec.t_end)
-    return terminal.logpdf(y.reshape(x.shape)) + div.reshape(x.shape)
+    return terminal.logpdf(end.reshape(x.shape)) + div.reshape(x.shape)
 
 
 # Floats of pf_loglik's stage records: 512 KiB, so that they stay in a
@@ -780,17 +865,15 @@ def _loglik_chunk(k: int, m: int, n: int):
 
 def _loglik_table(gmm: GaussianMixture, spec: DiffusionSpec, times):
     """What :func:`pf_loglik`'s stages take from the times of one
-    :func:`_stage_windows` window, from one array call each of f, g2 and
-    :func:`_marginals`, as (per_time, per_stage).  per_time holds, for
+    :func:`_stage_windows` window, from its :func:`_stage_table`, as
+    (per_time, per_stage).  per_time holds, for
     the state's right side, lists of f and c = g2 / 2 as 0-d arrays and
     of the marginal's means, var and bias as (K, 1) columns, one entry
     per time.  per_stage holds, for the divergence pass, f and c as
     (4 S, 1) and 1.0 / var as (K, 4 S, 1), one row per stage of the S
     steps: t, t + h/2 twice, t + h."""
-    stage = np.array(times)
-    f, c = spec.f(stage), 0.5 * spec.g2(stage)
-    _, means, var, bias = _marginals(gmm, spec, stage)
-    at = (np.arange(0, stage.size - 1, 2)[:, None] + [0, 1, 1, 2]).reshape(-1)
+    f, c, _, means, var, bias = _stage_table(spec, times, gmm)
+    at = (np.arange(0, len(times) - 1, 2)[:, None] + [0, 1, 1, 2]).reshape(-1)
     per_time = (_scalars(f), _scalars(c), *(list(arr.T[:, :, None]) for arr in (means, var, bias)))
     return per_time, (f[at, None], c[at, None], (1.0 / var)[:, at, None])
 

@@ -38,6 +38,20 @@ def test_compare_counters_ignores_only_the_report_bytes():
         "work_sha256": {"base": digest, "change": digest}}
 
 
+def test_counter_lines_name_each_differing_counter_with_both_values():
+    base = {"oracle.field": {"calls": 25096, "states": 1606144},
+            "harness.render": {"calls": 6, "bytes": 7311}}
+    change = {"oracle.field": {"calls": 17100, "states": 1094400},
+              "harness.render": {"calls": 6, "bytes": 7311}, "oracle.extra": {"calls": 2}}
+    traced = {"sweep": bench_pairs.compare_counters(base, change),
+              "loglik": bench_pairs.compare_counters(base, base)}
+    assert bench_pairs.counter_lines(traced) == [
+        "sweep oracle.extra.calls None -> 2",
+        "sweep oracle.field.calls 25096 -> 17100",
+        "sweep oracle.field.states 1606144 -> 1094400",
+    ]
+
+
 _TRACED_RUNS = textwrap.dedent("""
     import json, sys
     sys.path[:] = json.loads(sys.argv[1])

@@ -18,6 +18,7 @@ from diffint import (
     DomainError,
     EpsilonField,
     GaussianMixture,
+    OracleTrustError,
     ParameterError,
     VpSchedule,
     marginal_at,
@@ -671,6 +672,44 @@ def test_reference_bits_are_pinned(vp, ve):
     for states in _reference_pins(vp, ve):
         digest.update(np.asarray(states).tobytes())
     assert digest.hexdigest() == REFERENCE_SHA256
+
+
+@pytest.mark.parametrize("preset", ["vp", "ve"])
+def test_reference_field_paths_agree_and_leave_the_memo_alone(preset, request):
+    # an EpsilonField runs the score routine on the solve's own stage
+    # table; any other callable is called; both give the same bits
+    spec = request.getfixturevalue(preset)
+    field = EpsilonField(GaussianMixture(*REFERENCE_MIXTURE), spec)
+    plain = lambda x, t: field(x, t)
+    x = spec.pi_std * np.random.default_rng(3).standard_normal(5)
+    got = reference_solve(spec, field, x)
+    assert not field._memo
+    assert _same_bits(got.states, reference_solve(spec, plain, x).states)
+    for x_T in (x, x[0]):
+        want = reference_states(spec, plain, x_T, UNEVEN)
+        field._memo.clear()
+        assert _same_bits(reference_states(spec, field, x_T, UNEVEN), want)
+        assert not field._memo
+
+
+def test_reference_rejects_times_outside_its_domain(vp, gauss_oracle):
+    _, field = gauss_oracle
+    for t0 in (2.0, 1.0, 0.0, -1e-3, np.nan):
+        with pytest.raises(ParameterError):
+            reference_solve(vp, field, 1.0, 1e-3, t0=t0)
+    for times in ([0.5, 0.2, 1.0], [0.2, 0.5, 2.0], [0.2, 0.2, 1.0], [0.0, 0.5, 1.0],
+                  [0.2, np.nan, 1.0], [], [[0.2, 1.0]]):
+        with pytest.raises(ParameterError):
+            reference_states(vp, field, 1.0, times)
+
+
+def test_reference_self_check_rejects_a_nan_gap_or_tol(vp, gauss_oracle):
+    _, field = gauss_oracle
+    with pytest.raises(OracleTrustError):
+        reference_self_check(vp, field, 1.0, coarse=np.nan)
+    for tol in (np.nan, np.inf, -1e-6):
+        with pytest.raises(ParameterError):
+            reference_self_check(vp, field, 1.0, tol=tol, coarse=0.0)
 
 
 # -- hold-error parameterization ordering (concentrated data) ----------
