@@ -49,13 +49,21 @@ Conventions:
   full).  A hit has the bits of a miss; a time whose marginal variance
   underflows raises on every call and is never stored.  A run that knows
   its times ahead (Euler-Maruyama) fills the memo from one array call.
+  The reference solve neither reads nor fills it.
 * Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
   RK4 stepper, ``_rk4``, which steps in place in one buffer of six rows
   of the state's shape with numpy's over and invalid flags quiet, since
-  its finite check reports divergence.  :func:`pf_loglik` tabulates the
-  per-time work (f, g2 and the marginal's columns) of a window of at
-  most 2047 steps with one array call each.  Its divergence never feeds
-  back into x, so ``_rk4`` steps the state alone and records each
+  its finite check reports divergence.  ``_rk4`` is entered once per
+  window of at most 2047 steps (``_solve_windows``), which may hold many
+  spans of a solve, each with its own step, and it records the state at
+  each span's end.  One stage-table builder (``_stage_table``) takes
+  the per-time work of a window (f, g2 / 2, L and the marginal's
+  columns) from one array call each, with the bits of a call at each
+  time.  The reference's right side runs the score routine on that
+  table in rows of its own, with the float operations of calling the
+  field, in their order; a field that is not an :class:`EpsilonField`
+  of the solve's spec is called.  The likelihood's divergence never
+  feeds back into x, so ``_rk4`` steps the state alone and records each
   stage's weights; one vectorised pass per chunk of steps then forms
   the divergence's slopes and RK4 increments in ``_rk4``'s expression
   order and adds them in sequence, with the bits of stepping the two
@@ -418,13 +426,11 @@ def _marginals(gmm: GaussianMixture, spec: DiffusionSpec, times):
 
 
 # Bound on the per-time memo of one EpsilonField, at about 530 bytes per
-# entry.  Measured distinct times per field: 2686 in one pass of the
-# benchmark sweep; 4624 to 5046 for the shipped convergence and study
-# configs, of which 1999 come from the reference solve at ref_dt = 1e-3
-# (the self-check reuses it as its coarse solve), 2581 more from the
-# self-check's dt/2 solve, which clears the memo once, and 44 to 466
-# from the sampler runs; 4151 for trace.  A memo that held them all
-# would raise those configs' hit rates by at most 1.4 points (60-71%).
+# entry.  Measured distinct times per field (the reference solves
+# tabulate their own times and do not count): 689 in one pass of the
+# benchmark sweep; 46 to 471 for the shipped convergence and study
+# configs, and 91 for trace, so none of them fills the memo.  It also
+# sets the window of a fixed-step solve, (_MEMO_SIZE - 1) // 2 steps.
 _MEMO_SIZE = 4096
 
 
