@@ -30,12 +30,16 @@ counters that differ, and sets ``work_equal`` when no counter differs but
 ``harness.render.bytes``, the length of the rendered reports, which
 changes with their digits even where the work done is the same.  Each
 side's ``work_sha256`` digests its counters without that one, so equal
-work gives equal digests.
+work gives equal digests.  The file also holds, per tree, the lines and
+code lines of each ``src/diffint`` module and their totals
+(:func:`source_lines`), and the summary closes with the line
+``src code lines BASE -> CHANGE`` (:func:`source_line`).
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -186,6 +190,39 @@ def compare_counters(base: dict, change: dict) -> dict:
                             for side, text in zip(("base", "change"), work)}}
 
 
+def code_lines(text: str) -> int:
+    """The lines of the Python source ``text`` that are not blank, not
+    comments and not in a docstring (a string that is the first statement
+    of a module, class or function)."""
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.lstrip().startswith("#") and i not in docs)
+
+
+def source_lines(tree: Path) -> dict:
+    """Each ``src/diffint`` module of ``tree`` by file name, with its
+    ``lines`` and :func:`code_lines`, and both totals."""
+    modules = {}
+    for path in sorted((tree / "src" / "diffint").glob("*.py")):
+        text = path.read_text()
+        modules[path.name] = {"lines": len(text.splitlines()), "code_lines": code_lines(text)}
+    return {"modules": modules,
+            "lines": sum(m["lines"] for m in modules.values()),
+            "code_lines": sum(m["code_lines"] for m in modules.values())}
+
+
+def source_line(source: dict) -> str:
+    """The closing line that compares the code lines of
+    ``{"base": source_lines(...), "change": source_lines(...)}``."""
+    return f"src code lines {source['base']['code_lines']} -> {source['change']['code_lines']}"
+
+
 def machine():
     import numpy
 
@@ -220,6 +257,7 @@ def main(argv=None) -> int:
             ["git", "-C", str(ROOT), "status", "--porcelain", "--untracked-files=no"],
             capture_output=True, text=True).stdout.strip())},
         "machine": machine(),
+        "source": {side: source_lines(tree) for side, tree in trees.items()},
         "started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "series": [],
     }
@@ -258,6 +296,7 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for line in summary_lines(report["series"]) + counter_lines(report.get("traced", {})):
         print(line, file=sys.stderr)
+    print(source_line(report["source"]), file=sys.stderr)
     print(path)
     return 0
 

@@ -64,9 +64,9 @@ class VpSchedule:
     beta_max: float = 20.0
 
     def __post_init__(self):
-        if not (0 < self.beta_min < self.beta_max):
+        if not (0 < self.beta_min < self.beta_max < math.inf):
             raise ParameterError(
-                f"need 0 < beta_min < beta_max, got {self.beta_min}, {self.beta_max}"
+                f"need 0 < beta_min < beta_max < inf, got {self.beta_min}, {self.beta_max}"
             )
 
     def beta(self, t):
@@ -109,8 +109,10 @@ class DiffusionSpec:
     pi_std: float = 1.0
 
     def __post_init__(self):
-        if self.t_end <= 0:
-            raise ParameterError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ParameterError(f"t_end must be positive and finite, got {self.t_end}")
+        if not 0 < self.pi_std < math.inf:
+            raise ParameterError(f"pi_std must be positive and finite, got {self.pi_std}")
 
 
 def vpsde(schedule: VpSchedule | None = None, *, t_end: float = 1.0) -> DiffusionSpec:
@@ -150,9 +152,9 @@ def vpsde(schedule: VpSchedule | None = None, *, t_end: float = 1.0) -> Diffusio
 
 def vesde(sigma_min: float, sigma_max: float, *, t_end: float = 1.0) -> DiffusionSpec:
     """Variance-exploding preset; geometric sigma from sigma_min to sigma_max."""
-    if not (0 < sigma_min < sigma_max):
+    if not (0 < sigma_min < sigma_max < math.inf):
         raise ParameterError(
-            f"need 0 < sigma_min < sigma_max, got {sigma_min}, {sigma_max}"
+            f"need 0 < sigma_min < sigma_max < inf, got {sigma_min}, {sigma_max}"
         )
     log_ratio = math.log(sigma_max / sigma_min)
 

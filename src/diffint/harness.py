@@ -27,8 +27,12 @@ derive:
 * ``loglik``       ODE log-likelihood against the analytic mixture
                    density.
 
-Report formats: ``json`` (canonical, sorted keys) and ``csv`` (schema
-string in the row-1 comment, resolved config embedded in a comment).
+Every runner returns its report through one builder (``_report``),
+which takes the kind and the provenance from the config and the columns
+from the keys of the first row, in order, so a key added to a row is a
+column of both formats.  Report formats: ``json`` (canonical, sorted
+keys) and ``csv`` (schema string in the row-1 comment, resolved config
+embedded in a comment).
 """
 
 import dataclasses
@@ -410,11 +414,10 @@ class MetricReport:
     rows: list
     summary: dict
     provenance: dict
-    schema: str = SCHEMA
 
     def to_json(self) -> str:
         doc = {
-            "schema": self.schema,
+            "schema": SCHEMA,
             "kind": self.kind,
             "columns": list(self.columns),
             "rows": self.rows,
@@ -424,7 +427,7 @@ class MetricReport:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_csv(self) -> str:
-        lines = [f"# schema={self.schema};kind={self.kind}"]
+        lines = [f"# schema={SCHEMA};kind={self.kind}"]
         lines.append(f"# config_sha256={self.provenance['config_sha256']}")
         lines.append(
             "# config="
@@ -470,6 +473,14 @@ def _provenance(config: ExperimentConfig) -> dict:
     }
 
 
+def _report(config: ExperimentConfig, rows: list, summary: dict) -> MetricReport:
+    """The report of every runner: config's kind and provenance, and the
+    rows, whose columns are the keys of the first row, in order (every
+    validated config gives at least one row)."""
+    return MetricReport(kind=config.kind, columns=tuple(rows[0]), rows=rows,
+                        summary=summary, provenance=_provenance(config))
+
+
 def _sampler_kwargs(config: ExperimentConfig) -> dict:
     s = config.sampler
     return {
@@ -495,28 +506,19 @@ def run_sample(config: ExperimentConfig) -> tuple[SolverRun, MetricReport]:
         config.sampler["name"], spec, field, grid, x_t, **_sampler_kwargs(config)
     )
     rho = grid.rho_values(spec)
-    state_cols = (
-        ("state",)
-        if run.states.ndim == 1
-        else tuple(f"state{k}" for k in range(run.states.shape[1]))
-    )
-    columns = ("step", "t", "rho") + state_cols + ("nfe",)
     rows = []
     for i in range(grid.n_steps, -1, -1):
-        row = {"step": i, "t": float(grid.times[i]), "rho": float(rho[i]), "nfe": run.nfe}
+        row = {"step": i, "t": float(grid.times[i]), "rho": float(rho[i])}
         if run.states.ndim == 1:
             row["state"] = float(run.states[i])
         else:
             for k in range(run.states.shape[1]):
                 row[f"state{k}"] = float(run.states[i, k])
+        row["nfe"] = run.nfe
         rows.append(row)
     summary = {"sampler": run.sampler, "order": run.order, "nfe": run.nfe,
                "notes": list(run.notes)}
-    report = MetricReport(
-        kind="sample", columns=columns, rows=rows, summary=summary,
-        provenance=_provenance(config),
-    )
-    return run, report
+    return run, _report(config, rows, summary)
 
 
 # -- convergence -----------------------------------------------------
@@ -577,9 +579,6 @@ def _convergence_case(config: ExperimentConfig, spec, field, x_batch, reference)
     return rows, fit
 
 
-_CONVERGENCE_COLUMNS = ("n", "nfe", "delta_p", "max_abs_error")
-
-
 def run_convergence(config: ExperimentConfig) -> MetricReport:
     """Terminal error vs the reference over config.n_list step counts.
 
@@ -589,23 +588,19 @@ def run_convergence(config: ExperimentConfig) -> MetricReport:
     spec = config.build_spec()
     field = config.build_field(spec)
     rows, fit = _convergence_case(config, spec, field, *_reference_batch(config, spec, field))
-    return MetricReport(
-        kind="convergence",
-        columns=_CONVERGENCE_COLUMNS,
-        rows=rows,
-        summary={**fit, "error_floor": ERROR_FLOOR},
-        provenance=_provenance(config),
-    )
+    return _report(config, rows, {**fit, "error_floor": ERROR_FLOOR})
 
 
 def _case_labels(case: ExperimentConfig) -> dict:
     """A study case's sampler and schedule named by their converted
     parameters, without commas: e.g. ``tab(order=2)``, ``power_t(kappa=3.0)``;
-    a sampler shows only the given arguments it reads."""
+    each shows only the given arguments it reads, so one that differs
+    only in an ignored argument is a repeated case."""
     kwargs = _sampler_kwargs(case)
     reads = _SAMPLERS[case.sampler["name"]][1]
     sampler = [f"{k}={kwargs[k]}" for k in reads if k in case.sampler]
-    schedule = [f"kappa={float(case.schedule['kappa'])}"] if "kappa" in case.schedule else []
+    kappa = "kappa" in case.schedule and case.schedule["name"] in timegrid.KAPPA_SCHEDULES
+    schedule = [f"kappa={float(case.schedule['kappa'])}"] if kappa else []
     return {
         "sampler": case.sampler["name"] + (f"({' '.join(sampler)})" if sampler else ""),
         "schedule": case.schedule["name"] + (f"({' '.join(schedule)})" if schedule else ""),
@@ -626,13 +621,7 @@ def run_study(config: ExperimentConfig) -> MetricReport:
         case_rows, fit = _convergence_case(case, spec, field, x_batch, reference)
         rows += [{**labels, **row} for row in case_rows]
         fits.append({**labels, **fit})
-    return MetricReport(
-        kind="study",
-        columns=("sampler", "schedule") + _CONVERGENCE_COLUMNS,
-        rows=rows,
-        summary={"fits": fits, "error_floor": ERROR_FLOOR},
-        provenance=_provenance(config),
-    )
+    return _report(config, rows, {"fits": fits, "error_floor": ERROR_FLOOR})
 
 
 # -- marginal --------------------------------------------------------
@@ -687,17 +676,7 @@ def run_marginal(config: ExperimentConfig) -> MetricReport:
             }
         )
     summary = {"failed": failed, "data_mean": data_mean, "data_var": data_var}
-    return MetricReport(
-        kind="marginal",
-        columns=(
-            "lambda", "n_traj", "divergence_rate", "terminal_mean", "terminal_var",
-            "data_mean", "data_var", "se_mean", "se_var", "mean_within_3se",
-            "var_within_3se", "failed",
-        ),
-        rows=rows,
-        summary=summary,
-        provenance=_provenance(config),
-    )
+    return _report(config, rows, summary)
 
 
 # -- trace -----------------------------------------------------------
@@ -732,9 +711,6 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
     node_states = reference_states(spec, field, x_t, times, config.ref_dt)
     node_eps = np.array([field(node_states[i], times[i]) for i in range(n + 1)])
     orders = tuple(_integer(r, "an orders entry") for r in config.orders)
-    columns = ("interval", "t", "is_node", "delta_s_score", "delta_s_eps") + tuple(
-        f"delta_eps_r{r}" for r in orders
-    )
     rows = []
     for i in range(n, 0, -1):
         t_hi, t_lo = times[i], times[i - 1]
@@ -778,10 +754,7 @@ def run_trace(config: ExperimentConfig) -> MetricReport:
         summary[f"trace_mean_delta_eps_r{r}"] = float(
             np.mean([row[f"delta_eps_r{r}"] for row in interior])
         )
-    return MetricReport(
-        kind="trace", columns=columns, rows=rows, summary=summary,
-        provenance=_provenance(config),
-    )
+    return _report(config, rows, summary)
 
 
 # -- loglik ----------------------------------------------------------
@@ -819,16 +792,7 @@ def run_loglik(config: ExperimentConfig) -> MetricReport:
             }
         )
     summary = {"max_abs_gap_nats": float(max(abs(r["gap_nats"]) for r in rows))}
-    return MetricReport(
-        kind="loglik",
-        columns=(
-            "x0", "loglik_ode_nats", "loglik_analytic_nats", "gap_nats",
-            "loglik_ode_bits", "loglik_analytic_bits", "gap_bits",
-        ),
-        rows=rows,
-        summary=summary,
-        provenance=_provenance(config),
-    )
+    return _report(config, rows, summary)
 
 
 _RUNNERS = {

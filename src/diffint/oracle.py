@@ -510,39 +510,31 @@ def _steps(t_from: float, t_to: float, dt: float):
     return n, (t_to - t_from) / n
 
 
-def _stage_windows(t, n: int, h):
-    """The stage times of n RK4 steps of size h from t, in windows of at
-    most ``(_MEMO_SIZE - 1) // 2`` steps: yields each window's list t_k,
-    t_k + h/2, t_k + h, ..., with t carried by ``t += h`` across windows,
-    so their size never moves a time."""
-    window = (_MEMO_SIZE - 1) // 2
-    for first in range(0, n, window):
-        times = [t]
-        for _ in range(min(window, n - first)):
-            times += (t + 0.5 * h, t + h)
-            t += h
-        yield times
-
-
 def _solve_windows(spans, dt: float):
     """The windows of one fixed-step solve through ``spans``, pairs
     (t_from, t_to) taken in turn, each in the steps of :func:`_steps` with
-    its own h and the stage times of :func:`_stage_windows`.  Yields
-    (first, times, steps) per window of at most ``(_MEMO_SIZE - 1) // 2``
-    steps, which holds whole pieces of :func:`_stage_windows`: the index
-    of its first step in the solve, the stage times of its pieces one
-    after another, and per step (j, half, h, end), for :func:`_rk4`."""
+    its own h from t = t_from, carried by ``t += h``, so a window's size
+    never moves a time.  Yields (first, times, steps) per window of
+    ``(_MEMO_SIZE - 1) // 2`` steps, the last of fewer: the index of its
+    first step in the solve, its stage times, and per step (j, half, h,
+    end), for :func:`_rk4`.  A step's stage times are times[j] = t,
+    t + h/2 and t + h, and the next step of its span in the window starts
+    from that t + h."""
     window = (_MEMO_SIZE - 1) // 2
     first, times, steps = 0, [], []
     for end, (t_from, t_to) in enumerate(spans):
         n, h = _steps(t_from, t_to, dt)
         half, full = _scalars((0.5 * h, h))
-        for piece in _stage_windows(t_from, n, h):
-            if len(steps) + len(piece) // 2 > window:
+        t = t_from
+        for k in range(n):
+            if len(steps) == window:
                 yield first, times, steps
-                first, times, steps = first + len(steps), [], []
-            steps += [(j, half, full, None) for j in range(len(times), len(times) + len(piece) - 1, 2)]
-            times += piece
+                first, times, steps = first + window, [], []
+            if k == 0 or not times:
+                times.append(t)
+            steps.append((len(times) - 1, half, full, None))
+            times += (t + 0.5 * h, t + h)
+            t += h
         steps[-1] = steps[-1][:3] + (end,)
     if steps:
         yield first, times, steps
@@ -802,7 +794,7 @@ def pf_loglik(gmm: GaussianMixture, spec: DiffusionSpec, x0, dt: float = 1e-3):
     step of the score routine is elementwise in x or a sum over the
     components in one fixed order.  The divergence never feeds back into
     x, so :func:`_rk4` steps the state alone, (x0.size,), one
-    :func:`_stage_windows` window at a time, with the right side of
+    :func:`_solve_windows` window at a time, with the right side of
     :func:`_loglik_stages`: the score routine (:func:`_score_half`, the
     log terms and the score half of the pair code), whose per-stage
     values it records.  A vectorised pass then
@@ -860,18 +852,18 @@ def _loglik_chunk(k: int, m: int, n: int):
     mixture over n steps: the divergence is carried after each chunk of
     ``steps`` steps, and the pass runs after each ``slots`` stages, as
     many as keep their records, (2k + 2) m floats a stage, within
-    ``_RECORD_FLOATS``.  A chunk has at least 1 step and at most n,
-    ``_CHUNK_STEPS`` or a :func:`_stage_windows` window, and its four
+    ``_RECORD_FLOATS``.  A chunk has at least 1 step and at most n or
+    ``_CHUNK_STEPS``, and ends at the latest with its window, and its four
     stages a step fill a whole number of passes: slots is 4 steps, or 2
     or 1 where one step's records do not fit."""
     slots = max(1, _RECORD_FLOATS // ((2 * k + 2) * max(m, 1)))
-    steps = max(1, min(n, (_MEMO_SIZE - 1) // 2, _CHUNK_STEPS, slots // 4))
+    steps = max(1, min(n, _CHUNK_STEPS, slots // 4))
     return steps, 4 * steps if slots >= 4 else min(slots, 2)
 
 
 def _loglik_table(gmm: GaussianMixture, spec: DiffusionSpec, times):
     """What :func:`pf_loglik`'s stages take from the times of one
-    :func:`_stage_windows` window, from its :func:`_stage_table`, as
+    :func:`_solve_windows` window, from its :func:`_stage_table`, as
     (per_time, per_stage).  per_time holds, for
     the state's right side, lists of f and c = g2 / 2 as 0-d arrays and
     of the marginal's means, var and bias as (K, 1) columns, one entry

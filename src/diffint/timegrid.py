@@ -36,9 +36,12 @@ __all__ = [
     "log_rho",
     "make_grid",
     "SCHEDULE_NAMES",
+    "KAPPA_SCHEDULES",
 ]
 
 SCHEDULE_NAMES = ("uniform", "quadratic", "power_t", "power_rho", "log_rho")
+# the schedules that read kappa; the others ignore it
+KAPPA_SCHEDULES = ("power_t", "power_rho")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,20 +161,18 @@ def make_grid(name: str, *, t0: float, t_end: float, n: int,
               kappa: float | None = None,
               spec: DiffusionSpec | None = None) -> TimeGrid:
     """Build a grid by schedule name (the harness entry point)."""
+    if name in KAPPA_SCHEDULES and kappa is None:
+        raise ParameterError(f"{name} needs kappa")
     if name == "uniform":
         return uniform(t0, t_end, n)
     if name == "quadratic":
         return quadratic(t0, t_end, n)
     if name == "power_t":
-        if kappa is None:
-            raise ParameterError("power_t needs kappa")
         return power_t(t0, t_end, n, kappa)
     if name in ("power_rho", "log_rho"):
         if spec is None:
             raise ParameterError(f"{name} needs a diffusion spec")
         if name == "power_rho":
-            if kappa is None:
-                raise ParameterError("power_rho needs kappa")
             return power_rho(spec, t0, n, kappa, t_end)
         return log_rho(spec, t0, n, t_end)
     raise ParameterError(f"unknown schedule {name!r}; choose from {SCHEDULE_NAMES}")

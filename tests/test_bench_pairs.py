@@ -145,3 +145,44 @@ def test_machine_records_the_usable_cpus():
     got = bench_pairs.machine()
     assert got["cpus"] == os.cpu_count()
     assert got["usable_cpus"] == len(os.sched_getaffinity(0))
+
+
+_MODULE = '''"""A module docstring,
+on two lines."""
+
+import math  # a trailing comment leaves a code line
+
+# a comment
+
+
+def area(r):
+    """A function docstring."""
+    text = """a string that is not a docstring"""
+    return math.pi * r * r
+
+
+class Shape:
+    'A class docstring.'
+
+    sides = 0
+'''
+
+
+def test_source_lines_count_each_module_and_the_totals(tmp_path):
+    base, change = tmp_path / "base", tmp_path / "change"
+    for tree in (base, change):
+        (tree / "src" / "diffint").mkdir(parents=True)
+        (tree / "src" / "diffint" / "shapes.py").write_text(_MODULE)
+    (change / "src" / "diffint" / "one.py").write_text("x = 1\n\n")
+    # not a module of src/diffint
+    (change / "src" / "diffint" / "notes.txt").write_text("x = 1\n")
+    # code: the import, def, the string assignment, return, class and sides
+    shapes = {"lines": 18, "code_lines": 6}
+    assert bench_pairs.code_lines(_MODULE) == 6
+    source = {"base": bench_pairs.source_lines(base),
+              "change": bench_pairs.source_lines(change)}
+    assert source["base"] == {"modules": {"shapes.py": shapes}, "lines": 18, "code_lines": 6}
+    assert source["change"] == {
+        "modules": {"one.py": {"lines": 2, "code_lines": 1}, "shapes.py": shapes},
+        "lines": 20, "code_lines": 7}
+    assert bench_pairs.source_line(source) == "src code lines 6 -> 7"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -69,7 +70,9 @@ def test_vp_alpha_strictly_decreasing(vp):
     assert np.all((alpha > 0) & (alpha <= 1))
 
 
-@pytest.mark.parametrize("bad", [(-1.0, 20.0), (0.0, 20.0), (20.0, 0.1), (1.0, 1.0)])
+@pytest.mark.parametrize("bad", [(-1.0, 20.0), (0.0, 20.0), (20.0, 0.1), (1.0, 1.0),
+                                 (0.1, float("inf")), (float("nan"), 20.0),
+                                 (0.1, float("nan"))])
 def test_vp_schedule_rejects_bad_bounds(bad):
     with pytest.raises(ParameterError):
         VpSchedule(*bad)
@@ -91,10 +94,25 @@ def test_ve_variance_rate_matches_g2():
         assert np.isclose(lhs, float(spec.g2(t)), rtol=1e-6)
 
 
-@pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, 0.5), (-1.0, 2.0), (2.0, 2.0)])
+@pytest.mark.parametrize("bad", [(0.0, 1.0), (1.0, 0.5), (-1.0, 2.0), (2.0, 2.0),
+                                 (0.01, float("inf")), (float("nan"), 50.0),
+                                 (0.01, float("nan"))])
 def test_ve_rejects_bad_bounds(bad):
     with pytest.raises(ParameterError):
         vesde(*bad)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -1.0, float("inf"), float("nan")])
+def test_presets_reject_a_bad_t_end(t_end):
+    for make in (lambda: vpsde(t_end=t_end), lambda: vesde(0.01, 50.0, t_end=t_end)):
+        with pytest.raises(ParameterError, match="t_end"):
+            make()
+
+
+@pytest.mark.parametrize("pi_std", [0.0, float("inf"), float("nan")])
+def test_spec_rejects_a_bad_pi_std(vp, pi_std):
+    with pytest.raises(ParameterError, match="pi_std"):
+        dataclasses.replace(vp, pi_std=pi_std)
 
 
 # -- transition -------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diffint import ConfigError, harness, run_sampler
+from diffint import ConfigError, harness, run_sampler, timegrid
 from diffint.cli import main
 from diffint.harness import (
     KINDS,
@@ -450,6 +450,15 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "sampler": [{"name": "euler"}, {"name": "euler", "order": 3},
                      {"name": "ddim", "eta": 0.7}],
          "schedule": [{"name": "uniform", "n": 10}]},
+        # and so does a kappa that a schedule ignores
+        {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
+         "schedule": [{"name": "uniform", "n": 10}, {"name": "uniform", "n": 10, "kappa": 3.0}]},
+        # a non-finite diffusion parameter fails loading, not the run
+        {"diffusion": {"preset": "vpsde", "beta_max": float("inf")}},
+        {"kind": "convergence", "n_list": [2, 4],
+         "diffusion": {"preset": "vesde", "sigma_max": float("inf")}},
+        {"kind": "loglik", "x0_list": [0.0],
+         "diffusion": {"preset": "vpsde", "beta_max": float("inf")}},
     ],
 )
 def test_cli_malformed_value_exit_code(tmp_path, overrides):
@@ -536,6 +545,14 @@ def test_study_labels_show_only_the_arguments_a_sampler_reads():
         schedule=[{"name": "uniform", "n": 10}]))
     assert [harness._case_labels(case)["sampler"] for case in cfg._cases()] == [
         "tab", "tab(order=2)", "ddim", "euler", "sddim(eta=0.5)", "ipndm(order=3)"]
+
+
+def test_study_labels_show_kappa_only_for_the_schedules_that_read_it():
+    schedules = [{"name": name, "n": 10, "kappa": 3.0} for name in timegrid.SCHEDULE_NAMES]
+    cfg = ExperimentConfig.from_dict(base_config(
+        kind="study", n_list=[2, 4], sampler=[{"name": "ddim"}], schedule=schedules))
+    assert [harness._case_labels(case)["schedule"] for case in cfg._cases()] == [
+        "uniform", "quadratic", "power_t(kappa=3.0)", "power_rho(kappa=3.0)", "log_rho"]
 
 
 def test_cli_seed_override_is_validated(tmp_path):
@@ -762,6 +779,18 @@ def test_shipped_config_reports_are_pinned(name):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[name]
     embedded = json.loads(text)["provenance"]["config"]
     assert run_experiment(ExperimentConfig.from_dict(embedded)).to_json() == text
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_csv_header_is_the_json_columns(name):
+    report = _shipped_report(name)
+    doc = json.loads(report.to_json())
+    header, *lines = [line for line in report.to_csv().splitlines()
+                      if not line.startswith("#")]
+    assert header.split(",") == doc["columns"]
+    assert len(lines) == len(doc["rows"])
+    assert all(len(line.split(",")) == len(doc["columns"]) for line in lines)
+    assert all(sorted(row) == sorted(doc["columns"]) for row in doc["rows"])
 
 
 def _memo_reference(fn):
