@@ -136,17 +136,19 @@ def summarise(base_runs, change_runs, metrics):
 
 def summary_lines(series) -> list:
     """The closing summary of the ``series`` of a report, one line per
-    series and metric: each side's median, ``median_change_frac``, the
-    pairs the change wins, the base's interquartile range and
+    series and metric: each side's median and interquartile range,
+    ``median_change_frac``, the pairs the change wins and
     ``within_bound``."""
     lines = []
     for one in series:
         for name, m in one["metrics"].items():
+            base, change = m["base"], m["change"]
             lines.append(
                 f"{one['workload']} seed {one['seed']} {name} ({m['unit']}, {m['better']} "
-                f"is better): base {m['base']['median']:.4g} change {m['change']['median']:.4g} "
+                f"is better): base {base['median']:.4g} (IQR {base['iqr']:.3g}) change "
+                f"{change['median']:.4g} (IQR {change['iqr']:.3g}) "
                 f"({m['median_change_frac']:+.1%}), wins {m['wins']}/{m['pairs']}, "
-                f"base IQR {m['base']['iqr']:.3g}, within_bound {m['within_bound']}")
+                f"within_bound {m['within_bound']}")
     return lines
 
 

@@ -5,7 +5,8 @@ An experiment is described by a single JSON document (see
 ``--format`` override the corresponding config fields, and everything
 else comes from the file.  Reports embed the fully resolved config and
 a hash of it, so re-running from an embedded config reproduces the
-report byte for byte.
+report byte for byte; the resolved config leaves out an ``order``,
+``eta`` or ``kappa`` that the named sampler or schedule does not read.
 
 Experiment kinds, each a key of the runner registry ``_RUNNERS`` from
 which :data:`KINDS`, :func:`run_experiment` and the CLI subcommands
@@ -296,26 +297,32 @@ class ExperimentConfig:
             for schedule in self.schedule
         ]
 
-    def _schedules(self) -> tuple:
-        return self.schedule if self.kind == "study" else (self.schedule,)
+    def _objects(self, kind: str) -> tuple:
+        """The ``kind`` ("sampler" or "schedule") objects: a study's list,
+        or else the one."""
+        return getattr(self, kind) if self.kind == "study" else (getattr(self, kind),)
 
     def t0_for(self, spec: DiffusionSpec) -> float:
         """Schedule t0, defaulting per preset (1e-3 VP, 1e-5 VE); the
         schedules of a study share theirs."""
-        return _full_schedule(self._schedules()[0], spec)["t0"]
+        return _full_schedule(self._objects("schedule")[0], spec)["t0"]
 
     def resolved(self) -> dict:
         """The complete config as a plain dict (what reports embed).
 
         Schedule defaults (t0, t_end) are filled in, and the output
-        path is omitted: it is delivery metadata, not experiment
-        identity, so the same experiment written to two different
-        files produces identical bytes.
+        path and every ignored ``order``, ``eta`` or ``kappa``
+        (:func:`_read_keys`) are omitted: they are not experiment
+        identity, so the same experiment written to two different files,
+        or given an argument it does not read, produces identical bytes.
         """
         spec = self.build_spec()
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
         doc = {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
-        schedules = [_full_schedule(s, spec) for s in self._schedules()]
+        samplers = [_read_keys(s, "sampler") for s in self._objects("sampler")]
+        schedules = [_full_schedule(_read_keys(s, "schedule"), spec)
+                     for s in self._objects("schedule")]
+        doc["sampler"] = samplers if self.kind == "study" else samplers[0]
         doc["schedule"] = schedules if self.kind == "study" else schedules[0]
         return doc
 
@@ -397,6 +404,16 @@ def _convert(f, kind: str, raw: dict):
             raise ConfigError(f"{f.name} must be {kind_of}, got {value!r}")
         return f.type(value)
     return value
+
+
+def _read_keys(obj: dict, kind: str) -> dict:
+    """The ``kind`` ("sampler" or "schedule") object ``obj`` less the
+    optional keys (``order``, ``eta``, ``kappa``) that its named sampler
+    or schedule does not read."""
+    name = obj["name"]
+    reads = (_SAMPLERS[name][1] if kind == "sampler"
+             else ("kappa",) if name in timegrid.KAPPA_SCHEDULES else ())
+    return {k: v for k, v in obj.items() if k not in ("order", "eta", "kappa") or k in reads}
 
 
 def _full_schedule(schedule: dict, spec: DiffusionSpec) -> dict:
@@ -594,12 +611,11 @@ def run_convergence(config: ExperimentConfig) -> MetricReport:
 def _case_labels(case: ExperimentConfig) -> dict:
     """A study case's sampler and schedule named by their converted
     parameters, without commas: e.g. ``tab(order=2)``, ``power_t(kappa=3.0)``;
-    each shows only the given arguments it reads, so one that differs
-    only in an ignored argument is a repeated case."""
+    each shows only the given arguments it reads (:func:`_read_keys`), so
+    one that differs only in an ignored argument is a repeated case."""
     kwargs = _sampler_kwargs(case)
-    reads = _SAMPLERS[case.sampler["name"]][1]
-    sampler = [f"{k}={kwargs[k]}" for k in reads if k in case.sampler]
-    kappa = "kappa" in case.schedule and case.schedule["name"] in timegrid.KAPPA_SCHEDULES
+    sampler = [f"{k}={kwargs[k]}" for k in _read_keys(case.sampler, "sampler") if k != "name"]
+    kappa = "kappa" in _read_keys(case.schedule, "schedule")
     schedule = [f"kappa={float(case.schedule['kappa'])}"] if kappa else []
     return {
         "sampler": case.sampler["name"] + (f"({' '.join(sampler)})" if sampler else ""),

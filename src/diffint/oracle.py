@@ -19,8 +19,8 @@ Conventions:
   per-axis factorized product distribution with iid axes).
 * The field, its :meth:`EpsilonField.score` and each ``pf_loglik``
   stage form the marginal's means, variances and per-component bias
-  log w_k - 0.5 log(2 pi var_k) directly (``_marginals``, at one time
-  or many, with the bits of the one-time formula at each) instead of
+  log w_k - 0.5 log(2 pi var_k) directly (``_marginals``, at an array
+  of times, with the bits of :func:`marginal_at` at each) instead of
   building a :class:`GaussianMixture`.  Every mixture evaluation runs
   one plain-numpy score routine (``_score_half``): the log terms, a
   shifted softmax (with a_k the log terms and a_max their max, the
@@ -47,9 +47,11 @@ Conventions:
 * An :class:`EpsilonField` memoises that per-time work by ``float(t)``,
   up to 4096 times per field (``_MEMO_SIZE``; the memo is cleared when
   full).  A hit has the bits of a miss; a time whose marginal variance
-  underflows raises on every call and is never stored.  A run that knows
-  its times ahead (Euler-Maruyama) fills the memo from one array call.
-  The reference solve neither reads nor fills it.
+  underflows raises on every call and is never stored.  Every sampler
+  run, Euler-Maruyama included, fills the memo with its evaluation times
+  from one array call before its first step, in the executor that alone
+  calls the field in a run.  The reference solve neither reads nor
+  fills it.
 * Every fixed-step solve (the reference and :func:`pf_loglik`) runs one
   RK4 stepper, ``_rk4``, which steps in place in one buffer of six rows
   of the state's shape with numpy's over and invalid flags quiet, since
@@ -403,20 +405,17 @@ def marginal_at(gmm: GaussianMixture, spec: DiffusionSpec, t: float) -> Gaussian
 
 def _marginals(gmm: GaussianMixture, spec: DiffusionSpec, times):
     """L(t), (T,), and the means, variances and :func:`_bias` of the
-    time-t marginal, (K, T) each, one column per time of ``times`` (a
-    1-d array, or one time), each with the bits of :func:`marginal_at`'s
-    mixture, without building and validating one.  The (K, T) arrays
-    are read-only; raises :class:`DomainError` at the first time whose
+    time-t marginal, (K, T) each, one column per time of the 1-d array
+    ``times``, each with the bits of :func:`marginal_at`'s mixture,
+    without building and validating one.  The (K, T) arrays are
+    read-only; raises :class:`DomainError` at the first time whose
     variance underflows."""
-    # mu has the shape of times, so against the (K, 1) data columns it
-    # gives (K, T) arrays, or (K, 1) ones for one time
     mu = spec.mu(times)
     l_t = np.asarray(spec.L(times), dtype=float).reshape(-1)
     total_var = (mu * gmm.stds.reshape(-1, 1)) ** 2 + l_t * l_t
     low = total_var < _VARIANCE_FLOOR
     if low.any():
-        t = times if np.ndim(times) == 0 else times[low.any(axis=0).argmax()]
-        raise DomainError(f"marginal variance underflow at t={t}")
+        raise DomainError(f"marginal variance underflow at t={times[low.any(axis=0).argmax()]}")
     means = mu * gmm.means.reshape(-1, 1)
     var = np.sqrt(total_var) ** 2
     bias = _bias(gmm.weights.reshape(-1, 1), var)
@@ -464,7 +463,7 @@ class EpsilonField:
         key = float(t)
         entry = self._memo.get(key)
         if entry is None:
-            l_t, *columns = _marginals(self.gmm, self.spec, t)
+            l_t, *columns = _marginals(self.gmm, self.spec, np.array([key]))
             entry = (float(l_t[0]), *columns)
             if len(self._memo) >= _MEMO_SIZE:
                 self._memo.clear()

@@ -1,8 +1,8 @@
 """Panel-refined Gauss-Legendre quadrature.
 
 A fixed 32-node Gauss-Legendre rule is applied on each panel and the
-panel count is doubled until two successive estimates agree to the
-requested tolerance.  The integrands here (transition kernels, weight
+panel count is doubled until two successive estimates agree to a
+fixed tolerance.  The integrands here (transition kernels, weight
 integrands) are smooth, so the rule typically converges after one or
 two refinements; the cap exists to turn a genuinely hard integrand
 into a diagnosable error instead of a silent inaccuracy.
@@ -25,17 +25,12 @@ import numpy as np
 from .errors import QuadratureError
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+# two successive estimates agree when they differ by at most
+# max(_ATOL, _RTOL |estimate|); the panel count stops at _MAX_PANELS
+_RTOL, _ATOL, _MAX_PANELS = 1e-12, 1e-15, 1024
 
 
-def integrate(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a,
-    b,
-    *,
-    rtol: float = 1e-12,
-    atol: float = 1e-15,
-    max_panels: int = 1024,
-):
+def integrate(fn: Callable[[np.ndarray], np.ndarray], a, b):
     """Integrate ``fn`` over [a, b] with the panel-refined rule.
 
     ``a`` and ``b`` broadcast to a shape S (``()`` for scalars).  ``fn``
@@ -45,14 +40,14 @@ def integrate(
     stack several integrands over the same points.  The result has
     shape (..., *S), a float when that is ``()``.  Each element
     converges on its own; :class:`QuadratureError` is raised if any
-    one does not within ``max_panels``.
+    one does not within ``_MAX_PANELS`` (1024) panels.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if a.ndim == 0 and a == b:
         return 0.0
     result, pending, previous = None, a != b, None
     panels = 1
-    while panels <= max_panels:
+    while panels <= _MAX_PANELS:
         # the steps of np.linspace(a, b, panels + 1), elementwise
         edges = np.arange(panels + 1.0) * ((b - a) / panels)[..., None] + a[..., None]
         edges[..., -1] = b
@@ -67,7 +62,7 @@ def integrate(
             pending = np.broadcast_to(pending, estimate.shape).copy()
         else:
             done = pending & (
-                np.abs(estimate - previous) <= np.maximum(atol, rtol * np.abs(estimate))
+                np.abs(estimate - previous) <= np.maximum(_ATOL, _RTOL * np.abs(estimate))
             )
             result[done] = estimate[done]
             pending &= ~done
@@ -77,6 +72,6 @@ def integrate(
         panels *= 2
     lo, hi = (np.broadcast_to(x, pending.shape)[pending][0] for x in (a, b))
     raise QuadratureError(
-        f"quadrature over [{lo}, {hi}] did not converge to rtol={rtol} "
-        f"within {max_panels} panels"
+        f"quadrature over [{lo}, {hi}] did not converge to rtol={_RTOL} "
+        f"within {_MAX_PANELS} panels"
     )

@@ -7,15 +7,16 @@ produces a :class:`SolverRun` holding the state at every grid node.
 The cost contract is explicit: single-step and multistep methods
 evaluate the field exactly once per step (nfe = N); s-stage
 Runge-Kutta methods evaluate it s times per step (nfe = s N).  The
-count is taken by a wrapper around the field itself, so hidden
-evaluations are impossible.
+executor counts every call it makes, and it is the only caller of the
+field in a run, so hidden evaluations are impossible.
 
 Every sampler is a plan that one executor runs, in place on its own
-copy of the state: it owns the evaluation count, the history buffer, the
-finite check at the nodes and the recorded states (none for EM, which
-keeps the terminal only).  Most samplers are one linear multistep update,
-x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i for sddim), eps_{i+j}
-the field value at node i+j.  Each builder returns one plan, a
+copy of the state: it owns the field calls and their count, the memo
+fill of an :class:`~diffint.oracle.EpsilonField`, the history buffer,
+the finite check at the nodes and the recorded states (none for EM,
+which keeps the terminal only).  Most samplers are one linear multistep
+update, x_{i-1} = a_i x_i + sum_j c_ij eps_{i+j} (+ s_i xi_i for sddim),
+eps_{i+j} the field value at node i+j.  Each builder returns one plan, a
 :class:`~diffint.weights.WeightTable` that is all the run needs: a_i in
 ``psi``, rows c_i in ``c``, the noise scales s_i in ``noise`` (None for
 a deterministic plan), and the ``order`` and ``notes`` the run reports.
@@ -85,8 +86,7 @@ class SolverRun:
 
     ``states[i]`` is the state at grid node i (so ``states[n_steps]``
     is the initial condition and ``states[0]`` the terminal sample);
-    ``nfe`` counts field evaluations as observed by the counting
-    wrapper.
+    ``nfe`` counts the field calls that :func:`_execute` made.
     """
 
     sampler: str
@@ -94,24 +94,11 @@ class SolverRun:
     grid: TimeGrid
     states: np.ndarray
     nfe: int
-    seed: Optional[int] = None
     notes: tuple = ()
 
     @property
     def terminal(self):
         return self.states[0]
-
-
-class _CountingField:
-    """Wraps a field so every evaluation increments a counter."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.count = 0
-
-    def __call__(self, x, t):
-        self.count += 1
-        return self.inner(x, t)
 
 
 # Fewest states whose step noise a worker thread draws; smaller states
@@ -171,6 +158,12 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, seed=None, states=N
     or is set to NaN given ``nan_diverged``.  Returns x at node 0 (a
     numpy scalar if 0-d) and the evaluation count.
 
+    This is the only caller of the field in a run, so its count is the
+    run's nfe: it calls ``field(y, t)`` once per evaluation and counts
+    each call.  An :class:`~diffint.oracle.EpsilonField` first gets its
+    memo entries for ``plan.eval_times`` from one array call
+    (``EpsilonField._fill``), instead of one miss per time.
+
     The noise does not depend on the state, so it is drawn one step
     ahead, into the other of two step buffers: s xi of step k + 1 is
     drawn as step k starts, and step k adds its own once it is drawn.
@@ -182,10 +175,12 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, seed=None, states=N
     Each draw is a pure function of (seed, stream, shape), so the bits
     depend on neither.  An error of a draw (such as
     :class:`ParameterError` for a missing seed) is raised unchanged."""
-    counting = _CountingField(field)
     times, at, psi, rows, s = (plan.times, plan.eval_times.ravel(), plan.psi.tolist(),
                                plan.c, plan.noise)
     n, stages = plan.eval_times.shape
+    if isinstance(field, EpsilonField):
+        field._fill(at.tolist())
+    nfe = 0
     width = max(map(len, rows))  # the last stage reads the step's first
     x = np.array(x_T, dtype=float)
     stage = np.empty(x.shape)
@@ -211,7 +206,8 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, seed=None, states=N
                     ahead = submit(_draw, seed, 2 + n - i, s[i - 2], noise[(i - 1) % 2])
             y = x
             for k in range((i - 1) * stages, i * stages):
-                eps = counting(y, at[k])
+                eps = field(y, at[k])
+                nfe += 1
                 if np.may_share_memory(eps, y):
                     eps = np.copy(eps)
                 buffer.insert(0, eps)
@@ -235,7 +231,7 @@ def _execute(sampler: str, plan: WeightTable, field, x_T, *, seed=None, states=N
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return x[()], counting.count
+    return x[()], nfe
 
 
 def _ddim_coeffs(spec: DiffusionSpec, t, t_prev):
@@ -329,16 +325,18 @@ def _rho_ab_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
 def _ipndm_plan(spec: DiffusionSpec, grid: TimeGrid, r: int) -> WeightTable:
     """ddim's step with eps replaced by the fixed-step blend of the last
     j + 1 node evaluations, j = min(history, r), so the first step is
-    exactly ddim's.  The blend assumes a uniform grid; on a non-uniform
-    one the plan carries a run note saying so."""
+    exactly ddim's.  ddim's c is mu_{i-1} (rho_{i-1} - rho_i), so the
+    blend is Adams-Bashforth in rho with the weights of even steps; on a
+    grid whose steps in rho are uneven the plan carries a run note
+    saying so."""
     _check_ipndm_order(r)
     psi, c = _ddim_coeffs(spec, grid.times[1:], grid.times[:-1])
     n = grid.n_steps
     rows = tuple(c_i * np.array(IPNDM_BLEND[min(r, n - i)], dtype=float)
                  for i, c_i in enumerate(c, 1))
-    spacing = np.diff(grid.times)
+    spacing = np.diff(grid.rho_values(spec))
     uneven = spacing.size > 1 and (spacing.max() - spacing.min()) > 1e-9 * spacing.mean()
-    notes = ("blend coefficients assume a uniform grid; grid is non-uniform",) if uneven else ()
+    notes = ("blend weights assume even steps in rho; the grid's are uneven",) if uneven else ()
     return WeightTable(order=r, times=grid.times, psi=psi, c=rows, notes=notes)
 
 
@@ -458,13 +456,9 @@ def em_terminal_batch(spec: DiffusionSpec, field, lam: float, dt: float, t0: flo
     noise of step k from position i of :func:`~diffint.oracle.normals`
     stream 1 + k, so its result does not depend on ``n_traj``.
     Non-finite trajectories are returned as NaN rather than raising.
-    An :class:`~diffint.oracle.EpsilonField` gets its memo entries for
-    the step times from one array call before the first step, instead of
-    one miss per step.
+    The run goes through :func:`_execute`, which alone calls the field.
     """
     plan = _em_plan(spec, lam, dt, t0)
-    if isinstance(field, EpsilonField):
-        field._fill(plan.eval_times.ravel().tolist())
     x = draw_terminal_states(spec, seed, n_traj)
     return _execute("em", plan, field, x, seed=seed, nan_diverged=True)[0]
 
@@ -522,5 +516,4 @@ def run_sampler(name: str, spec: DiffusionSpec, field, grid: TimeGrid, x_T, *,
     states = np.empty((grid.n_steps + 1,) + x.shape)
     states[grid.n_steps] = x
     _, nfe = _execute(name, plan, field, x, seed=seed, states=states)
-    return SolverRun(name, plan.order, grid, states, nfe,
-                     seed=seed if name == "sddim" else None, notes=plan.notes)
+    return SolverRun(name, plan.order, grid, states, nfe, notes=plan.notes)

@@ -54,7 +54,6 @@ class TimeGrid:
     """
 
     times: np.ndarray
-    schedule_name: str = "custom"
     rho: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -84,10 +83,6 @@ class TimeGrid:
     def t0(self) -> float:
         return float(self.times[0])
 
-    @property
-    def t_end(self) -> float:
-        return float(self.times[-1])
-
     def rho_values(self, spec: DiffusionSpec) -> np.ndarray:
         return self.rho if self.rho is not None else rho_of_t(spec, self.times)
 
@@ -107,8 +102,7 @@ def power_t(t0: float, t_end: float, n: int, kappa: float) -> TimeGrid:
     frac = np.arange(n + 1) / n
     times = ((1 - frac) * t0 ** (1 / kappa) + frac * t_end ** (1 / kappa)) ** kappa
     times[0], times[-1] = t0, t_end
-    name = {1.0: "uniform", 2.0: "quadratic"}.get(float(kappa), "power_t")
-    return TimeGrid(times, name)
+    return TimeGrid(times)
 
 
 def uniform(t0: float, t_end: float, n: int) -> TimeGrid:
@@ -120,12 +114,12 @@ def quadratic(t0: float, t_end: float, n: int) -> TimeGrid:
     return power_t(t0, t_end, n, 2.0)
 
 
-def _from_rho_values(spec, rho_vals, t0, t_end, name) -> TimeGrid:
+def _from_rho_values(spec, rho_vals, t0, t_end) -> TimeGrid:
     times = t_of_rho(spec, rho_vals)
     if abs(times[0] - t0) > 1e-10 * max(1.0, t0) or abs(times[-1] - t_end) > 1e-10 * t_end:
         raise ParameterError("rho grid endpoints failed to invert back to (t0, t_end)")
     times[0], times[-1] = t0, t_end
-    return TimeGrid(times, name, rho=np.asarray(rho_vals, dtype=float))
+    return TimeGrid(times, rho=np.asarray(rho_vals, dtype=float))
 
 
 def power_rho(spec: DiffusionSpec, t0: float, n: int, kappa: float,
@@ -140,7 +134,7 @@ def power_rho(spec: DiffusionSpec, t0: float, n: int, kappa: float,
     frac = np.arange(n + 1) / n
     rho_vals = ((1 - frac) * r0 ** (1 / kappa) + frac * r1 ** (1 / kappa)) ** kappa
     rho_vals[0], rho_vals[-1] = r0, r1
-    return _from_rho_values(spec, rho_vals, t0, t_end, "power_rho")
+    return _from_rho_values(spec, rho_vals, t0, t_end)
 
 
 def log_rho(spec: DiffusionSpec, t0: float, n: int,
@@ -154,7 +148,7 @@ def log_rho(spec: DiffusionSpec, t0: float, n: int,
         raise ParameterError("log_rho needs rho(t0) > 0")
     rho_vals = np.exp(np.linspace(np.log(r0), np.log(r1), n + 1))
     rho_vals[0], rho_vals[-1] = r0, r1
-    return _from_rho_values(spec, rho_vals, t0, t_end, "log_rho")
+    return _from_rho_values(spec, rho_vals, t0, t_end)
 
 
 def make_grid(name: str, *, t0: float, t_end: float, n: int,

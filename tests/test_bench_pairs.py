@@ -131,13 +131,14 @@ def test_summary_lines_give_each_series_verdict():
               {"workload": "sweep", "seed": 7919,
                "metrics": bench_pairs.summarise(change, base, metrics[:1])}]
     assert bench_pairs.summary_lines(series) == [
-        # medians 50.75 and 58.5, +15.3%; the base quartiles 50.375 and 51.25
-        "loglik seed 0 items_per_s (1/s, higher is better): base 50.75 change 58.5 "
-        "(+15.3%), wins 3/4, base IQR 0.875, within_bound True",
-        "loglik seed 0 unbounded (s, lower is better): base 1 change 2 (+100.0%), "
-        "wins 0/4, base IQR 0, within_bound None",
-        "sweep seed 7919 items_per_s (1/s, higher is better): base 58.5 change 50.75 "
-        "(-13.2%), wins 1/4, base IQR 3.5, within_bound True",
+        # medians 50.75 and 58.5, +15.3%; the base quartiles 50.375 and
+        # 51.25, the change's 55.75 and 59.25
+        "loglik seed 0 items_per_s (1/s, higher is better): base 50.75 (IQR 0.875) "
+        "change 58.5 (IQR 3.5) (+15.3%), wins 3/4, within_bound True",
+        "loglik seed 0 unbounded (s, lower is better): base 1 (IQR 0) change 2 (IQR 0) "
+        "(+100.0%), wins 0/4, within_bound None",
+        "sweep seed 7919 items_per_s (1/s, higher is better): base 58.5 (IQR 3.5) "
+        "change 50.75 (IQR 0.875) (-13.2%), wins 1/4, within_bound True",
     ]
 
 

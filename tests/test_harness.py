@@ -555,6 +555,27 @@ def test_study_labels_show_kappa_only_for_the_schedules_that_read_it():
         "uniform", "quadratic", "power_t(kappa=3.0)", "power_rho(kappa=3.0)", "log_rho"]
 
 
+def test_an_ignored_argument_leaves_the_report_bytes():
+    # an order, eta or kappa that the named sampler or schedule does not
+    # read is no part of the experiment, so neither rows nor config_sha256
+    # move; the study case drops the ignored eta from each list entry
+    uniform = {"name": "uniform", "n": 10}
+    pairs = [({}, {"schedule": {**uniform, "kappa": 3.0}}),
+             ({}, {"sampler": {"name": "ddim", "eta": 0.7}}),
+             ({"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim"}],
+               "schedule": [uniform]},
+              {"kind": "study", "n_list": [2, 4], "sampler": [{"name": "ddim", "eta": 0.7}],
+               "schedule": [uniform]})]
+    for fmt in ("json", "csv"):
+        for plain, ignored in pairs:
+            plain, ignored = (
+                run_experiment(ExperimentConfig.from_dict(
+                    base_config(**{"x_t": 1.0, "format": fmt, "schedule": uniform, **edit})
+                )).render(fmt)
+                for edit in (plain, ignored))
+            assert plain == ignored
+
+
 def test_cli_seed_override_is_validated(tmp_path):
     cfg = _write_config(tmp_path, base_config())
     for seed in (-1, 2**64, 2**100):

@@ -12,6 +12,7 @@ from diffint import (
     ParameterError,
     log_rho,
     make_grid,
+    power_rho,
     power_t,
     quadratic,
     reference_solve,
@@ -316,12 +317,39 @@ def test_ipndm_constant_field_matches_ddim(vp):
         assert np.allclose(run.states, base.states, rtol=1e-12, atol=1e-14)
 
 
-def test_ipndm_warns_on_nonuniform_grid(vp, gauss_oracle):
-    _, field = gauss_oracle
-    run = run_sampler("ipndm", vp, field, quadratic(1e-3, 1.0, 10), 1.0, order=2)
-    assert any("non-uniform" in note for note in run.notes)
-    run = run_sampler("ipndm", vp, field, uniform(1e-3, 1.0, 10), 1.0, order=2)
-    assert run.notes == ()
+IPNDM_NOTE = "blend weights assume even steps in rho; the grid's are uneven"
+
+
+def test_ipndm_warns_on_nonuniform_grid(vp, ve):
+    # the blend is Adams-Bashforth in rho, so a grid even in t gets the
+    # note, on both presets, and only a grid even in rho goes without
+    field = lambda x, t: np.zeros_like(x)
+    for spec, t0 in ((vp, 1e-3), (ve, 1e-5)):
+        for grid in (uniform(t0, 1.0, 10), quadratic(t0, 1.0, 10), log_rho(spec, t0, 10),
+                     power_rho(spec, t0, 10, 2.0)):
+            assert run_sampler("ipndm", spec, field, grid, 1.0, order=2).notes == (IPNDM_NOTE,)
+        grid = power_rho(spec, t0, 10, 1.0)
+        assert run_sampler("ipndm", spec, field, grid, 1.0, order=2).notes == ()
+
+
+@pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
+def test_ipndm_is_rho_ab_on_even_steps_in_rho(preset, t0, request):
+    # where the note is absent, the fixed blend is rho_ab's exact weights;
+    # on even steps in t, which the note flags, the two part by over 1e-3
+    from diffint.oracle import draw_terminal_states
+
+    spec = request.getfixturevalue(preset)
+    field = EpsilonField(GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4]), spec)
+    x = draw_terminal_states(spec, 0, 16)
+
+    def gap(grid, r):
+        ipndm = run_sampler("ipndm", spec, field, grid, x, order=r).terminal
+        return np.max(np.abs(ipndm - run_sampler("rho_ab", spec, field, grid, x,
+                                                  order=r).terminal))
+
+    for r in (1, 2, 3):
+        assert gap(power_rho(spec, t0, 40, 1.0), r) <= 1e-12
+        assert gap(uniform(t0, 1.0, 40), r) > 1e-3
 
 
 def test_ipndm_beats_ddim_on_oracle(vp, gauss_oracle, x_batch):
@@ -415,6 +443,41 @@ def test_nfe_accounting(vp, gauss_oracle):
     stages = {"rho_mid": 2, "rho_heun2": 2, "rho_kutta3": 3, "rho_rk4": 4}
     for name, s in stages.items():
         assert run_sampler(name, vp, field, grid, 1.0).nfe == 10 * s
+    # a plain callable is called once per evaluation, as the field is
+    for name in SAMPLER_NAMES:
+        calls = []
+        plain = lambda x, t: calls.append(t) or np.zeros_like(x)
+        run = run_sampler(name, vp, plain, grid, 1.0, order=2, eta=0.3, seed=0)
+        assert run.nfe == len(calls) == 10 * stages.get(name, 1)
+
+
+@pytest.mark.parametrize("preset, t0", [("vp", 1e-3), ("ve", 1e-5)])
+def test_a_run_fills_a_fresh_field_memo_in_one_call(preset, t0, request, monkeypatch):
+    # the executor fills an EpsilonField's memo with the plan's times from
+    # one _marginals call, holding what one miss per time would have held
+    from diffint import oracle
+
+    spec = request.getfixturevalue(preset)
+    gmm = GaussianMixture([0.3, 0.7], [1.0, -0.5], [0.2, 0.4])
+    grid = quadratic(t0, 1.0, 6)
+    calls = []
+    marginals = oracle._marginals
+    monkeypatch.setattr(oracle, "_marginals", lambda *args: calls.append(args) or
+                        marginals(*args))
+    for name in SAMPLER_NAMES:
+        times = _SAMPLERS[name][0](spec, grid, 2, 0.5).eval_times.ravel().tolist()
+        field = EpsilonField(gmm, spec)
+        calls.clear()
+        run = run_sampler(name, spec, field, grid, np.array([0.3, -1.2]), order=2, eta=0.5,
+                          seed=3)
+        assert len(calls) == 1 and run.nfe == len(times)
+        assert set(field._memo) == set(times)
+        missed = EpsilonField(gmm, spec)
+        for t in times:
+            got, want = field._memo[t], missed._marginal(t)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_initial_state_recorded(vp, gauss_oracle):
@@ -519,6 +582,36 @@ def test_ve_preset_end_to_end():
         assert fine < 0.05
 
 
+# (sampler, order argument, nominal order) of every sampler with one, but
+# ipndm, whose fixed blend assumes even steps in rho, and the stochastic
+# sddim
+NOMINAL_ORDERS = [("euler", 0, 1), ("ei_score", 0, 1), ("ddim", 0, 1),
+                  ("tab", 1, 2), ("tab", 2, 3), ("tab", 3, 4),
+                  ("rho_ab", 1, 2), ("rho_ab", 2, 3), ("rho_ab", 3, 4),
+                  ("rho_mid", 0, 2), ("rho_heun2", 0, 2), ("rho_kutta3", 0, 3),
+                  ("rho_rk4", 0, 4)]
+
+
+@pytest.mark.parametrize("name, order, nominal", NOMINAL_ORDERS)
+def test_every_sampler_reaches_its_order_on_ve(name, order, nominal, ve):
+    # against the closed form of one Gaussian: with v = mu^2 s^2 + L^2,
+    # x(t0) = mu(t0) m + sqrt(v(t0) / v(T)) (x_T - mu(T) m).  Only the
+    # lower bound is gated: with K = 1, rho_mid and tab r = 2 on VE read
+    # above their nominal orders.  The errors at N = 160 run from 3e-2
+    # (euler) down to 1e-8 (rho_rk4), far above the roundoff floor.
+    from diffint.oracle import draw_terminal_states
+
+    t0, m, s = 1e-5, 0.5, 0.25
+    field = EpsilonField(GaussianMixture([1.0], [m], [s]), ve)
+    x_T = draw_terminal_states(ve, 0, 16)
+    v = lambda t: ve.mu(t) ** 2 * s**2 + ve.L(t) ** 2
+    exact = ve.mu(t0) * m + np.sqrt(v(t0) / v(ve.t_end)) * (x_T - ve.mu(ve.t_end) * m)
+    e80, e160 = (np.mean(np.abs(run_sampler(name, ve, field, log_rho(ve, t0, n), x_T,
+                                            order=order).terminal - exact))
+                 for n in (80, 160))
+    assert np.log2(e80 / e160) >= nominal - 0.3
+
+
 def test_deterministic_samplers_bitwise_reproducible(vp, gauss_oracle):
     _, field = gauss_oracle
     grid = quadratic(1e-3, 1.0, 10)
@@ -575,8 +668,7 @@ def test_run_sampler_dispatch(vp, gauss_oracle):
                  "rho_heun2", "rho_kutta3", "rho_rk4", "ipndm"):
         run = run_sampler(name, vp, field, grid, 1.0, order=1)
         assert run.states.shape == (6,)
-    run = run_sampler("sddim", vp, field, grid, 1.0, eta=0.4, seed=11)
-    assert run.seed == 11
+    run_sampler("sddim", vp, field, grid, 1.0, eta=0.4, seed=11)
     with pytest.raises(ParameterError):
         run_sampler("nope", vp, field, grid, 1.0)
     with pytest.raises(ParameterError):
@@ -673,8 +765,8 @@ def test_plan_row_sizes(vp, ve):
         for _, plan in plans:
             assert np.isfinite(plan.psi).all() and all(np.isfinite(row).all() for row in plan.c)
             assert plan.noise is None or np.isfinite(plan.noise).all()
-    # each run reports its plan's order and notes: ipndm notes a non-uniform
-    # grid, and t(rho) moved down by 0.02 clamps rho_* stage times to t0
+    # each run reports its plan's order and notes: ipndm notes uneven steps
+    # in rho, and t(rho) moved down by 0.02 clamps rho_* stage times to t0
     shifted = dataclasses.replace(
         vp, t_of_rho_closed=lambda rho: vp.t_of_rho_closed(rho) - 0.02
     )
@@ -692,7 +784,8 @@ def test_plan_row_sizes(vp, ve):
                 if run.notes:
                     noted.setdefault(name, set()).add((spec is shifted, schedule.__name__))
     clamped = {(True, "quadratic")}
-    assert noted == {"ipndm": {(False, "quadratic"), (True, "quadratic")},
+    assert noted == {"ipndm": {(False, "uniform"), (False, "quadratic"), (True, "uniform"),
+                               (True, "quadratic")},
                      "rho_mid": clamped, "rho_kutta3": clamped, "rho_rk4": clamped}
 
 

@@ -10,7 +10,6 @@ from diffint.diffusion import rho_of_t
 def test_uniform_is_kappa_one():
     grid = power_t(1e-3, 1.0, 10, 1.0)
     assert np.allclose(grid.times, np.linspace(1e-3, 1.0, 11), rtol=1e-15)
-    assert grid.schedule_name == "uniform"
 
 
 def test_endpoints_exact_any_kappa():
